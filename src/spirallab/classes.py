@@ -305,6 +305,19 @@ def sample_measure(seed: int, k_atoms: int) -> AtomicMeasure:
     return AtomicMeasure(tuple(angles), tuple(weights))
 
 
+def random_measure(rng: np.random.Generator, k_atoms: int) -> AtomicMeasure:
+    """Random measure with k uniform on 1..k_atoms atoms, drawn from ``rng``.
+
+    Draws k, then weights uniform on the simplex, then angles uniform on
+    [0, 2pi); reports depend on this draw order.
+    """
+    if k_atoms < 1:
+        raise InvalidParams("k_atoms must be >= 1")
+    k = int(rng.integers(1, k_atoms + 1))
+    w = rng.dirichlet(np.ones(k))
+    return AtomicMeasure(tuple(rng.uniform(0.0, TWO_PI, k)), tuple(w / w.sum()))
+
+
 def encode_measure_spec(measure: AtomicMeasure, spec: ClassSpec) -> dict:
     """JSON document for a measure/spec pair, as consumed by the CLI."""
     return {

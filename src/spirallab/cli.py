@@ -15,24 +15,25 @@ import sys
 import numpy as np
 
 from .classes import (
-    AtomicMeasure,
     ClassSpec,
     InvalidParams,
     UnknownName,
     alexander_forward,
     member_from_measure,
     named,
+    random_measure,
 )
-from .extremal import SearchProblem, default_target, search
+from .extremal import SearchProblem, class_bound, search
 from .inequalities import (
-    ONE_SIDED_THEOREMS,
+    FUNCTIONALS,
+    THEOREM_FUNCTIONAL,
+    TOL_INEQ,
     ChainInequalityViolation,
+    DegenerateCosGamma,
     InvalidIndices,
     OrderTooLow,
     bound_rhs,
-    one_sided_diff,
     proof_trace,
-    successive_diff,
 )
 from .membership import (
     TOL_MEMBER,
@@ -95,6 +96,8 @@ def _merged(args: argparse.Namespace) -> dict:
         if override is not None:
             cfg[key] = override
     cfg["command"] = args.command
+    if cfg.get("format", "csv") not in ("csv", "json"):
+        raise ConfigError("field 'format' must be 'csv' or 'json'")
     return cfg
 
 
@@ -102,7 +105,16 @@ def _require(cfg: dict, key: str, kind=None):
     if key not in cfg:
         raise ConfigError(f"field '{key}' is required for command '{cfg['command']}'")
     value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
+    # exact types: JSON true/false load as bool, which isinstance counts as int
+    if kind is not None and type(value) is not kind:
+        raise ConfigError(f"field '{key}' has the wrong type")
+    return value
+
+
+def _optional(doc: dict, key: str, default):
+    """doc[key], or default when absent; a value must have the default's exact type."""
+    value = doc.get(key, default)
+    if type(value) is not type(default):
         raise ConfigError(f"field '{key}' has the wrong type")
     return value
 
@@ -113,15 +125,15 @@ def _class_spec(cfg: dict) -> ClassSpec:
         raise ConfigError("field 'spec.kind' is required")
     try:
         return ClassSpec(doc["kind"], float(doc.get("gamma", 0.0)), float(doc.get("alpha", 0.0)))
-    except InvalidParams as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'spec': {exc}") from None
 
 
 def _n_range(cfg: dict) -> range:
     raw = _require(cfg, "n")
-    if isinstance(raw, int):
+    if type(raw) is int:
         return range(raw, raw + 1)
-    if isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, int) for v in raw):
+    if type(raw) is list and len(raw) == 2 and all(type(v) is int for v in raw):
         lo, hi = raw
         if hi < lo:
             raise ConfigError("field 'n': empty range")
@@ -131,7 +143,7 @@ def _n_range(cfg: dict) -> range:
 
 def _seed(cfg: dict) -> int:
     seed = _require(cfg, "seed")
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ConfigError("field 'seed' must be an integer (no wall-clock defaults)")
     return seed
 
@@ -151,7 +163,7 @@ def _build_functions(cfg: dict, spec: ClassSpec | None, order: int):
                 f = named(entry["name"], order, **params)
             except UnknownName as exc:
                 raise ConfigError(f"unknown function name {exc}") from None
-            except InvalidParams as exc:
+            except ValueError as exc:  # InvalidParams, or a parameter that is no number
                 raise ConfigError(str(exc)) from None
             tag = entry["name"]
             if params:
@@ -162,34 +174,33 @@ def _build_functions(cfg: dict, spec: ClassSpec | None, order: int):
             if spec is None:
                 raise ConfigError("sampled functions need a 'spec'")
             block = entry["sampled"]
-            trials = block.get("trials", 1)
-            k_atoms = block.get("k_atoms", 2)
+            if not isinstance(block, dict):
+                raise ConfigError("field 'sampled' must be an object")
+            trials = _optional(block, "trials", 1)
+            k_atoms = _optional(block, "k_atoms", 2)
             seed = _seed(cfg)
             rng = np.random.default_rng(seed)
             for t in range(trials):
-                k = int(rng.integers(1, k_atoms + 1))
-                w = rng.dirichlet(np.ones(k))
-                measure = AtomicMeasure(
-                    tuple(rng.uniform(0.0, 2.0 * math.pi, k)), tuple(w / w.sum())
-                )
-                f = member_from_measure(measure, spec, order)
+                f = member_from_measure(random_measure(rng, k_atoms), spec, order)
                 out.append((f"sample-{t:04d}", f, seed))
         else:
             raise ConfigError("each function entry needs 'name' or 'sampled'")
     return out
 
 
-def _write_rows(rows: list, cfg: dict) -> None:
-    fmt = cfg.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError("field 'format' must be 'csv' or 'json'")
-    if fmt == "csv":
+def _write(cfg: dict, doc, tabular: bool = False) -> None:
+    """Write doc to cfg's 'out' path, or to stdout without one.
+
+    A list of report rows (``tabular``) follows the 'format' field, CSV
+    or JSON; any other document is always JSON.
+    """
+    if tabular and cfg.get("format", "csv") == "csv":
         lines = [",".join(CSV_COLUMNS)]
-        for row in rows:
+        for row in doc:
             lines.append(",".join(_fmt(row[col]) for col in CSV_COLUMNS))
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     out = cfg.get("out")
     if out:
         with open(out, "w") as fh:
@@ -198,18 +209,14 @@ def _write_rows(rows: list, cfg: dict) -> None:
         sys.stdout.write(text)
 
 
-def _diff_for(theorem: str, f, n: int) -> float:
-    return one_sided_diff(f, n) if theorem in ONE_SIDED_THEOREMS else successive_diff(f, n)
-
-
-def _rhs_for(theorem: str, f, spec: ClassSpec, n: int) -> float:
+def _rhs_for(theorem: str, f, spec: ClassSpec, n: int, m: int | None) -> float:
     """Bound value, computing the per-function M where the theorem needs it."""
     if theorem == "thm_main":
         return proof_trace(f, spec.gamma, spec.alpha, n).final_bound
     if theorem == "cor_convex_gamma" and spec.alpha != 0.0:
         trace = proof_trace(alexander_forward(f), spec.gamma, spec.alpha, n)
         return trace.final_bound / (n + 1)
-    return bound_rhs(theorem, n, alpha=spec.alpha, gamma=spec.gamma)
+    return bound_rhs(theorem, n, m, alpha=spec.alpha, gamma=spec.gamma)
 
 
 def _row(theorem, fid, seed, spec, n, m, lhs, rhs):
@@ -225,22 +232,37 @@ def _row(theorem, fid, seed, spec, n, m, lhs, rhs):
         "lhs": lhs,
         "rhs": rhs,
         "slack": slack,
-        "pass": slack >= -1e-8,
+        "pass": slack >= -TOL_INEQ,
     }
 
 
+def _grid(cfg: dict) -> Grid | None:
+    """The membership grid, or None when the config asks for no membership rows."""
+    if not cfg.get("membership"):
+        return None
+    block = cfg["membership"] if isinstance(cfg["membership"], dict) else {}
+    m = _optional(block, "m", 4096)
+    try:
+        return Grid(tuple(block.get("radii", (0.5, 0.9, 0.99))), m)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field 'membership': {exc}") from None
+
+
 def _cmd_verify(cfg: dict) -> int:
-    order = cfg.get("order", ORDER_DEFAULT)
+    order = _optional(cfg, "order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
     theorem = _require(cfg, "theorem", str)
+    if theorem not in THEOREM_FUNCTIONAL:
+        raise ConfigError(f"unknown theorem id {theorem!r}")
+    functional = FUNCTIONALS[THEOREM_FUNCTIONAL[theorem]]
+    m = _require(cfg, "m", int) if theorem == "thm_robertson" else None
     ns = _n_range(cfg)
+    grid = _grid(cfg)
     functions = _build_functions(cfg, spec, order)
 
     rows = []
     for fid, f, seed in functions:
-        if cfg.get("membership"):
-            block = cfg["membership"] if isinstance(cfg["membership"], dict) else {}
-            grid = Grid(tuple(block.get("radii", (0.5, 0.9, 0.99))), block.get("m", 4096))
+        if grid is not None:
             check = check_convex if spec.is_convex_kind else check_spirallike
             try:
                 lhs = -check(f, spec, grid).margin
@@ -249,26 +271,20 @@ def _cmd_verify(cfg: dict) -> int:
                 lhs = math.inf
             rows.append(_row("membership", fid, seed, spec, None, None, lhs, TOL_MEMBER))
         for n in ns:
-            if theorem == "thm_robertson":
-                m = _require(cfg, "m", int)
-                lhs = abs(n * abs(f.a(n)) - m * abs(f.a(m)))
-                rhs = bound_rhs(theorem, n, m)
-                rows.append(_row(theorem, fid, seed, spec, n, m, lhs, rhs))
-            else:
-                lhs = _diff_for(theorem, f, n)
-                try:
-                    rhs = _rhs_for(theorem, f, spec, n)
-                except ChainInequalityViolation:
-                    # a broken derivation chain is a red-alert row, not a crash
-                    rhs = math.nan
-                rows.append(_row(theorem, fid, seed, spec, n, None, lhs, rhs))
+            lhs = functional(f, n, m)
+            try:
+                rhs = _rhs_for(theorem, f, spec, n, m)
+            except ChainInequalityViolation:
+                # a broken derivation chain is a red-alert row, not a crash
+                rhs = math.nan
+            rows.append(_row(theorem, fid, seed, spec, n, m, lhs, rhs))
     rows.sort(key=lambda r: (r["function_id"], r["n"] if r["n"] is not None else -1))
-    _write_rows(rows, cfg)
+    _write(cfg, rows, tabular=True)
     return EXIT_OK if all(r["pass"] for r in rows) else EXIT_VIOLATION
 
 
 def _cmd_trace(cfg: dict) -> int:
-    order = cfg.get("order", ORDER_DEFAULT)
+    order = _optional(cfg, "order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
     ns = _n_range(cfg)
     functions = _build_functions(cfg, spec, order)
@@ -284,13 +300,7 @@ def _cmd_trace(cfg: dict) -> int:
                 red = True
             docs.append(doc)
     docs.sort(key=lambda d: (d["function_id"], d["n"]))
-    text = json.dumps(docs, indent=2, sort_keys=True) + "\n"
-    out = cfg.get("out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(cfg, docs)
     return EXIT_VIOLATION if red else EXIT_OK
 
 
@@ -302,12 +312,12 @@ def _cmd_search(cfg: dict) -> int:
             spec=spec,
             n=n,
             functional=cfg.get("functional", "two_sided_diff"),
-            m=cfg.get("m"),
-            k_atoms=cfg.get("k_atoms", 2),
-            budget=cfg.get("budget", 5000),
-            restarts=cfg.get("restarts", 8),
+            m=None if cfg.get("m") is None else _optional(cfg, "m", 0),
+            k_atoms=_optional(cfg, "k_atoms", 2),
+            budget=_optional(cfg, "budget", 5000),
+            restarts=_optional(cfg, "restarts", 8),
             seed=_seed(cfg),
-            minimize=bool(cfg.get("minimize", False)),
+            minimize=_optional(cfg, "minimize", False),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -321,35 +331,24 @@ def _cmd_search(cfg: dict) -> int:
 
     violated = False
     if not problem.minimize:
-        theorem, two_sided = default_target(spec)
-        applies = (theorem in ONE_SIDED_THEOREMS) == (problem.functional == "one_sided_diff")
-        if problem.functional != "robertson" and applies:
-            rhs = bound_rhs(theorem, n, alpha=spec.alpha if theorem == "thm_C" else 0.0)
-            doc["bound"] = {"theorem_id": theorem, "rhs": rhs}
-            violated = result.best_value > rhs + 1e-8
-            doc["bound"]["violated"] = violated
-    out = cfg.get("out")
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        theorem, rhs = class_bound(spec, n)
+        if THEOREM_FUNCTIONAL[theorem] == problem.functional:
+            violated = result.best_value > rhs + TOL_INEQ
+            doc["bound"] = {"theorem_id": theorem, "rhs": rhs, "violated": violated}
+    _write(cfg, doc)
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
 def _cmd_sample(cfg: dict) -> int:
-    order = cfg.get("order", ORDER_DEFAULT)
+    order = _optional(cfg, "order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
     trials = _require(cfg, "trials", int)
-    k_atoms = cfg.get("k_atoms", 2)
+    k_atoms = _optional(cfg, "k_atoms", 2)
     seed = _seed(cfg)
     rng = np.random.default_rng(seed)
     docs = []
     for t in range(trials):
-        k = int(rng.integers(1, k_atoms + 1))
-        w = rng.dirichlet(np.ones(k))
-        measure = AtomicMeasure(tuple(rng.uniform(0.0, 2.0 * math.pi, k)), tuple(w / w.sum()))
+        measure = random_measure(rng, k_atoms)
         f = member_from_measure(measure, spec, order)
         docs.append(
             {
@@ -362,72 +361,36 @@ def _cmd_sample(cfg: dict) -> int:
                 "coefficients": [[c.real, c.imag] for c in f.series.coeffs],
             }
         )
-    text = json.dumps(docs, indent=2, sort_keys=True) + "\n"
-    out = cfg.get("out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(cfg, docs)
     return EXIT_OK
 
 
 def _cmd_table(cfg: dict) -> int:
     """Golden table: the named extremal functions against their theorems."""
     ns = _n_range(cfg) if "n" in cfg else range(2, 21)
-    order = cfg.get("order", max(ORDER_DEFAULT, max(ns) + 1))
-    rows = []
-
+    order = _optional(cfg, "order", max(ORDER_DEFAULT, max(ns) + 1))
     koebe = named("koebe", order)
     chalf = named("c_half_extremal", order)
     cube = named("power_map", order, beta=3.0)
-    star_spec = ClassSpec("starlike")
-    chalf_spec = ClassSpec("c_half", alpha=-0.5)
-    starneg_spec = ClassSpec("starlike", alpha=-0.5)
-    convex_spec = ClassSpec("convex")
+
+    def sharp(n):
+        return named("l_phi", order, phi=math.pi / n)
+
+    # (theorem, function id, class, builder of the function used at index n)
+    cases = (
+        ("thm_A", "koebe", ClassSpec("starlike"), lambda n: koebe),
+        ("thm_c_half", "c_half_extremal", ClassSpec("c_half", alpha=-0.5), lambda n: chalf),
+        ("thm_C", "power_map(beta=3)", ClassSpec("starlike", alpha=-0.5), lambda n: cube),
+        ("thm_B", "l_phi(pi/n)", ClassSpec("convex"), sharp),
+    )
+    rows = []
     for n in ns:
-        rows.append(
-            _row("thm_A", "koebe", None, star_spec, n, None, successive_diff(koebe, n), 1.0)
-        )
-        rows.append(
-            _row(
-                "thm_c_half",
-                "c_half_extremal",
-                None,
-                chalf_spec,
-                n,
-                None,
-                one_sided_diff(chalf, n),
-                1.0,
-            )
-        )
-        rows.append(
-            _row(
-                "thm_C",
-                "power_map(beta=3)",
-                None,
-                starneg_spec,
-                n,
-                None,
-                successive_diff(cube, n),
-                bound_rhs("thm_C", n, alpha=-0.5),
-            )
-        )
-        sharp = named("l_phi", order, phi=math.pi / n)
-        rows.append(
-            _row(
-                "thm_B",
-                "l_phi(pi/n)",
-                None,
-                convex_spec,
-                n,
-                None,
-                one_sided_diff(sharp, n),
-                bound_rhs("thm_B", n),
-            )
-        )
+        for theorem, fid, spec, build in cases:
+            lhs = FUNCTIONALS[THEOREM_FUNCTIONAL[theorem]](build(n), n)
+            rhs = bound_rhs(theorem, n, alpha=spec.alpha)
+            rows.append(_row(theorem, fid, None, spec, n, None, lhs, rhs))
     rows.sort(key=lambda r: (r["function_id"], r["n"]))
-    _write_rows(rows, cfg)
+    _write(cfg, rows, tabular=True)
     return EXIT_OK if all(r["pass"] for r in rows) else EXIT_VIOLATION
 
 
@@ -468,10 +431,8 @@ def main(argv=None) -> int:
     try:
         cfg = _merged(args)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OrderTooLow, InvalidIndices) as exc:
+    except (ConfigError, OrderTooLow, InvalidIndices, InvalidParams, DegenerateCosGamma) as exc:
+        # every one of these traces back to a config value outside its valid range
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import AtomicMeasure, ClassSpec, member_from_measure, wrap_angle
-from .inequalities import BoundReport, bound_rhs, one_sided_diff, successive_diff
+from .classes import AtomicMeasure, ClassSpec, member_from_measure, random_measure, wrap_angle
+from .inequalities import FUNCTIONALS, THEOREM_FUNCTIONAL, BoundReport, bound_rhs
 from .series import ORDER_DEFAULT
-
-FUNCTIONALS = ("two_sided_diff", "one_sided_diff", "robertson")
 
 #: Per-restart convergence tolerance on the simplex objective spread.
 SPREAD_TOL = 1e-10
@@ -111,15 +109,11 @@ def _measure_from_vector(x: np.ndarray, k: int) -> AtomicMeasure:
 
 
 def _objective(problem: SearchProblem, order: int):
-    spec, n, m = problem.spec, problem.n, problem.m
+    spec, n, m, k = problem.spec, problem.n, problem.m, problem.k_atoms
+    functional = FUNCTIONALS[problem.functional]
 
     def value(x: np.ndarray) -> float:
-        f = member_from_measure(_measure_from_vector(x, problem.k_atoms), spec, order)
-        if problem.functional == "two_sided_diff":
-            return successive_diff(f, n)
-        if problem.functional == "one_sided_diff":
-            return one_sided_diff(f, n)
-        return abs(n * abs(f.a(n)) - m * abs(f.a(m)))
+        return functional(member_from_measure(_measure_from_vector(x, k), spec, order), n, m)
 
     return value
 
@@ -227,20 +221,30 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
     )
 
 
-def default_target(spec: ClassSpec) -> tuple:
-    """(theorem_id, two_sided flag) certified for random members of spec.
+def default_target(spec: ClassSpec) -> str:
+    """Theorem id certified for random members of spec.
 
     Classes with alpha > 0 nest inside their alpha = 0 parent, so their
     members are certified against the parent's constant bound here; the
     sharper per-function exponential bound is the proof-trace's job.
     """
     if spec.kind == "c_half":
-        return "thm_c_half", False
+        return "thm_c_half"
     if spec.is_convex_kind:
-        return ("thm_B" if spec.gamma == 0.0 else "cor_convex_gamma"), False
+        return "thm_B" if spec.gamma == 0.0 else "cor_convex_gamma"
     if spec.kind == "starlike":
-        return ("thm_C" if spec.alpha < 0.0 else "thm_A"), True
-    return "cor_spiral", True
+        return "thm_C" if spec.alpha < 0.0 else "thm_A"
+    return "cor_spiral"
+
+
+def class_bound(spec: ClassSpec, n: int) -> tuple:
+    """(theorem_id, rhs): the default theorem for spec and its class-level bound at n.
+
+    Only thm_C reads alpha; the others are taken at alpha = 0, their
+    class-wide constant (see :func:`default_target`).
+    """
+    theorem = default_target(spec)
+    return theorem, bound_rhs(theorem, n, alpha=spec.alpha if theorem == "thm_C" else 0.0)
 
 
 def certify_never_exceeds(
@@ -253,19 +257,13 @@ def certify_never_exceeds(
     With no trials and no incumbents the report passes vacuously at
     lhs = 0.
     """
-    theorem, two_sided = default_target(spec)
-    rhs = bound_rhs(theorem, n, alpha=spec.alpha if theorem == "thm_C" else 0.0)
+    theorem, rhs = class_bound(spec, n)
+    functional = FUNCTIONALS[THEOREM_FUNCTIONAL[theorem]]
     order = max(ORDER_DEFAULT, 2 * n)
     rng = np.random.default_rng(seed)
-    lhs = 0.0
-    measures = []
-    for _ in range(trials):
-        k = int(rng.integers(1, 9))
-        w = rng.dirichlet(np.ones(k))
-        measures.append(AtomicMeasure(tuple(rng.uniform(0.0, 2.0 * np.pi, k)), tuple(w / w.sum())))
+    measures = [random_measure(rng, 8) for _ in range(trials)]
     measures.extend(incumbents)
+    lhs = 0.0
     for measure in measures:
-        f = member_from_measure(measure, spec, order)
-        value = successive_diff(f, n) if two_sided else one_sided_diff(f, n)
-        lhs = max(lhs, value)
+        lhs = max(lhs, functional(member_from_measure(measure, spec, order), n))
     return BoundReport(theorem, n=n, lhs=lhs, rhs=rhs)

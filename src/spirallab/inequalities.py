@@ -32,12 +32,27 @@ from .series import FunctionSeries, Series
 #: Slack below -TOL_INEQ counts as a bound violation.
 TOL_INEQ = 1e-8
 
-#: Theorems bounding | |a_{n+1}| - |a_n| | (two-sided); the rest bound
-#: the signed difference |a_{n+1}| - |a_n| only.
-TWO_SIDED_THEOREMS = frozenset({"thm_main", "cor_spiral", "thm_A", "thm_C", "thm_robertson"})
-ONE_SIDED_THEOREMS = frozenset({"thm_B", "cor_convex_gamma", "thm_c_half"})
+#: The functional each theorem bounds: the two-sided | |a_{n+1}| - |a_n| |,
+#: the signed |a_{n+1}| - |a_n|, or Robertson's | n|a_n| - m|a_m| |.
+THEOREM_FUNCTIONAL = {
+    "thm_main": "two_sided_diff",
+    "cor_spiral": "two_sided_diff",
+    "thm_A": "two_sided_diff",
+    "thm_C": "two_sided_diff",
+    "thm_B": "one_sided_diff",
+    "cor_convex_gamma": "one_sided_diff",
+    "thm_c_half": "one_sided_diff",
+    "thm_robertson": "robertson",
+}
 
-THEOREM_IDS = TWO_SIDED_THEOREMS | ONE_SIDED_THEOREMS | {"lemma31", "membership"}
+#: Evaluator (f, n, m) -> value of each functional; only robertson reads m.
+FUNCTIONALS = {
+    "two_sided_diff": lambda f, n, m=None: successive_diff(f, n),
+    "one_sided_diff": lambda f, n, m=None: one_sided_diff(f, n),
+    "robertson": lambda f, n, m: robertson_gap(f, n, m).lhs,
+}
+
+THEOREM_IDS = frozenset(THEOREM_FUNCTIONAL) | {"lemma31", "membership"}
 
 
 class OrderTooLow(ValueError):
@@ -72,7 +87,8 @@ class BoundReport:
     def __post_init__(self):
         if self.theorem_id not in THEOREM_IDS:
             raise InvalidIndices(f"unknown theorem id {self.theorem_id!r}")
-        object.__setattr__(self, "two_sided", self.theorem_id in TWO_SIDED_THEOREMS)
+        two_sided = THEOREM_FUNCTIONAL.get(self.theorem_id) in ("two_sided_diff", "robertson")
+        object.__setattr__(self, "two_sided", two_sided)
         object.__setattr__(self, "slack", self.rhs - self.lhs)
         object.__setattr__(self, "passed", self.slack >= -TOL_INEQ)
 
@@ -91,11 +107,7 @@ class BoundReport:
 
 def successive_diff(f: FunctionSeries, n: int) -> float:
     """The two-sided functional | |a_{n+1}| - |a_n| |."""
-    if n < 1:
-        raise InvalidIndices("successive difference needs n >= 1")
-    if n + 1 > f.order:
-        raise OrderTooLow(f"need order >= {n + 1}, have {f.order}")
-    return abs(abs(f.a(n + 1)) - abs(f.a(n)))
+    return abs(one_sided_diff(f, n))
 
 
 def one_sided_diff(f: FunctionSeries, n: int) -> float:

@@ -16,7 +16,7 @@ accept any order and report what the polynomial does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -328,3 +328,66 @@ def test_seed_flag_overrides_config(tmp_path):
     assert main(["sample", "--config", cfg, "--out", str(out1)]) == EXIT_OK
     assert main(["sample", "--config", cfg, "--seed", "9", "--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() != out2.read_bytes()
+
+
+
+_SAMPLED_MAIN = {
+    "seed": 1,
+    "order": 32,
+    "spec": {"kind": "spirallike", "gamma": 0.3, "alpha": 0.2},
+    "theorem": "thm_main",
+    "n": [2, 4],
+    "functions": [{"sampled": {"trials": 2, "k_atoms": 3}}],
+}
+
+# case -> (command, config); each config holds one value outside the schema
+_OUTSIDE_SCHEMA = {
+    "radius_past_one": (
+        "verify", {**_SAMPLED_MAIN, "membership": {"radii": [1.5], "m": 64}}
+    ),
+    "radii_not_a_list": ("verify", {**_SAMPLED_MAIN, "membership": {"radii": "x"}}),
+    "robertson_n_past_order": (
+        "verify", {**_SAMPLED_MAIN, "theorem": "thm_robertson", "n": [30, 40], "m": 2}
+    ),
+    "unknown_theorem": ("verify", {**_SAMPLED_MAIN, "theorem": "thm_nonexistent"}),
+    "sampled_order_zero": ("verify", {**_SAMPLED_MAIN, "order": 0}),
+    "k_atoms_zero": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"sampled": {"trials": 2, "k_atoms": 0}}]}
+    ),
+    "trials_not_int": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"sampled": {"trials": "x"}}]}
+    ),
+    "gamma_near_half_pi": (
+        "verify", {**_SAMPLED_MAIN, "spec": {"kind": "spirallike", "gamma": 1.5707963267}}
+    ),
+    "gamma_not_number": (
+        "verify", {**_SAMPLED_MAIN, "spec": {"kind": "spirallike", "gamma": "x"}}
+    ),
+    "n_boolean": ("verify", {**_SAMPLED_MAIN, "n": True}),
+    "seed_boolean": ("verify", {**_SAMPLED_MAIN, "seed": True}),
+    "named_param_not_number": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"name": "l_phi", "params": {"phi": "x"}}]}
+    ),
+    "sample_k_atoms_zero": (
+        "sample", {"seed": 1, "trials": 2, "k_atoms": 0, "spec": {"kind": "starlike"}}
+    ),
+    "search_minimize_string": (
+        "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "minimize": "false"}
+    ),
+    "search_format_unknown": (
+        "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "format": "xml"}
+    ),
+    "search_budget_not_int": (
+        "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "budget": "x"}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUTSIDE_SCHEMA))
+def test_config_outside_schema_is_config_error(tmp_path, capsys, case):
+    command, doc = _OUTSIDE_SCHEMA[case]
+    cfg = write_config(tmp_path, {**doc, "out": str(tmp_path / "out")})
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""  # rejected before any work is streamed
