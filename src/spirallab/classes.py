@@ -80,6 +80,9 @@ class AtomicMeasure:
         k = len(angles)
         return cls(angles, (1.0 / k,) * k)
 
+    def to_json(self) -> list:
+        return [{"t": t, "w": w} for t, w in zip(self.angles, self.weights)]
+
 
 @dataclass(frozen=True)
 class ClassSpec:
@@ -127,6 +130,17 @@ class ClassSpec:
         """The right-hand side alpha*cos(gamma) of the defining condition."""
         return self.alpha * math.cos(self.gamma)
 
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "gamma": self.gamma, "alpha": self.alpha}
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "ClassSpec":
+        """Inverse of :meth:`to_json`; gamma and alpha default to 0, kind is required."""
+        gamma, alpha = doc.get("gamma", 0.0), doc.get("alpha", 0.0)
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (gamma, alpha)):
+            raise InvalidParams("gamma and alpha must be numbers")
+        return cls(doc.get("kind"), float(gamma), float(alpha))
+
 
 def herglotz(measure: AtomicMeasure, order: int = ORDER_DEFAULT) -> Series:
     """Positive-real-part function generated by an atomic measure.
@@ -165,8 +179,7 @@ def spirallike_from_measure(
         s[1:] = factor * h.coeffs[1:] / k[1:]
     u = Series(s).exp_zero()
     f = np.concatenate(([0.0], u.coeffs))
-    params = {"measure": measure, "gamma": spec.gamma, "alpha": spec.alpha, "kind": spec.kind}
-    return FunctionSeries(Series(f), "from-measure", params)
+    return FunctionSeries(Series(f), "from-measure", {"measure": measure, **spec.to_json()})
 
 
 def member_from_measure(
@@ -177,7 +190,7 @@ def member_from_measure(
     if not spec.is_convex_kind:
         return g
     f = alexander_inverse(g)
-    f.params.update({"kind": spec.kind, "measure": measure, "gamma": spec.gamma, "alpha": spec.alpha})
+    f.params.update({"measure": measure, **spec.to_json()})
     return f
 
 
@@ -320,20 +333,11 @@ def random_measure(rng: np.random.Generator, k_atoms: int) -> AtomicMeasure:
 
 def encode_measure_spec(measure: AtomicMeasure, spec: ClassSpec) -> dict:
     """JSON document for a measure/spec pair, as consumed by the CLI."""
-    return {
-        "atoms": [{"t": t, "w": w} for t, w in zip(measure.angles, measure.weights)],
-        "gamma": spec.gamma,
-        "alpha": spec.alpha,
-        "kind": spec.kind,
-    }
+    return {"atoms": measure.to_json(), **spec.to_json()}
 
 
 def decode_measure_spec(doc: dict) -> tuple:
     """Inverse of :func:`encode_measure_spec`; returns (measure, spec)."""
     atoms = doc["atoms"]
-    measure = AtomicMeasure(
-        tuple(a["t"] for a in atoms),
-        tuple(a["w"] for a in atoms),
-    )
-    spec = ClassSpec(doc["kind"], float(doc.get("gamma", 0.0)), float(doc.get("alpha", 0.0)))
-    return measure, spec
+    measure = AtomicMeasure(tuple(a["t"] for a in atoms), tuple(a["w"] for a in atoms))
+    return measure, ClassSpec.from_json(doc)

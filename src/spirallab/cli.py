@@ -18,12 +18,12 @@ from .classes import (
     ClassSpec,
     InvalidParams,
     UnknownName,
-    alexander_forward,
+    encode_measure_spec,
     member_from_measure,
     named,
     random_measure,
 )
-from .extremal import SearchProblem, class_bound, search
+from .extremal import SearchProblem, search
 from .inequalities import (
     FUNCTIONALS,
     THEOREM_FUNCTIONAL,
@@ -33,6 +33,8 @@ from .inequalities import (
     InvalidIndices,
     OrderTooLow,
     bound_rhs,
+    class_bound,
+    member_rhs,
     proof_trace,
 )
 from .membership import (
@@ -98,6 +100,7 @@ def _merged(args: argparse.Namespace) -> dict:
     cfg["command"] = args.command
     if cfg.get("format", "csv") not in ("csv", "json"):
         raise ConfigError("field 'format' must be 'csv' or 'json'")
+    _optional(cfg, "out", "")  # a path string; an int would be taken as a file descriptor
     return cfg
 
 
@@ -119,13 +122,18 @@ def _optional(doc: dict, key: str, default):
     return value
 
 
+def _positive(doc: dict, key: str, default: int | None = None) -> int:
+    """doc[key] as an integer >= 1; required when there is no default."""
+    value = _require(doc, key, int) if default is None else _optional(doc, key, default)
+    if value < 1:
+        raise ConfigError(f"field '{key}' must be >= 1")
+    return value
+
+
 def _class_spec(cfg: dict) -> ClassSpec:
-    doc = _require(cfg, "spec", dict)
-    if "kind" not in doc or not isinstance(doc["kind"], str):
-        raise ConfigError("field 'spec.kind' is required")
     try:
-        return ClassSpec(doc["kind"], float(doc.get("gamma", 0.0)), float(doc.get("alpha", 0.0)))
-    except (TypeError, ValueError) as exc:
+        return ClassSpec.from_json(_require(cfg, "spec", dict))
+    except InvalidParams as exc:
         raise ConfigError(f"field 'spec': {exc}") from None
 
 
@@ -143,48 +151,51 @@ def _n_range(cfg: dict) -> range:
 
 def _seed(cfg: dict) -> int:
     seed = _require(cfg, "seed")
-    if type(seed) is not int:
-        raise ConfigError("field 'seed' must be an integer (no wall-clock defaults)")
+    if type(seed) is not int or seed < 0:
+        raise ConfigError("field 'seed' must be a non-negative integer (no wall-clock defaults)")
     return seed
 
 
-def _build_functions(cfg: dict, spec: ClassSpec | None, order: int):
-    """Yield (function_id, FunctionSeries, seed-or-None) per config entry."""
+def _suite(seed: int, spec: ClassSpec, order: int, trials: int, k_atoms: int) -> list:
+    """(measure, member) per trial, all drawn from one stream seeded by seed."""
+    rng = np.random.default_rng(seed)
+    measures = [random_measure(rng, k_atoms) for _ in range(trials)]
+    return [(measure, member_from_measure(measure, spec, order)) for measure in measures]
+
+
+def _build_functions(cfg: dict, spec: ClassSpec, order: int):
+    """(function_id, FunctionSeries, seed-or-None) per function the config entries name."""
     entries = _require(cfg, "functions", list)
     out = []
     for entry in entries:
-        if not isinstance(entry, dict):
-            raise ConfigError("entries of 'functions' must be objects")
+        if not isinstance(entry, dict) or ("name" in entry) == ("sampled" in entry):
+            raise ConfigError("a function entry is an object with one of 'name' and 'sampled'")
         if "name" in entry:
             params = entry.get("params", {})
-            if not isinstance(params, dict):
-                raise ConfigError("field 'params' must be an object")
+            if not isinstance(entry["name"], str) or not isinstance(params, dict):
+                raise ConfigError("field 'name' must be a string and 'params' an object")
+            if not all(type(v) in (int, float) for v in params.values()):
+                raise ConfigError("function parameters must be numbers")
             try:
                 f = named(entry["name"], order, **params)
             except UnknownName as exc:
                 raise ConfigError(f"unknown function name {exc}") from None
-            except ValueError as exc:  # InvalidParams, or a parameter that is no number
+            except ValueError as exc:  # InvalidParams, or a NaN parameter that breaks a_1 = 1
                 raise ConfigError(str(exc)) from None
             tag = entry["name"]
             if params:
                 inner = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))
                 tag = f"{tag}({inner})"
             out.append((tag, f, None))
-        elif "sampled" in entry:
-            if spec is None:
-                raise ConfigError("sampled functions need a 'spec'")
+        else:
             block = entry["sampled"]
             if not isinstance(block, dict):
                 raise ConfigError("field 'sampled' must be an object")
-            trials = _optional(block, "trials", 1)
+            trials = _positive(block, "trials", 1)
             k_atoms = _optional(block, "k_atoms", 2)
             seed = _seed(cfg)
-            rng = np.random.default_rng(seed)
-            for t in range(trials):
-                f = member_from_measure(random_measure(rng, k_atoms), spec, order)
+            for t, (_, f) in enumerate(_suite(seed, spec, order, trials, k_atoms)):
                 out.append((f"sample-{t:04d}", f, seed))
-        else:
-            raise ConfigError("each function entry needs 'name' or 'sampled'")
     return out
 
 
@@ -203,20 +214,20 @@ def _write(cfg: dict, doc, tabular: bool = False) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     out = cfg.get("out")
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"field 'out': {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
 
-def _rhs_for(theorem: str, f, spec: ClassSpec, n: int, m: int | None) -> float:
-    """Bound value, computing the per-function M where the theorem needs it."""
-    if theorem == "thm_main":
-        return proof_trace(f, spec.gamma, spec.alpha, n).final_bound
-    if theorem == "cor_convex_gamma" and spec.alpha != 0.0:
-        trace = proof_trace(alexander_forward(f), spec.gamma, spec.alpha, n)
-        return trace.final_bound / (n + 1)
-    return bound_rhs(theorem, n, m, alpha=spec.alpha, gamma=spec.gamma)
+def _write_rows(cfg: dict, rows: list) -> int:
+    """Sort report rows by function then index, write them, and return the exit code."""
+    rows.sort(key=lambda r: (r["function_id"], r["n"] if r["n"] is not None else -1))
+    _write(cfg, rows, tabular=True)
+    return EXIT_OK if all(r["pass"] for r in rows) else EXIT_VIOLATION
 
 
 def _row(theorem, fid, seed, spec, n, m, lhs, rhs):
@@ -237,25 +248,30 @@ def _row(theorem, fid, seed, spec, n, m, lhs, rhs):
 
 
 def _grid(cfg: dict) -> Grid | None:
-    """The membership grid, or None when the config asks for no membership rows."""
-    if not cfg.get("membership"):
+    """The membership grid: None for false or absent, the default grid for true or {}."""
+    block = cfg.get("membership", False)
+    if block is False:
         return None
-    block = cfg["membership"] if isinstance(cfg["membership"], dict) else {}
-    m = _optional(block, "m", 4096)
+    block = {} if block is True else block
+    if not isinstance(block, dict):
+        raise ConfigError("field 'membership' must be true, false or an object")
+    radii = _optional(block, "radii", [0.5, 0.9, 0.99])
+    if not all(type(r) in (int, float) for r in radii):
+        raise ConfigError("field 'radii' must be a list of numbers")
     try:
-        return Grid(tuple(block.get("radii", (0.5, 0.9, 0.99))), m)
-    except (TypeError, ValueError) as exc:
+        return Grid(tuple(radii), _optional(block, "m", 4096))
+    except ValueError as exc:
         raise ConfigError(f"field 'membership': {exc}") from None
 
 
 def _cmd_verify(cfg: dict) -> int:
-    order = _optional(cfg, "order", ORDER_DEFAULT)
+    order = _positive(cfg, "order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
     theorem = _require(cfg, "theorem", str)
     if theorem not in THEOREM_FUNCTIONAL:
         raise ConfigError(f"unknown theorem id {theorem!r}")
     functional = FUNCTIONALS[THEOREM_FUNCTIONAL[theorem]]
-    m = _require(cfg, "m", int) if theorem == "thm_robertson" else None
+    m = _require(cfg, "m", int) if THEOREM_FUNCTIONAL[theorem] == "robertson" else None
     ns = _n_range(cfg)
     grid = _grid(cfg)
     functions = _build_functions(cfg, spec, order)
@@ -273,23 +289,20 @@ def _cmd_verify(cfg: dict) -> int:
         for n in ns:
             lhs = functional(f, n, m)
             try:
-                rhs = _rhs_for(theorem, f, spec, n, m)
+                rhs = member_rhs(theorem, f, spec, n, m)
             except ChainInequalityViolation:
                 # a broken derivation chain is a red-alert row, not a crash
                 rhs = math.nan
             rows.append(_row(theorem, fid, seed, spec, n, m, lhs, rhs))
-    rows.sort(key=lambda r: (r["function_id"], r["n"] if r["n"] is not None else -1))
-    _write(cfg, rows, tabular=True)
-    return EXIT_OK if all(r["pass"] for r in rows) else EXIT_VIOLATION
+    return _write_rows(cfg, rows)
 
 
 def _cmd_trace(cfg: dict) -> int:
-    order = _optional(cfg, "order", ORDER_DEFAULT)
+    order = _positive(cfg, "order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
     ns = _n_range(cfg)
     functions = _build_functions(cfg, spec, order)
     docs = []
-    red = False
     for fid, f, seed in functions:
         for n in ns:
             doc = {"function_id": fid, "seed": seed}
@@ -297,11 +310,10 @@ def _cmd_trace(cfg: dict) -> int:
                 doc.update(proof_trace(f, spec.gamma, spec.alpha, n).to_json())
             except ChainInequalityViolation as exc:
                 doc.update({"n": n, "violation": str(exc)})
-                red = True
             docs.append(doc)
     docs.sort(key=lambda d: (d["function_id"], d["n"]))
     _write(cfg, docs)
-    return EXIT_VIOLATION if red else EXIT_OK
+    return EXIT_VIOLATION if any("violation" in d for d in docs) else EXIT_OK
 
 
 def _cmd_search(cfg: dict) -> int:
@@ -311,7 +323,7 @@ def _cmd_search(cfg: dict) -> int:
         problem = SearchProblem(
             spec=spec,
             n=n,
-            functional=cfg.get("functional", "two_sided_diff"),
+            functional=_optional(cfg, "functional", "two_sided_diff"),
             m=None if cfg.get("m") is None else _optional(cfg, "m", 0),
             k_atoms=_optional(cfg, "k_atoms", 2),
             budget=_optional(cfg, "budget", 5000),
@@ -325,42 +337,33 @@ def _cmd_search(cfg: dict) -> int:
     def stream(evals: int, value: float):
         sys.stdout.write(json.dumps({"evaluations": evals, "incumbent": value}) + "\n")
 
+    # the bound is taken before the search, so an n it rejects streams nothing
+    theorem, rhs = (None, None) if problem.minimize else class_bound(spec, n)
     result = search(problem, on_improve=stream)
-    doc = result.to_json()
-    doc["problem"] = problem.to_json()
-
+    doc = {**result.to_json(), "problem": problem.to_json()}
     violated = False
-    if not problem.minimize:
-        theorem, rhs = class_bound(spec, n)
-        if THEOREM_FUNCTIONAL[theorem] == problem.functional:
-            violated = result.best_value > rhs + TOL_INEQ
-            doc["bound"] = {"theorem_id": theorem, "rhs": rhs, "violated": violated}
+    if theorem is not None and THEOREM_FUNCTIONAL[theorem] == problem.functional:
+        violated = result.best_value > rhs + TOL_INEQ
+        doc["bound"] = {"theorem_id": theorem, "rhs": rhs, "violated": violated}
     _write(cfg, doc)
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
 def _cmd_sample(cfg: dict) -> int:
-    order = _optional(cfg, "order", ORDER_DEFAULT)
+    order = _positive(cfg, "order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
-    trials = _require(cfg, "trials", int)
+    trials = _positive(cfg, "trials")
     k_atoms = _optional(cfg, "k_atoms", 2)
     seed = _seed(cfg)
-    rng = np.random.default_rng(seed)
-    docs = []
-    for t in range(trials):
-        measure = random_measure(rng, k_atoms)
-        f = member_from_measure(measure, spec, order)
-        docs.append(
-            {
-                "trial": t,
-                "seed": seed,
-                "kind": spec.kind,
-                "gamma": spec.gamma,
-                "alpha": spec.alpha,
-                "atoms": [{"t": a, "w": b} for a, b in zip(measure.angles, measure.weights)],
-                "coefficients": [[c.real, c.imag] for c in f.series.coeffs],
-            }
-        )
+    docs = [
+        {
+            **encode_measure_spec(measure, spec),
+            "trial": t,
+            "seed": seed,
+            "coefficients": [[c.real, c.imag] for c in f.series.coeffs],
+        }
+        for t, (measure, f) in enumerate(_suite(seed, spec, order, trials, k_atoms))
+    ]
     _write(cfg, docs)
     return EXIT_OK
 
@@ -368,7 +371,7 @@ def _cmd_sample(cfg: dict) -> int:
 def _cmd_table(cfg: dict) -> int:
     """Golden table: the named extremal functions against their theorems."""
     ns = _n_range(cfg) if "n" in cfg else range(2, 21)
-    order = _optional(cfg, "order", max(ORDER_DEFAULT, max(ns) + 1))
+    order = _positive(cfg, "order", max(ORDER_DEFAULT, max(ns) + 1))
     koebe = named("koebe", order)
     chalf = named("c_half_extremal", order)
     cube = named("power_map", order, beta=3.0)
@@ -389,9 +392,7 @@ def _cmd_table(cfg: dict) -> int:
             lhs = FUNCTIONALS[THEOREM_FUNCTIONAL[theorem]](build(n), n)
             rhs = bound_rhs(theorem, n, alpha=spec.alpha)
             rows.append(_row(theorem, fid, None, spec, n, None, lhs, rhs))
-    rows.sort(key=lambda r: (r["function_id"], r["n"]))
-    _write(cfg, rows, tabular=True)
-    return EXIT_OK if all(r["pass"] for r in rows) else EXIT_VIOLATION
+    return _write_rows(cfg, rows)
 
 
 _COMMANDS = {
@@ -431,8 +432,10 @@ def main(argv=None) -> int:
     try:
         cfg = _merged(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, OrderTooLow, InvalidIndices, InvalidParams, DegenerateCosGamma) as exc:
-        # every one of these traces back to a config value outside its valid range
+    except (ConfigError, OrderTooLow, InvalidIndices, InvalidParams, DegenerateCosGamma,
+            OverflowError) as exc:
+        # every one of these traces back to a config value outside its valid range;
+        # OverflowError: a spec whose exponential bound or chain leaves the double range
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import AtomicMeasure, ClassSpec, member_from_measure, random_measure, wrap_angle
-from .inequalities import FUNCTIONALS, THEOREM_FUNCTIONAL, BoundReport, bound_rhs
+from .inequalities import FUNCTIONALS, THEOREM_FUNCTIONAL, BoundReport, class_bound
 from .series import ORDER_DEFAULT
 
 #: Per-restart convergence tolerance on the simplex objective spread.
@@ -58,9 +58,7 @@ class SearchProblem:
 
     def to_json(self) -> dict:
         return {
-            "kind": self.spec.kind,
-            "gamma": self.spec.gamma,
-            "alpha": self.spec.alpha,
+            **self.spec.to_json(),
             "n": self.n,
             "functional": self.functional,
             "m": self.m,
@@ -85,12 +83,7 @@ class SearchResult:
     def to_json(self) -> dict:
         return {
             "best_value": self.best_value,
-            "best_measure": {
-                "atoms": [
-                    {"t": t, "w": w}
-                    for t, w in zip(self.best_measure.angles, self.best_measure.weights)
-                ]
-            },
+            "best_measure": {"atoms": self.best_measure.to_json()},
             "history": [[e, v] for e, v in self.history],
             "evaluations_used": self.evaluations_used,
             "budget_exhausted": self.budget_exhausted,
@@ -219,32 +212,6 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
         evaluations_used=state["evals"],
         budget_exhausted=exhausted,
     )
-
-
-def default_target(spec: ClassSpec) -> str:
-    """Theorem id certified for random members of spec.
-
-    Classes with alpha > 0 nest inside their alpha = 0 parent, so their
-    members are certified against the parent's constant bound here; the
-    sharper per-function exponential bound is the proof-trace's job.
-    """
-    if spec.kind == "c_half":
-        return "thm_c_half"
-    if spec.is_convex_kind:
-        return "thm_B" if spec.gamma == 0.0 else "cor_convex_gamma"
-    if spec.kind == "starlike":
-        return "thm_C" if spec.alpha < 0.0 else "thm_A"
-    return "cor_spiral"
-
-
-def class_bound(spec: ClassSpec, n: int) -> tuple:
-    """(theorem_id, rhs): the default theorem for spec and its class-level bound at n.
-
-    Only thm_C reads alpha; the others are taken at alpha = 0, their
-    class-wide constant (see :func:`default_target`).
-    """
-    theorem = default_target(spec)
-    return theorem, bound_rhs(theorem, n, alpha=spec.alpha if theorem == "thm_C" else 0.0)
 
 
 def certify_never_exceeds(

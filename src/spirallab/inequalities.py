@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .classes import ClassSpec, alexander_forward
 from .series import FunctionSeries, Series
 
 #: Slack below -TOL_INEQ counts as a bound violation.
@@ -177,6 +178,47 @@ def bound_rhs(
             factor = math.exp(-M * alpha * math.cos(gamma))
         return factor if theorem_id == "thm_main" else factor / (n + 1)
     raise InvalidIndices(f"unknown theorem id {theorem_id!r}")
+
+
+def member_rhs(
+    theorem_id: str, f: FunctionSeries, spec: ClassSpec, n: int, m: int | None = None
+) -> float:
+    """Right-hand side of theorem_id for f in spec at index n.
+
+    thm_main, and cor_convex_gamma at alpha != 0, read the per-function M
+    from a proof trace of f or of its Alexander transform z f'(z).
+    """
+    if theorem_id == "thm_main":
+        return proof_trace(f, spec.gamma, spec.alpha, n).final_bound
+    if theorem_id == "cor_convex_gamma" and spec.alpha != 0.0:
+        return proof_trace(alexander_forward(f), spec.gamma, spec.alpha, n).final_bound / (n + 1)
+    return bound_rhs(theorem_id, n, m, alpha=spec.alpha, gamma=spec.gamma)
+
+
+def default_target(spec: ClassSpec) -> str:
+    """Theorem id certified for random members of spec.
+
+    Classes with alpha > 0 nest inside their alpha = 0 parent, so their
+    members are certified against the parent's constant bound here; the
+    sharper per-function exponential bound is the proof-trace's job.
+    """
+    if spec.kind == "c_half":
+        return "thm_c_half"
+    if spec.is_convex_kind:
+        return "thm_B" if spec.gamma == 0.0 else "cor_convex_gamma"
+    if spec.kind == "starlike":
+        return "thm_C" if spec.alpha < 0.0 else "thm_A"
+    return "cor_spiral"
+
+
+def class_bound(spec: ClassSpec, n: int) -> tuple:
+    """(theorem_id, rhs): the default theorem for spec and its class-level bound at n.
+
+    Only thm_C reads alpha; the others are taken at alpha = 0, their
+    class-wide constant (see :func:`default_target`).
+    """
+    theorem = default_target(spec)
+    return theorem, bound_rhs(theorem, n, alpha=spec.alpha if theorem == "thm_C" else 0.0)
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float) -> float:

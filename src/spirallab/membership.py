@@ -79,9 +79,7 @@ class MembershipReport:
             "passed": self.passed,
         }
         if self.spec is not None:
-            doc["kind"] = self.spec.kind
-            doc["gamma"] = self.spec.gamma
-            doc["alpha"] = self.spec.alpha
+            doc.update(self.spec.to_json())
         if self.window is not None:
             doc["window"] = list(self.window)
         return doc

@@ -59,21 +59,9 @@ class Series:
         return cls(np.zeros(order + 1))
 
     @classmethod
-    def constant(cls, value: complex, order: int = ORDER_DEFAULT) -> "Series":
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[0] = value
-        return cls(c)
-
-    @classmethod
     def one(cls, order: int = ORDER_DEFAULT) -> "Series":
-        return cls.constant(1.0, order)
-
-    @classmethod
-    def monomial(cls, degree: int, order: int = ORDER_DEFAULT, scale: complex = 1.0) -> "Series":
-        if not 0 <= degree <= order:
-            raise ValueError("monomial degree must lie within the order")
         c = np.zeros(order + 1, dtype=np.complex128)
-        c[degree] = scale
+        c[0] = 1.0
         return cls(c)
 
     # ------------------------------------------------------------------
@@ -107,10 +95,6 @@ class Series:
     def add(self, other: "Series") -> "Series":
         n = min(self.order, other.order)
         return Series(self._c[: n + 1] + other._c[: n + 1])
-
-    def sub(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(self._c[: n + 1] - other._c[: n + 1])
 
     def neg(self) -> "Series":
         return Series(-self._c)
@@ -199,53 +183,6 @@ class Series:
         buf[: scaled.size] = scaled
         folded = buf.reshape(-1, m).sum(axis=0)
         return m * np.fft.ifft(folded)
-
-    # ------------------------------------------------------------------
-    # operator sugar
-
-    def _coerce(self, other):
-        if isinstance(other, Series):
-            return other
-        if isinstance(other, (int, float, complex, np.number)):
-            return Series.constant(other, self.order)
-        return None
-
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        return NotImplemented if rhs is None else self.add(rhs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        return NotImplemented if rhs is None else self.sub(rhs)
-
-    def __rsub__(self, other):
-        lhs = self._coerce(other)
-        return NotImplemented if lhs is None else lhs.sub(self)
-
-    def __neg__(self):
-        return self.neg()
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            return self.mul(other)
-        if isinstance(other, (int, float, complex, np.number)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Series):
-            return self.div(other)
-        if isinstance(other, (int, float, complex, np.number)):
-            return self.scale(1.0 / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        lhs = self._coerce(other)
-        return NotImplemented if lhs is None else lhs.div(self)
 
 
 class FunctionSeries:

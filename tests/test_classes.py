@@ -16,6 +16,7 @@ from spirallab import (
     herglotz,
     member_from_measure,
     named,
+    random_measure,
     sample_measure,
     spirallike_from_measure,
 )
@@ -302,3 +303,54 @@ def test_measure_spec_json_round_trip():
     assert spec2 == spec
     assert np.allclose(m2.angles, m.angles)
     assert np.allclose(m2.weights, m.weights)
+
+
+# ----------------------------------------------------------------------
+# high-precision oracle: the closed product formula at 40 digits
+
+ORACLE_TOL = 1e-13
+
+
+def product_formula_coeffs(measure, spec, order):
+    """a_0..a_order of z prod_j (1 - e^{-i t_j} z)^{-2 w_j (1-alpha) e^{i gamma} cos gamma}.
+
+    That product is the spirallike member of the measure; convex kinds
+    then take the Alexander inverse a_n / n of their spiral parent.
+    Each factor expands by the rising-factorial ratio (b + n - 1) x / n.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    parent = spec.spiral_parent()
+    with mpmath.workdps(40):
+        scale = 2 * (1 - mpmath.mpf(parent.alpha)) * mpmath.expj(parent.gamma)
+        scale *= mpmath.cos(parent.gamma)
+        u = [mpmath.mpc(1)] + [mpmath.mpc(0)] * (order - 1)
+        for t, w in zip(measure.angles, measure.weights):
+            b, x = scale * w, mpmath.expj(-mpmath.mpf(t))
+            factor = [mpmath.mpc(1)]
+            for n in range(1, order):
+                factor.append(factor[-1] * (b + n - 1) / n * x)
+            u = [mpmath.fsum(u[j] * factor[k - j] for j in range(k + 1)) for k in range(order)]
+        a = [0, *u]
+        if spec.is_convex_kind:
+            a = [0] + [a[n] / n for n in range(1, order + 1)]
+    return np.array([complex(v) for v in a])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ClassSpec("spirallike", 0.4, 0.2),
+        ClassSpec("starlike", 0.0, -0.5),
+        ClassSpec("convex", 0.0, 0.3),
+        ClassSpec("convex_spirallike", -0.6, 0.1),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_sampled_members_match_product_formula_oracle(spec):
+    rng = np.random.default_rng(2024)
+    for _ in range(4):
+        measure = random_measure(rng, 4)
+        got = member_from_measure(measure, spec, 64).series.coeffs
+        exact = product_formula_coeffs(measure, spec, 64)
+        rel = np.abs(got[1:] - exact[1:]) / np.abs(exact[1:])
+        assert np.max(rel) <= ORACLE_TOL

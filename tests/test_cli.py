@@ -380,14 +380,59 @@ _OUTSIDE_SCHEMA = {
     "search_budget_not_int": (
         "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "budget": "x"}
     ),
+    "seed_negative": ("verify", {**_SAMPLED_MAIN, "seed": -1}),
+    "seed_flag_negative": ("verify", _SAMPLED_MAIN, "--seed", "-1"),
+    "sample_seed_negative": (
+        "sample", {"seed": -1, "trials": 2, "spec": {"kind": "starlike"}}
+    ),
+    "search_n_below_bound": ("search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 1}),
+    "search_functional_not_string": (
+        "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "functional": ["x"]}
+    ),
+    "search_seed_negative": ("search", {"seed": -1, "spec": {"kind": "starlike"}, "n": 4}),
+    "table_order_zero": ("table", {"order": 0}),
+    "out_not_a_string": ("table", {"out": 5}),
+    "out_is_a_directory": ("table", {"out": "."}),
+    "membership_string": ("verify", {**_SAMPLED_MAIN, "membership": "no"}),
+    "membership_integer": ("verify", {**_SAMPLED_MAIN, "membership": 1}),
+    "radius_boolean": ("verify", {**_SAMPLED_MAIN, "membership": {"radii": [True]}}),
+    "named_param_string": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"name": "power_map", "params": {"beta": "3"}}]}
+    ),
+    "named_param_boolean": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"name": "l_phi", "params": {"phi": True}}]}
+    ),
+    "sample_trials_negative": (
+        "sample", {"seed": 1, "trials": -1, "spec": {"kind": "starlike"}}
+    ),
+    "sampled_trials_negative": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"sampled": {"trials": -1}}]}
+    ),
+    "thm_main_bound_overflows": (
+        "verify", {**_SAMPLED_MAIN, "spec": {"kind": "starlike", "alpha": -100.0}}
+    ),
+    "entry_with_name_and_sampled": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"name": "koebe", "sampled": {"trials": 1}}]}
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_OUTSIDE_SCHEMA))
 def test_config_outside_schema_is_config_error(tmp_path, capsys, case):
-    command, doc = _OUTSIDE_SCHEMA[case]
-    cfg = write_config(tmp_path, {**doc, "out": str(tmp_path / "out")})
-    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    command, doc, *flags = _OUTSIDE_SCHEMA[case]
+    # a case that is about 'out' keeps its own value
+    cfg = write_config(tmp_path, {"out": str(tmp_path / "out"), **doc})
+    assert main([command, "--config", cfg, *flags]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
     assert captured.out == ""  # rejected before any work is streamed
+
+
+def test_empty_membership_object_is_the_default_grid(tmp_path):
+    runs = []
+    for block in (True, {}):
+        out = tmp_path / f"{len(runs)}.csv"
+        cfg = write_config(tmp_path, {**_SAMPLED_MAIN, "membership": block, "out": str(out)})
+        runs.append((main(["verify", "--config", cfg]), out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][1].count(b"membership,") == 2

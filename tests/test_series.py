@@ -389,18 +389,7 @@ def test_eval_matches_direct_summation(s, r, theta):
 
 
 # ----------------------------------------------------------------------
-# operator sugar and FunctionSeries
-
-
-def test_operator_sugar_matches_methods():
-    a = Series([1, 2, 3])
-    b = Series([0, 1, -1])
-    assert_series_close(a + b, a.add(b), 0)
-    assert_series_close(a - b, a.sub(b), 0)
-    assert_series_close(a * b, a.mul(b), 0)
-    assert_series_close(1 - Series([0, 1, 0]), Series([1, -1, 0]), 0)
-    assert_series_close(2 * a, a.scale(2), 0)
-    assert_series_close(1 / one_minus_z(2), geometric(2), 1e-14)
+# FunctionSeries
 
 
 def test_function_series_requires_normalization():
