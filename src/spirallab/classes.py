@@ -25,6 +25,9 @@ TWO_PI = 2.0 * math.pi
 #: Atom weights must sum to one within this tolerance.
 WEIGHT_TOL = 1e-12
 
+#: Most atoms a sampled or searched measure may have.
+MAX_ATOMS = 16
+
 KINDS = ("spirallike", "convex_spirallike", "starlike", "convex", "c_half")
 
 #: Kinds whose members are Alexander transforms of spiral/starlike members.
@@ -324,8 +327,8 @@ def random_measure(rng: np.random.Generator, k_atoms: int) -> AtomicMeasure:
     Draws k, then weights uniform on the simplex, then angles uniform on
     [0, 2pi); reports depend on this draw order.
     """
-    if k_atoms < 1:
-        raise InvalidParams("k_atoms must be >= 1")
+    if not 1 <= k_atoms <= MAX_ATOMS:
+        raise InvalidParams(f"k_atoms must lie in 1..{MAX_ATOMS}")
     k = int(rng.integers(1, k_atoms + 1))
     w = rng.dirichlet(np.ones(k))
     return AtomicMeasure(tuple(rng.uniform(0.0, TWO_PI, k)), tuple(w / w.sum()))

@@ -65,6 +65,10 @@ CSV_COLUMNS = (
     "pass",
 )
 
+#: Ceilings on the integer sizes a config allocates from, checked by _positive.
+_CEILINGS = {"order": 65536, "m": 2**20}
+
+
 class ConfigError(ValueError):
     """Config file or flag contents outside the accepted schema."""
 
@@ -100,8 +104,17 @@ def _merged(args: argparse.Namespace) -> dict:
     cfg["command"] = args.command
     if cfg.get("format", "csv") not in ("csv", "json"):
         raise ConfigError("field 'format' must be 'csv' or 'json'")
-    _optional(cfg, "out", "")  # a path string; an int would be taken as a file descriptor
+    out = _optional(cfg, "out", "")  # a path string; an int would be taken as a file descriptor
+    if out:
+        _open_out(out, "a").close()  # an unusable path fails before any work
     return cfg
+
+
+def _open_out(out: str, mode: str):
+    try:
+        return open(out, mode)
+    except OSError as exc:
+        raise ConfigError(f"field 'out': {out}: {exc.strerror}") from None
 
 
 def _require(cfg: dict, key: str, kind=None):
@@ -123,10 +136,12 @@ def _optional(doc: dict, key: str, default):
 
 
 def _positive(doc: dict, key: str, default: int | None = None) -> int:
-    """doc[key] as an integer >= 1; required when there is no default."""
+    """doc[key] as an integer >= 1 and within its ceiling; required when there is no default."""
     value = _require(doc, key, int) if default is None else _optional(doc, key, default)
     if value < 1:
         raise ConfigError(f"field '{key}' must be >= 1")
+    if value > _CEILINGS.get(key, value):
+        raise ConfigError(f"field '{key}' must be <= {_CEILINGS[key]}")
     return value
 
 
@@ -214,11 +229,8 @@ def _write(cfg: dict, doc, tabular: bool = False) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     out = cfg.get("out")
     if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"field 'out': {out}: {exc.strerror}") from None
+        with _open_out(out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -259,7 +271,7 @@ def _grid(cfg: dict) -> Grid | None:
     if not all(type(r) in (int, float) for r in radii):
         raise ConfigError("field 'radii' must be a list of numbers")
     try:
-        return Grid(tuple(radii), _optional(block, "m", 4096))
+        return Grid(tuple(radii), _positive(block, "m", 4096))
     except ValueError as exc:
         raise ConfigError(f"field 'membership': {exc}") from None
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import AtomicMeasure, ClassSpec, member_from_measure, random_measure, wrap_angle
+from .classes import (MAX_ATOMS, AtomicMeasure, ClassSpec, member_from_measure,
+                      random_measure, wrap_angle)
 from .inequalities import FUNCTIONALS, THEOREM_FUNCTIONAL, BoundReport, class_bound
 from .series import ORDER_DEFAULT
 
@@ -47,8 +48,8 @@ class SearchProblem:
             raise ValueError(f"unknown functional {self.functional!r}")
         if self.functional == "robertson" and (self.m is None or not self.n > self.m >= 1):
             raise ValueError("robertson functional needs n > m >= 1")
-        if not 1 <= self.k_atoms <= 16:
-            raise ValueError("k_atoms must lie in 1..16")
+        if not 1 <= self.k_atoms <= MAX_ATOMS:
+            raise ValueError(f"k_atoms must lie in 1..{MAX_ATOMS}")
         if self.budget < 100 * self.k_atoms:
             raise ValueError("budget must be at least 100 * k_atoms")
         if self.restarts < 1:

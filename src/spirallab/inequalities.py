@@ -221,32 +221,13 @@ def class_bound(spec: ClassSpec, n: int) -> tuple:
     return theorem, bound_rhs(theorem, n, alpha=spec.alpha if theorem == "thm_C" else 0.0)
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
-    """Golden-section refinement of a bracketed interior maximum."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
-        if f1 > f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fn(x2)
-    return (a + b) / 2.0
-
-
-def psi_max(c, n: int, gamma: float, grid_m: int = 8192, angle_tol: float = 1e-10):
+def psi_max(c, n: int, gamma: float):
     """Maximum of Re(e^{i gamma} sum_{k<=n} c_k z^k / k) on |z| = 1.
 
     ``c`` is the sequence c_1..c_n (index 0 holds c_1).  A dense FFT grid
     locates the best basin (ties broken toward the smallest angle), then
-    golden-section refinement narrows the angle to ``angle_tol``.
-    Returns (M, maximizing angle).
+    Newton steps on the closed-form derivative, kept inside the grid cell,
+    make the angle stationary.  Returns (M, maximizing angle).
     """
     c = np.asarray(c, dtype=np.complex128)
     if n < 1:
@@ -255,19 +236,23 @@ def psi_max(c, n: int, gamma: float, grid_m: int = 8192, angle_tol: float = 1e-1
         raise OrderTooLow(f"need {n} coefficients, have {c.size}")
     k = np.arange(1, n + 1)
     d = np.exp(1j * gamma) * c[:n] / k
-
-    m_eff = max(grid_m, 4 * (n + 1))
-    buf = np.zeros(m_eff, dtype=np.complex128)
-    buf[1 : n + 1] = d
-    vals = (m_eff * np.fft.ifft(buf)).real
+    m = max(8192, 4 * (n + 1))
+    half = np.zeros(m // 2 + 1, dtype=np.complex128)
+    half[1 : n + 1] = d
+    vals = (m / 2) * np.fft.irfft(half, m)
     j = int(np.argmax(vals))
-    h = 2.0 * np.pi / m_eff
-
-    def point(theta: float) -> float:
-        return float(np.real(np.dot(d, np.exp(1j * k * theta))))
-
-    theta = _golden_max(point, j * h - h, j * h + h, angle_tol)
-    best = point(theta)
+    h = 2.0 * np.pi / m
+    theta = j * h
+    for _ in range(20):
+        e = d * np.exp(1j * k * theta)
+        curve = float(np.real(-(k * k) * e).sum())
+        if curve >= 0.0:
+            break
+        step = float(np.real(1j * k * e).sum()) / curve
+        theta = min(max(theta - step, j * h - h), j * h + h)
+        if abs(step) < 1e-15:
+            break
+    best = float(np.real(np.dot(d, np.exp(1j * k * theta))))
     if vals[j] >= best:
         theta, best = j * h, float(vals[j])
     return best, theta % (2.0 * np.pi)
@@ -372,7 +357,8 @@ def recover_c(f: FunctionSeries, gamma: float, count: int) -> np.ndarray:
         raise DegenerateCosGamma(f"cos(gamma) = {cos_g:.3e}")
     if count > f.order - 1:
         raise OrderTooLow(f"need order >= {count + 1}, have {f.order}")
-    u = Series(f.series.coeffs[1:])
+    # Quotient coefficient k reads only coefficients 0..k of each operand.
+    u = Series(f.series.coeffs[1 : count + 2])
     q = u.derivative().div(u)
     return np.asarray(q.coeffs[:count]) / (np.exp(1j * gamma) * cos_g)
 
@@ -386,8 +372,6 @@ def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofT
     """
     if n < 1:
         raise InvalidIndices("proof trace needs n >= 1")
-    if n + 1 > f.order:
-        raise OrderTooLow(f"need order >= {n + 1}, have {f.order}")
     c = recover_c(f, gamma, n)
     M, angle = psi_max(c, n, gamma)
     xi0 = complex(np.exp(-1j * angle))

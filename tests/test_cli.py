@@ -414,6 +414,21 @@ _OUTSIDE_SCHEMA = {
     "entry_with_name_and_sampled": (
         "verify", {**_SAMPLED_MAIN, "functions": [{"name": "koebe", "sampled": {"trials": 1}}]}
     ),
+    "search_out_is_a_directory": (
+        "search",
+        {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "budget": 400, "restarts": 2, "out": "."},
+    ),
+    # one past each size ceiling
+    "k_atoms_past_ceiling": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"sampled": {"trials": 2, "k_atoms": 17}}]}
+    ),
+    "sample_k_atoms_past_ceiling": (
+        "sample", {"seed": 1, "trials": 2, "k_atoms": 17, "spec": {"kind": "starlike"}}
+    ),
+    "order_past_ceiling": ("table", {"order": 65537}),
+    "membership_m_past_ceiling": (
+        "verify", {**_SAMPLED_MAIN, "membership": {"radii": [0.5], "m": 2**20 + 1}}
+    ),
 }
 
 

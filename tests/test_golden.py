@@ -47,7 +47,7 @@ CASES = {
             "format": "json",
         },
         EXIT_OK,
-        "993ea1c82fe386a5047edca8a8df1ed5b73bf1d3ffe761a7b15c2bf3f14ad7e3",
+        "15c2831e28dd493c79d0e6cabcc947e5363ed9ea4da437c31cd6708ee769dc31",
         EMPTY,
     ),
     "verify_thm_robertson": (
@@ -94,7 +94,7 @@ CASES = {
             "functions": [{"sampled": {"trials": 2, "k_atoms": 4}}],
         },
         EXIT_OK,
-        "bbf65d99009172e5447355f15517c1a05f6af621c3e696ad02b0ca8a47861776",
+        "3d3bb0063b03ec8736d2cc382d669b762ab22b9eb22d8c76c790f977b7b6c58d",
         EMPTY,
     ),
     "search_two_sided": (

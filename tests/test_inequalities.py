@@ -136,8 +136,7 @@ def test_psi_max_koebe_data_is_harmonic_sum():
         c = np.full(n, 2.0)
         M, angle = psi_max(c, n, 0.0)
         assert M == pytest.approx(2.0 * harmonic(n), abs=1e-9)
-        # angle is value-comparison limited to ~sqrt(eps) near a smooth max
-        assert abs(angle) < 1e-6 or abs(angle - 2 * math.pi) < 1e-6
+        assert abs(angle) < 1e-12 or abs(angle - 2 * math.pi) < 1e-12
 
 
 def test_psi_max_zero_sequence():
@@ -163,6 +162,23 @@ def test_psi_max_scaled_koebe_bound():
             M, _ = psi_max(c, n, 0.0)
             assert M == pytest.approx(2 * (1 - alpha) * harmonic(n), abs=1e-9)
             assert M <= 2 * (1 - alpha) * (math.log(n) + 1) + 1e-12
+
+
+def test_psi_max_meets_its_definition():
+    # M is Re sum d_k e^{ik theta}, d_k = e^{i gamma} c_k / k, at a stationary
+    # angle, and no point of a 4096-angle grid lies above it.
+    rng = np.random.default_rng(31)
+    grid = np.exp(1j * np.outer(2.0 * np.pi * np.arange(4096) / 4096, np.arange(1, 41)))
+    for _ in range(200):
+        n = int(rng.integers(1, 41))
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        gamma = float(rng.uniform(-1.4, 1.4))
+        M, angle = psi_max(c, n, gamma)
+        k = np.arange(1, n + 1)
+        d = np.exp(1j * gamma) * c / k
+        slope = np.real(np.sum(1j * k * d * np.exp(1j * k * angle)))
+        assert abs(slope) <= 1e-12 * np.sum(k * np.abs(d))
+        assert M >= np.real(grid[:, :n] * d).sum(axis=1).max()
 
 
 def test_psi_max_guards():
@@ -269,6 +285,16 @@ def test_recover_c_round_trips_measure_data():
         axis=0,
     )
     assert np.max(np.abs(c - (1 - alpha) * h)) < 1e-10
+    # each prefix is bit-for-bit the prefix of the full-order recovery
+    members = [
+        (named("koebe", 256), 0.0),
+        (named("two_point", 256, theta1=0.3, theta2=2.0), 0.0),
+        (spirallike_from_measure(measure, spec, 256), gamma),
+    ]
+    for g, g_gamma in members:
+        full = recover_c(g, g_gamma, g.order - 1)
+        for count in range(1, 21):
+            assert np.array_equal(recover_c(g, g_gamma, count), full[:count])
 
 
 def test_proof_trace_koebe_full_equality_chain():
