@@ -161,7 +161,11 @@ def herglotz(measure: AtomicMeasure, order: int = ORDER_DEFAULT) -> Series:
 
 
 def spirallike_from_measure(
-    measure: AtomicMeasure, spec: ClassSpec, order: int = ORDER_DEFAULT
+    measure: AtomicMeasure,
+    spec: ClassSpec,
+    order: int = ORDER_DEFAULT,
+    *,
+    upto: int | None = None,
 ) -> FunctionSeries:
     """Member of a spirallike or starlike class driven by an atomic measure.
 
@@ -169,27 +173,42 @@ def spirallike_from_measure(
     the member is f = z exp(e^{i gamma} cos(gamma) sum c_n z^n / n) where
     c_n = (1-alpha) h_n.  A single atom at t = 0 with gamma = alpha = 0
     gives the Koebe function; two equal atoms give the two-point extremal.
+
+    ``upto`` (clamped to 1..order) stops the exponential at a_upto and
+    returns a member of that order, for callers that read no further;
+    its coefficients are bit-for-bit those of the order-``order`` member.
     """
     if spec.kind not in ("spirallike", "starlike"):
         raise InvalidParams("direct measure construction needs a spirallike or starlike spec")
     if order < 1:
         raise InvalidParams("order must be >= 1")
+    # h keeps its full width even under upto: the product w @ E in herglotz
+    # rounds a column differently when the matrix is narrower
     h = herglotz(measure, order - 1)
     k = np.arange(order)
     s = np.zeros(order, dtype=np.complex128)
     factor = np.exp(1j * spec.gamma) * math.cos(spec.gamma) * (1.0 - spec.alpha)
     if order > 1:
         s[1:] = factor * h.coeffs[1:] / k[1:]
-    u = Series(s).exp_zero()
+    width = order if upto is None else min(max(upto, 1), order)
+    # exp coefficient k reads only coefficients 0..k of its argument
+    u = Series(s[:width]).exp_zero()
     f = np.concatenate(([0.0], u.coeffs))
     return FunctionSeries(Series(f), "from-measure", {"measure": measure, **spec.to_json()})
 
 
 def member_from_measure(
-    measure: AtomicMeasure, spec: ClassSpec, order: int = ORDER_DEFAULT
+    measure: AtomicMeasure,
+    spec: ClassSpec,
+    order: int = ORDER_DEFAULT,
+    *,
+    upto: int | None = None,
 ) -> FunctionSeries:
-    """Member of any supported class; convex kinds go through the Alexander map."""
-    g = spirallike_from_measure(measure, spec.spiral_parent(), order)
+    """Member of any supported class; convex kinds go through the Alexander map.
+
+    ``upto`` is passed to :func:`spirallike_from_measure`.
+    """
+    g = spirallike_from_measure(measure, spec.spiral_parent(), order, upto=upto)
     if not spec.is_convex_kind:
         return g
     f = alexander_inverse(g)

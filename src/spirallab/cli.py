@@ -65,8 +65,9 @@ CSV_COLUMNS = (
     "pass",
 )
 
-#: Ceilings on the integer sizes a config allocates from, checked by _positive.
-_CEILINGS = {"order": 65536, "m": 2**20}
+#: Ceilings on the integer sizes a config allocates from, checked by _positive;
+#: search builds members at order max(64, 2n), so n stays within the order ceiling.
+_CEILINGS = {"order": 65536, "m": 2**20, "n": 32768, "trials": 100000}
 
 
 class ConfigError(ValueError):
@@ -171,15 +172,20 @@ def _seed(cfg: dict) -> int:
     return seed
 
 
-def _suite(seed: int, spec: ClassSpec, order: int, trials: int, k_atoms: int) -> list:
-    """(measure, member) per trial, all drawn from one stream seeded by seed."""
+def _suite(seed: int, spec: ClassSpec, order: int, upto: int, trials: int, k_atoms: int) -> list:
+    """(measure, member through a_upto) per trial, all drawn from one stream seeded by seed."""
     rng = np.random.default_rng(seed)
     measures = [random_measure(rng, k_atoms) for _ in range(trials)]
-    return [(measure, member_from_measure(measure, spec, order)) for measure in measures]
+    return [
+        (measure, member_from_measure(measure, spec, order, upto=upto)) for measure in measures
+    ]
 
 
-def _build_functions(cfg: dict, spec: ClassSpec, order: int):
-    """(function_id, FunctionSeries, seed-or-None) per function the config entries name."""
+def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
+    """(function_id, FunctionSeries, seed-or-None) per function the config entries name.
+
+    Sampled members are built through a_upto only; named ones in full.
+    """
     entries = _require(cfg, "functions", list)
     out = []
     for entry in entries:
@@ -209,7 +215,7 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int):
             trials = _positive(block, "trials", 1)
             k_atoms = _optional(block, "k_atoms", 2)
             seed = _seed(cfg)
-            for t, (_, f) in enumerate(_suite(seed, spec, order, trials, k_atoms)):
+            for t, (_, f) in enumerate(_suite(seed, spec, order, upto, trials, k_atoms)):
                 out.append((f"sample-{t:04d}", f, seed))
     return out
 
@@ -286,7 +292,8 @@ def _cmd_verify(cfg: dict) -> int:
     m = _require(cfg, "m", int) if THEOREM_FUNCTIONAL[theorem] == "robertson" else None
     ns = _n_range(cfg)
     grid = _grid(cfg)
-    functions = _build_functions(cfg, spec, order)
+    # membership reads every coefficient, the bounds none past a_{max n + 1}
+    functions = _build_functions(cfg, spec, order, order if grid is not None else max(ns) + 1)
 
     rows = []
     for fid, f, seed in functions:
@@ -313,7 +320,7 @@ def _cmd_trace(cfg: dict) -> int:
     order = _positive(cfg, "order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
     ns = _n_range(cfg)
-    functions = _build_functions(cfg, spec, order)
+    functions = _build_functions(cfg, spec, order, max(ns) + 1)
     docs = []
     for fid, f, seed in functions:
         for n in ns:
@@ -330,7 +337,7 @@ def _cmd_trace(cfg: dict) -> int:
 
 def _cmd_search(cfg: dict) -> int:
     spec = _class_spec(cfg)
-    n = _require(cfg, "n", int)
+    n = _positive(cfg, "n")
     try:
         problem = SearchProblem(
             spec=spec,
@@ -374,7 +381,7 @@ def _cmd_sample(cfg: dict) -> int:
             "seed": seed,
             "coefficients": [[c.real, c.imag] for c in f.series.coeffs],
         }
-        for t, (measure, f) in enumerate(_suite(seed, spec, order, trials, k_atoms))
+        for t, (measure, f) in enumerate(_suite(seed, spec, order, order, trials, k_atoms))
     ]
     _write(cfg, docs)
     return EXIT_OK

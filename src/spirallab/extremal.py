@@ -107,7 +107,9 @@ def _objective(problem: SearchProblem, order: int):
     functional = FUNCTIONALS[problem.functional]
 
     def value(x: np.ndarray) -> float:
-        return functional(member_from_measure(_measure_from_vector(x, k), spec, order), n, m)
+        # every functional reads at most a_{n+1}
+        f = member_from_measure(_measure_from_vector(x, k), spec, order, upto=n + 1)
+        return functional(f, n, m)
 
     return value
 
@@ -233,5 +235,5 @@ def certify_never_exceeds(
     measures.extend(incumbents)
     lhs = 0.0
     for measure in measures:
-        lhs = max(lhs, functional(member_from_measure(measure, spec, order), n))
+        lhs = max(lhs, functional(member_from_measure(measure, spec, order, upto=n + 1), n))
     return BoundReport(theorem, n=n, lhs=lhs, rhs=rhs)

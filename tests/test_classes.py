@@ -148,6 +148,29 @@ def test_member_from_measure_convex_spirallike():
     assert f.params["kind"] == "convex_spirallike"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ClassSpec("spirallike", 0.4, 0.2),
+        ClassSpec("starlike", 0.0, -0.5),
+        ClassSpec("convex", 0.0, 0.3),
+        ClassSpec("convex_spirallike", -0.6, 0.1),
+        ClassSpec("c_half", alpha=-0.5),
+    ],
+    ids=lambda spec: spec.kind,
+)
+@pytest.mark.parametrize("order", [64, 256])
+def test_member_upto_is_a_bitwise_prefix_of_the_full_member(spec, order):
+    rng = np.random.default_rng(order)
+    for _ in range(4):
+        measure = random_measure(rng, 8)
+        full = member_from_measure(measure, spec, order).series.coeffs
+        for upto in (-1, 0, 1, 2, 7, 21, order, order + 1):
+            f = member_from_measure(measure, spec, order, upto=upto)
+            assert f.order == min(max(upto, 1), order)
+            assert np.array_equal(f.series.coeffs, full[: f.order + 1])
+
+
 def test_spirallike_from_measure_rejects_convex_specs():
     with pytest.raises(InvalidParams):
         spirallike_from_measure(AtomicMeasure.single(), ClassSpec("convex"), 10)

@@ -429,6 +429,20 @@ _OUTSIDE_SCHEMA = {
     "membership_m_past_ceiling": (
         "verify", {**_SAMPLED_MAIN, "membership": {"radii": [0.5], "m": 2**20 + 1}}
     ),
+    "search_n_past_ceiling": ("search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 32769}),
+    "sample_trials_past_ceiling": (
+        "sample", {"seed": 1, "trials": 100001, "spec": {"kind": "starlike"}}
+    ),
+    "sampled_trials_past_ceiling": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"sampled": {"trials": 100001}}]}
+    ),
+    # indices below 1 with members built only as far as the largest n reads
+    "sampled_n_zero": ("verify", {**_SAMPLED_MAIN, "n": 0}),
+    "sampled_n_negative": ("verify", {**_SAMPLED_MAIN, "n": [-1, -1]}),
+    "sampled_n_from_zero": ("verify", {**_SAMPLED_MAIN, "n": [0, 3]}),
+    "trace_n_zero": ("trace", {**_SAMPLED_MAIN, "n": 0}),
+    "trace_n_negative": ("trace", {**_SAMPLED_MAIN, "n": [-1, -1]}),
+    "trace_n_from_zero": ("trace", {**_SAMPLED_MAIN, "n": [0, 3]}),
 }
 
 

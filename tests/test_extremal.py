@@ -9,8 +9,12 @@ from spirallab import (
     SearchProblem,
     SearchResult,
     certify_never_exceeds,
+    member_from_measure,
     search,
 )
+from spirallab.extremal import _measure_from_vector, _objective
+from spirallab.inequalities import FUNCTIONALS
+from spirallab.series import ORDER_DEFAULT
 
 
 def test_problem_validation():
@@ -91,6 +95,27 @@ def test_exploratory_minimize_direction():
     assert result.best_value < -0.3  # signed difference can go well below zero
     values = [v for _, v in result.history]
     assert values == sorted(values, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        SearchProblem(ClassSpec("convex"), n=6, functional="one_sided_diff", k_atoms=4),
+        SearchProblem(ClassSpec("spirallike", 0.4, 0.2), n=40, k_atoms=8, budget=800),
+        SearchProblem(ClassSpec("c_half", alpha=-0.5), n=5, m=2, functional="robertson"),
+    ],
+    ids=lambda problem: problem.functional,
+)
+def test_objective_equals_the_functional_on_the_full_order_member(problem):
+    order = max(ORDER_DEFAULT, 2 * problem.n)
+    objective = _objective(problem, order)
+    functional = FUNCTIONALS[problem.functional]
+    k = problem.k_atoms
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        x = np.concatenate([rng.uniform(-np.pi, 3.0 * np.pi, k), rng.uniform(0.0, 1.0, k)])
+        full = member_from_measure(_measure_from_vector(x, k), problem.spec, order)
+        assert objective(x) == functional(full, problem.n, problem.m)
 
 
 def test_on_improve_stream_matches_history():
