@@ -48,6 +48,21 @@ def wrap_angle(t: float) -> float:
     return 0.0 if t >= TWO_PI else t
 
 
+def check_atoms(angles: np.ndarray, weights: np.ndarray) -> None:
+    """Raise InvalidParams unless the atoms form a probability measure on [0, 2pi).
+
+    Every angle must lie in [0, 2pi) (NaN does not), every weight must be
+    nonnegative and the weights must sum to 1 within WEIGHT_TOL.
+    """
+    if not (angles.min() >= 0.0 and angles.max() < TWO_PI):
+        raise InvalidParams("atom angles must lie in [0, 2pi)")
+    if weights.min() < 0.0:
+        raise InvalidParams("atom weights must be nonnegative")
+    total = float(weights.sum())
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise InvalidParams(f"atom weights sum to {total!r}, not 1")
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Finitely many boundary atoms: angles in [0, 2pi) with weights summing to 1."""
@@ -62,12 +77,7 @@ class AtomicMeasure:
         object.__setattr__(self, "weights", weights)
         if len(angles) < 1 or len(angles) != len(weights):
             raise InvalidParams("measure needs k >= 1 atoms with matching weights")
-        if any(not (0.0 <= t < TWO_PI) for t in angles):
-            raise InvalidParams("atom angles must lie in [0, 2pi)")
-        if any(w < 0.0 for w in weights):
-            raise InvalidParams("atom weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > WEIGHT_TOL:
-            raise InvalidParams(f"atom weights sum to {sum(weights)!r}, not 1")
+        check_atoms(np.array(angles), np.array(weights))
 
     @property
     def k(self) -> int:
@@ -145,6 +155,11 @@ class ClassSpec:
         return cls(doc.get("kind"), float(gamma), float(alpha))
 
 
+def _kernel_sums(angles: np.ndarray, weights: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """2 sum_j w_j exp(-i n t_j) for each n in ``index``."""
+    return 2.0 * (weights @ np.exp(-1j * (angles[:, None] * index)))
+
+
 def herglotz(measure: AtomicMeasure, order: int = ORDER_DEFAULT) -> Series:
     """Positive-real-part function generated by an atomic measure.
 
@@ -152,12 +167,44 @@ def herglotz(measure: AtomicMeasure, order: int = ORDER_DEFAULT) -> Series:
     half-plane kernels (1 + e^{-it} z)/(1 - e^{-it} z), so Re h > 0 on
     the disk by construction.
     """
-    n = np.arange(order + 1)
-    t = np.asarray(measure.angles)
-    w = np.asarray(measure.weights)
-    h = 2.0 * (w @ np.exp(-1j * np.outer(t, n)))
+    h = _kernel_sums(np.asarray(measure.angles), np.asarray(measure.weights), np.arange(order + 1))
     h[0] = 1.0
     return Series(h)
+
+
+def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT, upto: int | None = None):
+    """Coefficient map of the members of one class, for many measures.
+
+    Returns ``build(angles, weights) -> a_0..a_width``, width =
+    min(max(upto, 1), order) (order when ``upto`` is None), for float
+    arrays of atoms that :func:`check_atoms` accepts; it does not check
+    them again.  The spiral parent's member is built as in
+    :func:`spirallike_from_measure`, and convex kinds divide a_n by n
+    (the inverse Alexander map).  What does not depend on the atoms is
+    computed once, here.
+    """
+    if order < 1:
+        raise InvalidParams("order must be >= 1")
+    parent = spec.spiral_parent()
+    factor = np.exp(1j * parent.gamma) * math.cos(parent.gamma) * (1.0 - parent.alpha)
+    index = np.arange(order)
+    width = order if upto is None else min(max(upto, 1), order)
+    n = index[1:width]
+    divisor = np.arange(1, width + 1) if spec.is_convex_kind else None
+
+    def build(angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        # h keeps its full width even under upto: the product w @ E in
+        # _kernel_sums rounds a column differently when the matrix is narrower
+        h = _kernel_sums(angles, weights, index)
+        s = np.zeros(width, dtype=np.complex128)
+        s[1:] = factor * h[1:width] / n
+        # exp coefficient k reads only coefficients 0..k of its argument
+        u = Series(s).exp_zero().coeffs
+        a = np.zeros(width + 1, dtype=np.complex128)
+        a[1:] = u if divisor is None else u / divisor
+        return a
+
+    return build
 
 
 def spirallike_from_measure(
@@ -180,21 +227,7 @@ def spirallike_from_measure(
     """
     if spec.kind not in ("spirallike", "starlike"):
         raise InvalidParams("direct measure construction needs a spirallike or starlike spec")
-    if order < 1:
-        raise InvalidParams("order must be >= 1")
-    # h keeps its full width even under upto: the product w @ E in herglotz
-    # rounds a column differently when the matrix is narrower
-    h = herglotz(measure, order - 1)
-    k = np.arange(order)
-    s = np.zeros(order, dtype=np.complex128)
-    factor = np.exp(1j * spec.gamma) * math.cos(spec.gamma) * (1.0 - spec.alpha)
-    if order > 1:
-        s[1:] = factor * h.coeffs[1:] / k[1:]
-    width = order if upto is None else min(max(upto, 1), order)
-    # exp coefficient k reads only coefficients 0..k of its argument
-    u = Series(s[:width]).exp_zero()
-    f = np.concatenate(([0.0], u.coeffs))
-    return FunctionSeries(Series(f), "from-measure", {"measure": measure, **spec.to_json()})
+    return member_from_measure(measure, spec, order, upto=upto)
 
 
 def member_from_measure(
@@ -206,14 +239,17 @@ def member_from_measure(
 ) -> FunctionSeries:
     """Member of any supported class; convex kinds go through the Alexander map.
 
-    ``upto`` is passed to :func:`spirallike_from_measure`.
+    ``upto`` is as in :func:`spirallike_from_measure`; the coefficients
+    come from :func:`member_builder`.
     """
-    g = spirallike_from_measure(measure, spec.spiral_parent(), order, upto=upto)
+    build = member_builder(spec, order, upto)
+    a = build(np.asarray(measure.angles), np.asarray(measure.weights))
+    params = {"measure": measure, **spec.to_json()}
     if not spec.is_convex_kind:
-        return g
-    f = alexander_inverse(g)
-    f.params.update({"measure": measure, **spec.to_json()})
-    return f
+        return FunctionSeries(Series(a), "from-measure", params)
+    return FunctionSeries(
+        Series(a), "alexander", {"direction": "inverse", "source": "from-measure", **params}
+    )
 
 
 def alexander_forward(f: FunctionSeries) -> FunctionSeries:

@@ -67,7 +67,9 @@ CSV_COLUMNS = (
 
 #: Ceilings on the integer sizes a config allocates from, checked by _positive;
 #: search builds members at order max(64, 2n), so n stays within the order ceiling.
-_CEILINGS = {"order": 65536, "m": 2**20, "n": 32768, "trials": 100000}
+#: "coefficients" bounds trials x (built order + 1) of one sampled suite, which
+#: _suite holds at once: 2**25 complex coefficients are 512 MiB.
+_CEILINGS = {"order": 65536, "m": 2**20, "n": 32768, "trials": 100000, "coefficients": 2**25}
 
 
 class ConfigError(ValueError):
@@ -174,6 +176,12 @@ def _seed(cfg: dict) -> int:
 
 def _suite(seed: int, spec: ClassSpec, order: int, upto: int, trials: int, k_atoms: int) -> list:
     """(measure, member through a_upto) per trial, all drawn from one stream seeded by seed."""
+    coefficients = trials * (min(max(upto, 1), order) + 1)
+    if coefficients > _CEILINGS["coefficients"]:
+        raise ConfigError(
+            f"trials x (built order + 1) = {coefficients} coefficients must be"
+            f" <= {_CEILINGS['coefficients']}"
+        )
     rng = np.random.default_rng(seed)
     measures = [random_measure(rng, k_atoms) for _ in range(trials)]
     return [

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import (MAX_ATOMS, AtomicMeasure, ClassSpec, member_from_measure,
-                      random_measure, wrap_angle)
-from .inequalities import FUNCTIONALS, THEOREM_FUNCTIONAL, BoundReport, class_bound
+from .classes import (MAX_ATOMS, TWO_PI, AtomicMeasure, ClassSpec, check_atoms, member_builder,
+                      member_from_measure, random_measure)
+from .inequalities import (FUNCTIONALS, ON_COEFFICIENTS, THEOREM_FUNCTIONAL, BoundReport,
+                           class_bound)
 from .series import ORDER_DEFAULT
 
 #: Per-restart convergence tolerance on the simplex objective spread.
@@ -91,25 +92,33 @@ class SearchResult:
         }
 
 
-def _measure_from_vector(x: np.ndarray, k: int) -> AtomicMeasure:
-    angles = tuple(wrap_angle(t) for t in x[:k])
+def _atoms_from_vector(x: np.ndarray, k: int) -> tuple:
+    """Checked (angles, weights) of a search vector: x[:k] wrapped mod 2pi, x[k:] squared.
+
+    The wrap equals :func:`wrap_angle` bit for bit (``np.remainder`` is
+    Python's float ``%``); all-zero weights fall back to uniform ones.
+    """
+    angles = np.remainder(x[:k], TWO_PI)
+    angles[angles >= TWO_PI] = 0.0
     w = x[k:] ** 2
     total = w.sum()
-    if total <= 1e-300:
-        w = np.full(k, 1.0 / k)
-    else:
-        w = w / total
-    return AtomicMeasure(angles, tuple(w))
+    weights = np.full(k, 1.0 / k) if total <= 1e-300 else w / total
+    check_atoms(angles, weights)
+    return angles, weights
+
+
+def _measure_from_vector(x: np.ndarray, k: int) -> AtomicMeasure:
+    return AtomicMeasure(*_atoms_from_vector(x, k))
 
 
 def _objective(problem: SearchProblem, order: int):
-    spec, n, m, k = problem.spec, problem.n, problem.m, problem.k_atoms
-    functional = FUNCTIONALS[problem.functional]
+    n, m, k = problem.n, problem.m, problem.k_atoms
+    functional = ON_COEFFICIENTS[problem.functional]
+    # every functional reads at most a_{n+1}
+    build = member_builder(problem.spec, order, n + 1)
 
     def value(x: np.ndarray) -> float:
-        # every functional reads at most a_{n+1}
-        f = member_from_measure(_measure_from_vector(x, k), spec, order, upto=n + 1)
-        return functional(f, n, m)
+        return functional(build(*_atoms_from_vector(x, k)).item, n, m)
 
     return value
 
@@ -131,7 +140,7 @@ def _simplex_min(cost, x0: np.ndarray, steps: np.ndarray, max_evals: int):
         pts, vals = pts[idx], vals[idx]
         if vals[-1] - vals[0] < SPREAD_TOL:
             return pts[0], vals[0], evals, True
-        centroid = pts[:-1].mean(axis=0)
+        centroid = np.add.reduce(pts[:-1], axis=0) / d
         xr = centroid + (centroid - pts[-1])
         fr = cost(xr)
         evals += 1

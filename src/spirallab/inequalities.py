@@ -53,6 +53,14 @@ FUNCTIONALS = {
     "robertson": lambda f, n, m: robertson_gap(f, n, m).lhs,
 }
 
+#: The same functionals on a coefficient getter a(k) -> a_k, such as
+#: ``FunctionSeries.a`` or ``ndarray.item``, with n and m already checked.
+ON_COEFFICIENTS = {
+    "two_sided_diff": lambda a, n, m=None: abs(abs(a(n + 1)) - abs(a(n))),
+    "one_sided_diff": lambda a, n, m=None: abs(a(n + 1)) - abs(a(n)),
+    "robertson": lambda a, n, m: abs(n * abs(a(n)) - m * abs(a(m))),
+}
+
 THEOREM_IDS = frozenset(THEOREM_FUNCTIONAL) | {"lemma31", "membership"}
 
 
@@ -117,7 +125,7 @@ def one_sided_diff(f: FunctionSeries, n: int) -> float:
         raise InvalidIndices("successive difference needs n >= 1")
     if n + 1 > f.order:
         raise OrderTooLow(f"need order >= {n + 1}, have {f.order}")
-    return abs(f.a(n + 1)) - abs(f.a(n))
+    return ON_COEFFICIENTS["one_sided_diff"](f.a, n)
 
 
 def gamma_ratio(alpha: float, n: int) -> float:
@@ -407,6 +415,6 @@ def robertson_gap(f: FunctionSeries, n: int, m: int) -> BoundReport:
         raise InvalidIndices("robertson gap needs n > m >= 1")
     if n > f.order:
         raise OrderTooLow(f"need order >= {n}, have {f.order}")
-    lhs = abs(n * abs(f.a(n)) - m * abs(f.a(m)))
+    lhs = ON_COEFFICIENTS["robertson"](f.a, n, m)
     rhs = bound_rhs("thm_robertson", n, m)
     return BoundReport("thm_robertson", n=n, m=m, lhs=lhs, rhs=rhs)

@@ -436,6 +436,19 @@ _OUTSIDE_SCHEMA = {
     "sampled_trials_past_ceiling": (
         "verify", {**_SAMPLED_MAIN, "functions": [{"sampled": {"trials": 100001}}]}
     ),
+    # trials x (order + 1) past the coefficient ceiling, each field within its own
+    "sample_coefficients_past_ceiling": (
+        "sample", {"seed": 1, "trials": 1000, "order": 65536, "spec": {"kind": "starlike"}}
+    ),
+    "membership_coefficients_past_ceiling": (
+        "verify",
+        {
+            **_SAMPLED_MAIN,
+            "order": 65536,
+            "functions": [{"sampled": {"trials": 1000}}],
+            "membership": {"radii": [0.5], "m": 64},
+        },
+    ),
     # indices below 1 with members built only as far as the largest n reads
     "sampled_n_zero": ("verify", {**_SAMPLED_MAIN, "n": 0}),
     "sampled_n_negative": ("verify", {**_SAMPLED_MAIN, "n": [-1, -1]}),

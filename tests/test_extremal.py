@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spirallab import (
     member_from_measure,
     search,
 )
+from spirallab.classes import InvalidParams
 from spirallab.extremal import _measure_from_vector, _objective
 from spirallab.inequalities import FUNCTIONALS
 from spirallab.series import ORDER_DEFAULT
@@ -103,6 +105,15 @@ def test_exploratory_minimize_direction():
         SearchProblem(ClassSpec("convex"), n=6, functional="one_sided_diff", k_atoms=4),
         SearchProblem(ClassSpec("spirallike", 0.4, 0.2), n=40, k_atoms=8, budget=800),
         SearchProblem(ClassSpec("c_half", alpha=-0.5), n=5, m=2, functional="robertson"),
+        pytest.param(
+            SearchProblem(ClassSpec("convex_spirallike", -0.7, 0.5), n=12,
+                          functional="one_sided_diff", k_atoms=16),
+            id="convex_spirallike",
+        ),
+        pytest.param(
+            SearchProblem(ClassSpec("starlike", alpha=-2.0), n=3, k_atoms=1, budget=100),
+            id="starlike_negative_order",
+        ),
     ],
     ids=lambda problem: problem.functional,
 )
@@ -111,11 +122,32 @@ def test_objective_equals_the_functional_on_the_full_order_member(problem):
     objective = _objective(problem, order)
     functional = FUNCTIONALS[problem.functional]
     k = problem.k_atoms
+
+    def full_order_value(x):
+        full = member_from_measure(_measure_from_vector(x, k), problem.spec, order)
+        return functional(full, problem.n, problem.m)
+
     rng = np.random.default_rng(17)
     for _ in range(200):
         x = np.concatenate([rng.uniform(-np.pi, 3.0 * np.pi, k), rng.uniform(0.0, 1.0, k)])
-        full = member_from_measure(_measure_from_vector(x, k), problem.spec, order)
-        assert objective(x) == functional(full, problem.n, problem.m)
+        assert objective(x) == full_order_value(x)
+
+    # all-zero weights (the uniform fallback); -1e-17 wraps to exactly 0.0
+    for t in (-1e-17, 1e6, -1e6):
+        angles = np.concatenate([[t], np.linspace(1.0, 5.0, k - 1)])
+        for weights in (np.zeros(k), np.linspace(1.0, 0.25, k)):
+            x = np.concatenate([angles, weights])
+            assert objective(x) == full_order_value(x)
+    assert _measure_from_vector(np.array([-1e-17] * k + [1.0] * k), k).angles[0] == 0.0
+
+    with np.errstate(all="ignore"):
+        # the square of a weight of 1e200 overflows: the weights and the value are NaN
+        x = np.concatenate([np.linspace(0.5, 2.0, k), [1e200], np.full(k - 1, 0.5)])
+        assert math.isnan(objective(x)) and math.isnan(full_order_value(x))
+        for bad in (np.inf, -np.inf, np.nan):
+            x = np.concatenate([[bad], np.linspace(1.0, 5.0, k - 1), np.full(k, 0.5)])
+            with pytest.raises(InvalidParams):
+                objective(x)
 
 
 def test_on_improve_stream_matches_history():
