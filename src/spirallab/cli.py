@@ -67,8 +67,8 @@ CSV_COLUMNS = (
 
 #: Ceilings on the integer sizes a config allocates from, checked by _positive;
 #: search builds members at order max(64, 2n), so n stays within the order ceiling.
-#: "coefficients" bounds trials x (built order + 1) of one sampled suite, which
-#: _suite holds at once: 2**25 complex coefficients are 512 MiB.
+#: "coefficients" bounds trials x (built order + 1) over all sampled members of
+#: one run, which are held at once: 2**25 complex coefficients are 512 MiB.
 _CEILINGS = {"order": 65536, "m": 2**20, "n": 32768, "trials": 100000, "coefficients": 2**25}
 
 
@@ -174,14 +174,18 @@ def _seed(cfg: dict) -> int:
     return seed
 
 
-def _suite(seed: int, spec: ClassSpec, order: int, upto: int, trials: int, k_atoms: int) -> list:
-    """(measure, member through a_upto) per trial, all drawn from one stream seeded by seed."""
+def _check_coefficients(trials: int, order: int, upto: int) -> None:
+    """Reject trials members built through a_upto when they would pass the coefficient ceiling."""
     coefficients = trials * (min(max(upto, 1), order) + 1)
     if coefficients > _CEILINGS["coefficients"]:
         raise ConfigError(
             f"trials x (built order + 1) = {coefficients} coefficients must be"
             f" <= {_CEILINGS['coefficients']}"
         )
+
+
+def _suite(seed: int, spec: ClassSpec, order: int, upto: int, trials: int, k_atoms: int) -> list:
+    """(measure, member through a_upto) per trial, all drawn from one stream seeded by seed."""
     rng = np.random.default_rng(seed)
     measures = [random_measure(rng, k_atoms) for _ in range(trials)]
     return [
@@ -193,12 +197,20 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
     """(function_id, FunctionSeries, seed-or-None) per function the config entries name.
 
     Sampled members are built through a_upto only; named ones in full.
+    The coefficient ceiling holds for the sampled entries together, checked
+    before any member is drawn.
     """
     entries = _require(cfg, "functions", list)
-    out = []
     for entry in entries:
         if not isinstance(entry, dict) or ("name" in entry) == ("sampled" in entry):
             raise ConfigError("a function entry is an object with one of 'name' and 'sampled'")
+        if "sampled" in entry and not isinstance(entry["sampled"], dict):
+            raise ConfigError("field 'sampled' must be an object")
+    trials = [_positive(e["sampled"], "trials", 1) for e in entries if "sampled" in e]
+    _check_coefficients(sum(trials), order, upto)
+    suite_trials = iter(trials)
+    out = []
+    for entry in entries:
         if "name" in entry:
             params = entry.get("params", {})
             if not isinstance(entry["name"], str) or not isinstance(params, dict):
@@ -217,13 +229,10 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
                 tag = f"{tag}({inner})"
             out.append((tag, f, None))
         else:
-            block = entry["sampled"]
-            if not isinstance(block, dict):
-                raise ConfigError("field 'sampled' must be an object")
-            trials = _positive(block, "trials", 1)
-            k_atoms = _optional(block, "k_atoms", 2)
+            k_atoms = _optional(entry["sampled"], "k_atoms", 2)
             seed = _seed(cfg)
-            for t, (_, f) in enumerate(_suite(seed, spec, order, upto, trials, k_atoms)):
+            members = _suite(seed, spec, order, upto, next(suite_trials), k_atoms)
+            for t, (_, f) in enumerate(members):
                 out.append((f"sample-{t:04d}", f, seed))
     return out
 
@@ -382,6 +391,7 @@ def _cmd_sample(cfg: dict) -> int:
     trials = _positive(cfg, "trials")
     k_atoms = _optional(cfg, "k_atoms", 2)
     seed = _seed(cfg)
+    _check_coefficients(trials, order, order)
     docs = [
         {
             **encode_measure_spec(measure, spec),
@@ -462,7 +472,8 @@ def main(argv=None) -> int:
     except (ConfigError, OrderTooLow, InvalidIndices, InvalidParams, DegenerateCosGamma,
             OverflowError) as exc:
         # every one of these traces back to a config value outside its valid range;
-        # OverflowError: a spec whose exponential bound or chain leaves the double range
+        # OverflowError: float() of a JSON integer past the double range, such as a
+        # 400-digit "gamma" in the spec, a radius or a named function's parameter
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -80,6 +80,14 @@ class ChainInequalityViolation(ArithmeticError):
     """A derivation-chain inequality failed beyond tolerance."""
 
 
+def _exp(x: float) -> float:
+    """e^x, or inf past the double range: a bound too large for any double, not an error."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """One verified inequality instance: lhs <= rhs up to TOL_INEQ."""
@@ -160,6 +168,8 @@ def bound_rhs(
     thm_C         Gamma(1-2a+n) / (Gamma(1-2a) Gamma(n+1))
     thm_c_half    1
     thm_robertson (n-m)(n+m+1)/2                     (n > m >= 1)
+
+    An exponential past the double range is inf, which every lhs meets.
     """
     if theorem_id == "thm_robertson":
         if m is None or not n > m >= 1:
@@ -183,7 +193,7 @@ def bound_rhs(
         else:
             if M is None or gamma is None:
                 raise InvalidIndices(f"{theorem_id} bound with alpha != 0 needs M and gamma")
-            factor = math.exp(-M * alpha * math.cos(gamma))
+            factor = _exp(-M * alpha * math.cos(gamma))
         return factor if theorem_id == "thm_main" else factor / (n + 1)
     raise InvalidIndices(f"unknown theorem id {theorem_id!r}")
 
@@ -229,40 +239,70 @@ def class_bound(spec: ClassSpec, n: int) -> tuple:
     return theorem, bound_rhs(theorem, n, alpha=spec.alpha if theorem == "thm_C" else 0.0)
 
 
+def _newton_peak(d, k, k2, ik, theta: float, value: float, h: float):
+    """(value, angle) of Newton steps on Re sum d_k e^{ik t} from the grid sample (theta, value).
+
+    Re psi' = -sum k Im(e_k) and Re psi'' = -sum k^2 Re(e_k) with
+    e_k = d_k e^{ik t}; ``k2`` and ``ik`` hold k^2 and ik.  Steps stay within
+    h of theta.  The sample is kept when refinement does not beat it,
+    which covers a start whose curvature is >= 0.
+    """
+    t = theta
+    for _ in range(20):
+        e = d * np.exp(ik * t)
+        curve = e.real @ k2
+        if curve <= 0.0:
+            break
+        step = (e.imag @ k) / curve
+        t = min(max(t - step, theta - h), theta + h)
+        if abs(step) < 1e-15:
+            break
+    refined = float((d @ np.exp(ik * t)).real)
+    return (refined, t) if refined > value else (value, theta)
+
+
 def psi_max(c, n: int, gamma: float):
     """Maximum of Re(e^{i gamma} sum_{k<=n} c_k z^k / k) on |z| = 1.
 
-    ``c`` is the sequence c_1..c_n (index 0 holds c_1).  A dense FFT grid
-    locates the best basin (ties broken toward the smallest angle), then
-    Newton steps on the closed-form derivative, kept inside the grid cell,
-    make the angle stationary.  Returns (M, maximizing angle).
+    ``c`` is the sequence c_1..c_n (index 0 holds c_1).  An inverse real
+    FFT samples Re psi at 16(n + 1) angles, h = 2 pi / (16(n + 1)) apart,
+    and Newton steps from the best sample, kept within h of it, make the
+    angle stationary.  Since |Re psi''| <= S = sum k^2 |d_k| (d_k =
+    e^{i gamma} c_k / k), no cell between two samples rises more than
+    h^2 S / 8 above its higher end; so every other sample within that
+    reach of the refined value is refined the same way, and the largest
+    value wins.  Ties go to the first basin found, the best sample's
+    (the smallest angle among equal samples), then the others by
+    increasing angle: a later basin wins only when strictly larger.
+
+    Guaranteed: every cell that could hold a value above the returned M
+    is searched by Newton from one of its ends, and M is at least every
+    sample.  Not guaranteed: that Newton reaches the top of that cell (a
+    start whose curvature is >= 0 keeps its sample value), so M is a
+    refined estimate from below, not a certified upper bound.  Returns
+    (M, maximizing angle in [0, 2 pi)).
     """
     c = np.asarray(c, dtype=np.complex128)
     if n < 1:
         raise InvalidIndices("psi_max needs n >= 1")
     if c.size < n:
         raise OrderTooLow(f"need {n} coefficients, have {c.size}")
-    k = np.arange(1, n + 1)
+    k = np.arange(1.0, n + 1)
     d = np.exp(1j * gamma) * c[:n] / k
-    m = max(8192, 4 * (n + 1))
+    m = 16 * (n + 1)
     half = np.zeros(m // 2 + 1, dtype=np.complex128)
     half[1 : n + 1] = d
     vals = (m / 2) * np.fft.irfft(half, m)
-    j = int(np.argmax(vals))
     h = 2.0 * np.pi / m
-    theta = j * h
-    for _ in range(20):
-        e = d * np.exp(1j * k * theta)
-        curve = float(np.real(-(k * k) * e).sum())
-        if curve >= 0.0:
-            break
-        step = float(np.real(1j * k * e).sum()) / curve
-        theta = min(max(theta - step, j * h - h), j * h + h)
-        if abs(step) < 1e-15:
-            break
-    best = float(np.real(np.dot(d, np.exp(1j * k * theta))))
-    if vals[j] >= best:
-        theta, best = j * h, float(vals[j])
+    k2, ik = k * k, 1j * k
+    j = int(np.argmax(vals))
+    best, theta = _newton_peak(d, k, k2, ik, j * h, float(vals[j]), h)
+    reach = h * h / 8.0 * float(k2 @ np.abs(d))
+    for i in np.flatnonzero(vals > best - reach):
+        if i != j:
+            value, angle = _newton_peak(d, k, k2, ik, i * h, float(vals[i]), h)
+            if value > best:
+                best, theta = value, angle
     return best, theta % (2.0 * np.pi)
 
 
@@ -310,7 +350,8 @@ class ProofTrace:
 
     Construction validates the chain: |xi0| = 1, the weighted-lemma step
     milin_exponent <= -2 M alpha cos(gamma), and the exponentiation step
-    beta_bound^2 <= exp(milin_exponent), all up to TOL_INEQ.
+    beta_bound^2 <= exp(milin_exponent), all up to TOL_INEQ; an
+    exponential past the double range is inf there and in final_bound.
     """
 
     n: int
@@ -333,7 +374,8 @@ class ProofTrace:
             raise ChainInequalityViolation(
                 f"milin exponent {self.milin_exponent:.6e} exceeds {lemma_cap:.6e}"
             )
-        if self.beta_bound**2 > math.exp(self.milin_exponent) + TOL_INEQ:
+        # a product, not **2, which raises past the double range
+        if self.beta_bound * self.beta_bound > _exp(self.milin_exponent) + TOL_INEQ:
             raise ChainInequalityViolation(
                 f"beta bound {self.beta_bound:.6e} breaks the exponentiation step"
             )
@@ -387,7 +429,7 @@ def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofT
     big_c = np.exp(1j * gamma) * math.cos(gamma) * c
     exponent = float(np.sum(np.abs(big_c - xi0**k) ** 2 / k - 1.0 / k))
     beta = abs(f.a(n + 1) - xi0 * f.a(n))
-    final = math.exp(-M * alpha * math.cos(gamma))
+    final = _exp(-M * alpha * math.cos(gamma))
     trace = ProofTrace(
         n=n,
         gamma=gamma,

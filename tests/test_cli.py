@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -408,9 +409,6 @@ _OUTSIDE_SCHEMA = {
     "sampled_trials_negative": (
         "verify", {**_SAMPLED_MAIN, "functions": [{"sampled": {"trials": -1}}]}
     ),
-    "thm_main_bound_overflows": (
-        "verify", {**_SAMPLED_MAIN, "spec": {"kind": "starlike", "alpha": -100.0}}
-    ),
     "entry_with_name_and_sampled": (
         "verify", {**_SAMPLED_MAIN, "functions": [{"name": "koebe", "sampled": {"trials": 1}}]}
     ),
@@ -449,6 +447,20 @@ _OUTSIDE_SCHEMA = {
             "membership": {"radii": [0.5], "m": 64},
         },
     ),
+    # two entries each within the coefficient ceiling and past it together
+    "sampled_entries_coefficients_past_ceiling": (
+        "verify",
+        {
+            **_SAMPLED_MAIN,
+            "order": 65536,
+            "functions": [{"sampled": {"trials": 300}}, {"sampled": {"trials": 300}}],
+            "membership": {"radii": [0.5], "m": 64},
+        },
+    ),
+    # a JSON integer too large for a double, where float() raises OverflowError
+    "gamma_integer_past_double": (
+        "verify", {**_SAMPLED_MAIN, "spec": {"kind": "spirallike", "gamma": 10**400}}
+    ),
     # indices below 1 with members built only as far as the largest n reads
     "sampled_n_zero": ("verify", {**_SAMPLED_MAIN, "n": 0}),
     "sampled_n_negative": ("verify", {**_SAMPLED_MAIN, "n": [-1, -1]}),
@@ -468,6 +480,18 @@ def test_config_outside_schema_is_config_error(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
     assert captured.out == ""  # rejected before any work is streamed
+
+
+def test_thm_main_bound_overflows(tmp_path):
+    # starlike of order -100 is a valid class whose exp(-M alpha cos gamma) is
+    # past the double range: the bound is inf and every row passes against it
+    out = tmp_path / "rows.json"
+    doc = {**_SAMPLED_MAIN, "spec": {"kind": "starlike", "alpha": -100.0}, "format": "json"}
+    cfg = write_config(tmp_path, {**doc, "out": str(out)})
+    assert main(["verify", "--config", cfg]) == EXIT_OK
+    rows = json.loads(out.read_text())
+    assert len(rows) == 6
+    assert all(row["rhs"] == math.inf and row["pass"] for row in rows)
 
 
 def test_empty_membership_object_is_the_default_grid(tmp_path):

@@ -47,7 +47,7 @@ CASES = {
             "format": "json",
         },
         EXIT_OK,
-        "15c2831e28dd493c79d0e6cabcc947e5363ed9ea4da437c31cd6708ee769dc31",
+        "afd35a898b7e7c49f10f4c58c99f7585b89d6d23380fb0780a8b911902bd6c7d",
         EMPTY,
     ),
     "verify_thm_robertson": (

@@ -164,21 +164,48 @@ def test_psi_max_scaled_koebe_bound():
             assert M <= 2 * (1 - alpha) * (math.log(n) + 1) + 1e-12
 
 
+def measure_c(weights, angles, n):
+    """c_1..c_n = 2 sum_j w_j e^{-ik t_j} of an atomic measure."""
+    return 2.0 * (np.asarray(weights) @ np.exp(-1j * np.outer(angles, np.arange(1, n + 1))))
+
+
 def test_psi_max_meets_its_definition():
     # M is Re sum d_k e^{ik theta}, d_k = e^{i gamma} c_k / k, at a stationary
     # angle, and no point of a 4096-angle grid lies above it.
     rng = np.random.default_rng(31)
     grid = np.exp(1j * np.outer(2.0 * np.pi * np.arange(4096) / 4096, np.arange(1, 41)))
+    draws = []
     for _ in range(200):
         n = int(rng.integers(1, 41))
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
-        gamma = float(rng.uniform(-1.4, 1.4))
+        draws.append((n, c, float(rng.uniform(-1.4, 1.4))))
+    # near-symmetric measures: p atoms of weight 1/p and spacing 2 pi / p, each
+    # off by up to 1e-4, so p basins of Re psi tie to within about 1e-4
+    for _ in range(200):
+        n, p = int(rng.integers(1, 41)), int(rng.integers(2, 7))
+        weights = 1.0 / p + rng.uniform(-1e-4, 1e-4, p)
+        angles = rng.uniform(0.0, 2 * np.pi) + 2 * np.pi * np.arange(p) / p
+        angles += rng.uniform(-1e-4, 1e-4, p)
+        draws.append((n, measure_c(weights, angles, n), float(rng.uniform(-1.4, 1.4))))
+    for n, c, gamma in draws:
         M, angle = psi_max(c, n, gamma)
         k = np.arange(1, n + 1)
         d = np.exp(1j * gamma) * c / k
         slope = np.real(np.sum(1j * k * d * np.exp(1j * k * angle)))
         assert abs(slope) <= 1e-12 * np.sum(k * np.abs(d))
         assert M >= np.real(grid[:, :n] * d).sum(axis=1).max()
+
+
+def test_psi_max_takes_the_larger_of_near_tied_basins():
+    # three atoms 2 pi / 3 apart whose weights differ by 1e-7: the three
+    # basins of Re psi tie to about 1e-6, and M must be the highest of them
+    n = 10
+    c = measure_c([1 / 3 + 1e-7, 1 / 3 - 1e-7, 1 / 3], 0.1 + 2 * np.pi * np.arange(3) / 3, n)
+    M, _ = psi_max(c, n, 0.0)
+    size = 2**20
+    half = np.zeros(size // 2 + 1, dtype=np.complex128)
+    half[1 : n + 1] = c / np.arange(1, n + 1)
+    assert M >= (size / 2) * np.fft.irfft(half, size).max() - 1e-12
 
 
 def test_psi_max_guards():
