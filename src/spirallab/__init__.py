@@ -5,6 +5,8 @@ families over truncated power series, certifies their class membership
 on grids, evaluates every successive-coefficient bound, replays the
 derivation chain behind the spiral bound, and searches atomic-measure
 space for extremal functions to corroborate sharpness.
+
+The names imported below are the package's public API.
 """
 
 from .classes import (
@@ -13,17 +15,13 @@ from .classes import (
     InvalidParams,
     UnknownName,
     alexander_forward,
-    alexander_inverse,
-    decode_measure_spec,
     encode_measure_spec,
     herglotz,
     member_from_measure,
     named,
     random_measure,
-    sample_measure,
-    spirallike_from_measure,
 )
-from .extremal import SearchProblem, SearchResult, certify_never_exceeds, search
+from .extremal import SearchProblem, SearchResult, search
 from .inequalities import (
     TOL_INEQ,
     BoundReport,
@@ -60,62 +58,7 @@ from .series import (
     DivisionByNearZeroConstant,
     FunctionSeries,
     NonzeroConstantTerm,
-    NotUnitConstantTerm,
     Series,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AtomicMeasure",
-    "BoundReport",
-    "ChainInequalityViolation",
-    "ClassSpec",
-    "CriticalPointOnGrid",
-    "DIV_FLOOR",
-    "DegenerateCosGamma",
-    "DivisionByNearZeroConstant",
-    "FunctionSeries",
-    "Grid",
-    "InvalidIndices",
-    "InvalidParams",
-    "MembershipReport",
-    "NonzeroConstantTerm",
-    "NotUnitConstantTerm",
-    "ORDER_DEFAULT",
-    "OrderTooLow",
-    "ProofTrace",
-    "SearchProblem",
-    "SearchResult",
-    "Series",
-    "TOL_EXACT",
-    "TOL_INEQ",
-    "TOL_MEMBER",
-    "UnknownName",
-    "ZeroOnGrid",
-    "alexander_forward",
-    "alexander_inverse",
-    "bound_rhs",
-    "certify_never_exceeds",
-    "check_convex",
-    "check_kaplan",
-    "check_spirallike",
-    "decode_measure_spec",
-    "encode_measure_spec",
-    "gamma_ratio",
-    "herglotz",
-    "lemma31_check",
-    "member_from_measure",
-    "milin_third",
-    "named",
-    "one_sided_diff",
-    "proof_trace",
-    "psi_max",
-    "random_measure",
-    "recover_c",
-    "robertson_gap",
-    "sample_measure",
-    "search",
-    "spirallike_from_measure",
-    "successive_diff",
-]

@@ -42,21 +42,15 @@ class InvalidParams(ValueError):
     """Construction parameters outside their valid range."""
 
 
-def wrap_angle(t: float) -> float:
-    """Reduce to [0, 2pi); t % 2pi can round up to exactly 2pi for tiny t < 0."""
-    t = float(t) % TWO_PI
-    return 0.0 if t >= TWO_PI else t
-
-
 def check_atoms(angles: np.ndarray, weights: np.ndarray) -> None:
     """Raise InvalidParams unless the atoms form a probability measure on [0, 2pi).
 
-    Every angle must lie in [0, 2pi) (NaN does not), every weight must be
-    nonnegative and the weights must sum to 1 within WEIGHT_TOL.
+    Every angle must lie in [0, 2pi) and every weight must be nonnegative
+    (NaN does neither), and the weights must sum to 1 within WEIGHT_TOL.
     """
     if not (angles.min() >= 0.0 and angles.max() < TWO_PI):
         raise InvalidParams("atom angles must lie in [0, 2pi)")
-    if weights.min() < 0.0:
+    if not weights.min() >= 0.0:
         raise InvalidParams("atom weights must be nonnegative")
     total = float(weights.sum())
     if abs(total - 1.0) > WEIGHT_TOL:
@@ -82,16 +76,6 @@ class AtomicMeasure:
     @property
     def k(self) -> int:
         return len(self.angles)
-
-    @classmethod
-    def single(cls, angle: float = 0.0) -> "AtomicMeasure":
-        return cls((wrap_angle(angle),), (1.0,))
-
-    @classmethod
-    def equal(cls, angles) -> "AtomicMeasure":
-        angles = tuple(wrap_angle(t) for t in angles)
-        k = len(angles)
-        return cls(angles, (1.0 / k,) * k)
 
     def to_json(self) -> list:
         return [{"t": t, "w": w} for t, w in zip(self.angles, self.weights)]
@@ -178,9 +162,9 @@ def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT, upto: int | None
     Returns ``build(angles, weights) -> a_0..a_width``, width =
     min(max(upto, 1), order) (order when ``upto`` is None), for float
     arrays of atoms that :func:`check_atoms` accepts; it does not check
-    them again.  The spiral parent's member is built as in
-    :func:`spirallike_from_measure`, and convex kinds divide a_n by n
-    (the inverse Alexander map).  What does not depend on the atoms is
+    them again.  The spiral parent's member follows the formula in
+    :func:`member_from_measure`, and convex kinds divide a_n by n (the
+    inverse Alexander map).  What does not depend on the atoms is
     computed once, here.
     """
     if order < 1:
@@ -207,29 +191,6 @@ def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT, upto: int | None
     return build
 
 
-def spirallike_from_measure(
-    measure: AtomicMeasure,
-    spec: ClassSpec,
-    order: int = ORDER_DEFAULT,
-    *,
-    upto: int | None = None,
-) -> FunctionSeries:
-    """Member of a spirallike or starlike class driven by an atomic measure.
-
-    With phi = alpha + (1-alpha) h for the measure's Herglotz function h,
-    the member is f = z exp(e^{i gamma} cos(gamma) sum c_n z^n / n) where
-    c_n = (1-alpha) h_n.  A single atom at t = 0 with gamma = alpha = 0
-    gives the Koebe function; two equal atoms give the two-point extremal.
-
-    ``upto`` (clamped to 1..order) stops the exponential at a_upto and
-    returns a member of that order, for callers that read no further;
-    its coefficients are bit-for-bit those of the order-``order`` member.
-    """
-    if spec.kind not in ("spirallike", "starlike"):
-        raise InvalidParams("direct measure construction needs a spirallike or starlike spec")
-    return member_from_measure(measure, spec, order, upto=upto)
-
-
 def member_from_measure(
     measure: AtomicMeasure,
     spec: ClassSpec,
@@ -237,10 +198,20 @@ def member_from_measure(
     *,
     upto: int | None = None,
 ) -> FunctionSeries:
-    """Member of any supported class; convex kinds go through the Alexander map.
+    """Member of a class driven by an atomic measure.
 
-    ``upto`` is as in :func:`spirallike_from_measure`; the coefficients
-    come from :func:`member_builder`.
+    With phi = alpha + (1-alpha) h for the measure's Herglotz function h,
+    the spirallike or starlike member is
+    f = z exp(e^{i gamma} cos(gamma) sum c_n z^n / n) where
+    c_n = (1-alpha) h_n.  A single atom at t = 0 with gamma = alpha = 0
+    gives the Koebe function; two equal atoms give the two-point
+    extremal.  Convex kinds take the inverse Alexander map a_n / n of
+    their spiral parent's member.
+
+    ``upto`` (clamped to 1..order) stops the exponential at a_upto and
+    returns a member of that order, for callers that read no further;
+    its coefficients are bit-for-bit those of the order-``order`` member.
+    The coefficients come from :func:`member_builder`.
     """
     build = member_builder(spec, order, upto)
     a = build(np.asarray(measure.angles), np.asarray(measure.weights))
@@ -259,17 +230,6 @@ def alexander_forward(f: FunctionSeries) -> FunctionSeries:
         Series(n * f.series.coeffs),
         "alexander",
         {"direction": "forward", "source": f.provenance},
-    )
-
-
-def alexander_inverse(g: FunctionSeries) -> FunctionSeries:
-    """The f with z f'(z) = g(z), i.e. a_n = b_n / n."""
-    c = np.array(g.series.coeffs)
-    c[1:] = c[1:] / np.arange(1, g.order + 1)
-    return FunctionSeries(
-        Series(c),
-        "alexander",
-        {"direction": "inverse", "source": g.provenance},
     )
 
 
@@ -362,20 +322,6 @@ def named(name: str, order: int = ORDER_DEFAULT, **params) -> FunctionSeries:
     return FunctionSeries(Series(coeffs), "named", {"name": name, **params})
 
 
-def sample_measure(seed: int, k_atoms: int) -> AtomicMeasure:
-    """Random measure: angles uniform on [0, 2pi), weights uniform on the simplex.
-
-    Deterministic for a fixed seed.
-    """
-    if k_atoms < 1:
-        raise InvalidParams("k_atoms must be >= 1")
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, TWO_PI, k_atoms)
-    weights = rng.dirichlet(np.ones(k_atoms))
-    weights = weights / weights.sum()
-    return AtomicMeasure(tuple(angles), tuple(weights))
-
-
 def random_measure(rng: np.random.Generator, k_atoms: int) -> AtomicMeasure:
     """Random measure with k uniform on 1..k_atoms atoms, drawn from ``rng``.
 
@@ -390,12 +336,5 @@ def random_measure(rng: np.random.Generator, k_atoms: int) -> AtomicMeasure:
 
 
 def encode_measure_spec(measure: AtomicMeasure, spec: ClassSpec) -> dict:
-    """JSON document for a measure/spec pair, as consumed by the CLI."""
+    """JSON document for a measure/spec pair, as the CLI writes it."""
     return {"atoms": measure.to_json(), **spec.to_json()}
-
-
-def decode_measure_spec(doc: dict) -> tuple:
-    """Inverse of :func:`encode_measure_spec`; returns (measure, spec)."""
-    atoms = doc["atoms"]
-    measure = AtomicMeasure(tuple(a["t"] for a in atoms), tuple(a["w"] for a in atoms))
-    return measure, ClassSpec.from_json(doc)

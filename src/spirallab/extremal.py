@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import (MAX_ATOMS, TWO_PI, AtomicMeasure, ClassSpec, check_atoms, member_builder,
-                      member_from_measure, random_measure)
-from .inequalities import (FUNCTIONALS, ON_COEFFICIENTS, THEOREM_FUNCTIONAL, BoundReport,
-                           class_bound)
+from .classes import MAX_ATOMS, TWO_PI, AtomicMeasure, ClassSpec, check_atoms, member_builder
+from .inequalities import FUNCTIONALS, ON_COEFFICIENTS
 from .series import ORDER_DEFAULT
 
 #: Per-restart convergence tolerance on the simplex objective spread.
@@ -95,8 +93,10 @@ class SearchResult:
 def _atoms_from_vector(x: np.ndarray, k: int) -> tuple:
     """Checked (angles, weights) of a search vector: x[:k] wrapped mod 2pi, x[k:] squared.
 
-    The wrap equals :func:`wrap_angle` bit for bit (``np.remainder`` is
-    Python's float ``%``); all-zero weights fall back to uniform ones.
+    An angle wraps by Python's float ``%`` (``np.remainder``), and a result
+    of exactly 2pi, which a tiny negative angle rounds to, folds to 0, so
+    every angle lands in [0, 2pi).  The squared weights are normalized to
+    sum 1; all-zero weights fall back to uniform ones.
     """
     angles = np.remainder(x[:k], TWO_PI)
     angles[angles >= TWO_PI] = 0.0
@@ -225,24 +225,3 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
         budget_exhausted=exhausted,
     )
 
-
-def certify_never_exceeds(
-    spec: ClassSpec, n: int, trials: int, seed: int, incumbents=()
-) -> BoundReport:
-    """Max of the class functional over random members, against the bound.
-
-    Evaluates ``trials`` seeded random measures plus any supplied
-    incumbent measures; lhs is the largest observed functional value.
-    With no trials and no incumbents the report passes vacuously at
-    lhs = 0.
-    """
-    theorem, rhs = class_bound(spec, n)
-    functional = FUNCTIONALS[THEOREM_FUNCTIONAL[theorem]]
-    order = max(ORDER_DEFAULT, 2 * n)
-    rng = np.random.default_rng(seed)
-    measures = [random_measure(rng, 8) for _ in range(trials)]
-    measures.extend(incumbents)
-    lhs = 0.0
-    for measure in measures:
-        lhs = max(lhs, functional(member_from_measure(measure, spec, order, upto=n + 1), n))
-    return BoundReport(theorem, n=n, lhs=lhs, rhs=rhs)

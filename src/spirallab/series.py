@@ -1,10 +1,13 @@
-"""Truncated complex power-series arithmetic.
+"""Truncated complex power series and the few operations the lab runs on them.
 
-Every coefficient computation in this package runs on :class:`Series`:
-a dense, immutable vector of complex Taylor coefficients ``c_0..c_N``
-for a fixed truncation order ``N``.  Binary operations truncate to the
-smaller operand order, so loss of degrees is always explicit and a
-result is never silently extended.
+A :class:`Series` is a dense, immutable vector of complex Taylor
+coefficients ``c_0..c_N`` for a fixed truncation order ``N``.  Members
+are built by ``exp_zero`` of their log series; ``div`` and
+``derivative`` recover the coefficients c_k and feed the membership
+expressions; ``eval_circle`` samples a series on a circle for the
+membership grid.  A quotient truncates to the smaller operand order,
+so loss of degrees is always explicit and a result is never silently
+extended.
 """
 
 from __future__ import annotations
@@ -18,17 +21,13 @@ ORDER_DEFAULT = 64
 #: makes the quotient numerically meaningless in double precision.
 DIV_FLOOR = 1e-12
 
-#: Tolerance for "equals 0/1" preconditions.  Constructors produce these
-#: constants exactly; a violation indicates a caller bug.
+#: Tolerance for the "constant term is 0" precondition of exp_zero.  The
+#: package produces that constant exactly; a violation is a caller bug.
 TOL_EXACT = 1e-12
 
 
 class DivisionByNearZeroConstant(ArithmeticError):
     """Denominator constant term is too close to zero for a quotient."""
-
-
-class NotUnitConstantTerm(ValueError):
-    """log_unit requires a series with constant term 1."""
 
 
 class NonzeroConstantTerm(ValueError):
@@ -52,19 +51,6 @@ class Series:
         self._c = c
 
     # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def zero(cls, order: int = ORDER_DEFAULT) -> "Series":
-        return cls(np.zeros(order + 1))
-
-    @classmethod
-    def one(cls, order: int = ORDER_DEFAULT) -> "Series":
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[0] = 1.0
-        return cls(c)
-
-    # ------------------------------------------------------------------
     # basic structure
 
     @property
@@ -81,31 +67,8 @@ class Series:
         more = ", ..." if self._c.size > 4 else ""
         return f"Series(order={self.order}, [{shown}{more}])"
 
-    def truncate(self, order: int) -> "Series":
-        """Drop coefficients above ``order``.  Extension is not allowed."""
-        if order > self.order:
-            raise ValueError("truncate cannot extend a series")
-        if order == self.order:
-            return self
-        return Series(self._c[: order + 1])
-
     # ------------------------------------------------------------------
-    # ring operations (result order = min of operand orders)
-
-    def add(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(self._c[: n + 1] + other._c[: n + 1])
-
-    def neg(self) -> "Series":
-        return Series(-self._c)
-
-    def scale(self, factor: complex) -> "Series":
-        return Series(self._c * factor)
-
-    def mul(self, other: "Series") -> "Series":
-        """Cauchy product truncated at the minimum operand order."""
-        n = min(self.order, other.order)
-        return Series(np.convolve(self._c[: n + 1], other._c[: n + 1])[: n + 1])
+    # quotient (result order = min of operand orders)
 
     def div(self, other: "Series") -> "Series":
         """Quotient q with ``other * q == self`` up to the common order."""
@@ -148,27 +111,8 @@ class Series:
             b[k] = np.dot(ka[1 : k + 1], b[k - 1 :: -1][:k]) / k
         return Series(b)
 
-    def log_unit(self) -> "Series":
-        """Principal logarithm of a series with constant term 1 (log 1 = 0)."""
-        if abs(self._c[0] - 1.0) > TOL_EXACT:
-            raise NotUnitConstantTerm(f"constant term {self._c[0]:.6g} is not 1")
-        n = self.order
-        b = self._c
-        a = np.zeros(n + 1, dtype=np.complex128)
-        for k in range(1, n + 1):
-            s = np.dot(np.arange(1, k) * a[1:k], b[k - 1 : 0 : -1]) if k > 1 else 0.0
-            a[k] = (k * b[k] - s) / (k * b[0])
-        return Series(a)
-
     # ------------------------------------------------------------------
     # evaluation
-
-    def eval(self, z: complex) -> complex:
-        """Horner evaluation of the truncated polynomial at one point."""
-        acc = 0j
-        for c in self._c[::-1]:
-            acc = acc * z + c
-        return complex(acc)
 
     def eval_circle(self, r: float, m: int) -> np.ndarray:
         """Values at the uniform grid ``z_j = r exp(2 pi i j / m), j = 0..m-1``.

@@ -18,6 +18,7 @@ from spirallab import (
     bound_rhs,
     check_convex,
     lemma31_check,
+    member_from_measure,
     milin_third,
     named,
     one_sided_diff,
@@ -25,7 +26,6 @@ from spirallab import (
     psi_max,
     robertson_gap,
     search,
-    spirallike_from_measure,
     successive_diff,
 )
 
@@ -105,7 +105,7 @@ def test_criterion_05_spiral_diff_never_exceeds_one():
             measure = AtomicMeasure(tuple(angles), tuple(w / w.sum()))
             gamma = float(rng.uniform(-1.4, 1.4))
             spec = ClassSpec("spirallike", gamma=gamma, alpha=0.0)
-            f = spirallike_from_measure(measure, spec, 64)
+            f = member_from_measure(measure, spec, 64)
             for n in range(2, 21):
                 assert successive_diff(f, n) <= 1.0 + 1e-8, (trial, n)
 
@@ -124,7 +124,7 @@ def test_criterion_06_proof_trace_chain():
                 alpha = 1e-6
             n = int(rng.integers(2, 21))
             spec = ClassSpec("spirallike", gamma=gamma, alpha=alpha)
-            f = spirallike_from_measure(measure, spec, 64)
+            f = member_from_measure(measure, spec, 64)
             # construction raises ChainInequalityViolation on any failed link
             trace = proof_trace(f, gamma, alpha, n)
             assert abs(abs(trace.xi0) - 1.0) <= 1e-12
@@ -193,7 +193,7 @@ def test_criterion_10_single_atom_example():
     with criterion(10, 5.0, "single-atom members: M equals the harmonic form and bounds hold"):
         for alpha in (0.25, 0.5):
             spec = ClassSpec("starlike", alpha=alpha)
-            f = spirallike_from_measure(AtomicMeasure.single(), spec, 32)
+            f = member_from_measure(AtomicMeasure((0.0,), (1.0,)), spec, 32)
             for n in range(2, 21):
                 c = np.full(n, 2.0 * (1.0 - alpha))
                 M, _ = psi_max(c, n, 0.0)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,17 +11,18 @@ from spirallab import (
     Series,
     UnknownName,
     alexander_forward,
-    alexander_inverse,
-    decode_measure_spec,
     encode_measure_spec,
     herglotz,
     member_from_measure,
     named,
     random_measure,
-    sample_measure,
-    spirallike_from_measure,
 )
+from spirallab.extremal import _atoms_from_vector
 from conftest import assert_series_close
+from oracles import alexander_inverse, fixed_measure, log_unit
+
+#: One atom at angle 0: the Koebe measure.
+KOEBE_ATOM = AtomicMeasure((0.0,), (1.0,))
 
 
 # ----------------------------------------------------------------------
@@ -38,6 +40,8 @@ def test_measure_invariants():
         AtomicMeasure((0.0, 1.0), (1.5, -0.5))  # nonnegative weights
     with pytest.raises(InvalidParams):
         AtomicMeasure((7.0,), (1.0,))  # angle outside [0, 2pi)
+    with pytest.raises(InvalidParams):
+        AtomicMeasure((0.0, 1.0), (math.nan, 1.0))  # NaN fails every comparison
 
 
 def test_class_spec_invariants():
@@ -70,14 +74,14 @@ def test_spiral_parent():
 
 
 def test_herglotz_single_atom_is_half_plane_kernel():
-    h = herglotz(AtomicMeasure.single(0.0), 32)
+    h = herglotz(KOEBE_ATOM, 32)
     expect = np.full(33, 2.0)
     expect[0] = 1.0
     assert np.allclose(h.coeffs, expect)
 
 
 def test_herglotz_two_opposite_atoms():
-    h = herglotz(AtomicMeasure.equal((0.0, math.pi)), 32)
+    h = herglotz(AtomicMeasure((0.0, math.pi), (0.5, 0.5)), 32)
     n = np.arange(33)
     expect = np.where(n % 2 == 0, 2.0, 0.0)
     expect[0] = 1.0
@@ -86,7 +90,7 @@ def test_herglotz_two_opposite_atoms():
 
 def test_herglotz_constant_term_is_one():
     for seed in range(5):
-        m = sample_measure(seed, 5)
+        m = fixed_measure(seed, 5)
         assert herglotz(m, 8).coeffs[0] == 1.0
 
 
@@ -95,7 +99,7 @@ def test_herglotz_constant_term_is_one():
 
 
 def test_single_atom_reproduces_koebe():
-    f = spirallike_from_measure(AtomicMeasure.single(), ClassSpec("starlike"), 50)
+    f = member_from_measure(KOEBE_ATOM, ClassSpec("starlike"), 50)
     assert np.max(np.abs(f.series.coeffs - np.arange(51))) < 1e-10
 
 
@@ -103,7 +107,7 @@ def test_single_atom_general_parameters_is_complex_power_map():
     # one atom at t=0 gives f = z (1-z)^{-B} with B = 2(1-alpha) e^{i gamma} cos(gamma)
     gamma, alpha = 0.7, 0.3
     spec = ClassSpec("spirallike", gamma=gamma, alpha=alpha)
-    f = spirallike_from_measure(AtomicMeasure.single(), spec, 50)
+    f = member_from_measure(KOEBE_ATOM, spec, 50)
     B = 2.0 * (1 - alpha) * np.exp(1j * gamma) * math.cos(gamma)
     g = named("power_map", 50, beta=B)
     assert_series_close(f.series, g.series, 1e-9)
@@ -115,7 +119,7 @@ def test_real_exponent_power_map_disagrees_for_nonzero_gamma():
     # pretending the two constructions coincide
     gamma, alpha = 0.6, 0.2
     spec = ClassSpec("spirallike", gamma=gamma, alpha=alpha)
-    f = spirallike_from_measure(AtomicMeasure.single(), spec, 30)
+    f = member_from_measure(KOEBE_ATOM, spec, 30)
     beta_real = 2.0 * (1 - alpha) * math.cos(gamma)
     g = named("power_map", 30, beta=beta_real)
     gap = np.max(np.abs(f.series.coeffs - g.series.coeffs))
@@ -124,14 +128,14 @@ def test_real_exponent_power_map_disagrees_for_nonzero_gamma():
 
 def test_two_atoms_match_two_point_extremal():
     th1, th2 = 0.9, 4.1
-    m = AtomicMeasure.equal((th1, th2))
-    f = spirallike_from_measure(m, ClassSpec("starlike"), 40)
+    m = AtomicMeasure((th1, th2), (0.5, 0.5))
+    f = member_from_measure(m, ClassSpec("starlike"), 40)
     g = named("two_point", 40, theta1=th1, theta2=th2)
     assert_series_close(f.series, g.series, 1e-9)
 
 
 def test_member_from_measure_convex_kind_goes_through_alexander():
-    m = sample_measure(3, 4)
+    m = fixed_measure(3, 4)
     g = member_from_measure(m, ClassSpec("starlike", alpha=-0.5), 20)
     f = member_from_measure(m, ClassSpec("c_half", alpha=-0.5), 20)
     n = np.arange(1, 21)
@@ -139,7 +143,7 @@ def test_member_from_measure_convex_kind_goes_through_alexander():
 
 
 def test_member_from_measure_convex_spirallike():
-    m = sample_measure(4, 3)
+    m = fixed_measure(4, 3)
     spec = ClassSpec("convex_spirallike", gamma=0.5, alpha=0.2)
     g = member_from_measure(m, spec.spiral_parent(), 20)
     f = member_from_measure(m, spec, 20)
@@ -171,13 +175,8 @@ def test_member_upto_is_a_bitwise_prefix_of_the_full_member(spec, order):
             assert np.array_equal(f.series.coeffs, full[: f.order + 1])
 
 
-def test_spirallike_from_measure_rejects_convex_specs():
-    with pytest.raises(InvalidParams):
-        spirallike_from_measure(AtomicMeasure.single(), ClassSpec("convex"), 10)
-
-
 # ----------------------------------------------------------------------
-# Alexander transform
+# Alexander transform, and the reference inverse the tests use
 
 
 def test_alexander_inverse_of_koebe_is_half_plane_map():
@@ -272,7 +271,7 @@ def test_odd_sqrt_matches_series_engine():
     c[0] = 1.0
     if order > 2:
         c[2] = -1.0
-    u = Series(c).log_unit().scale(-0.5).exp_zero()  # (1-z^2)^{-1/2}, orders 0..order-1
+    u = Series(-0.5 * log_unit(Series(c)).coeffs).exp_zero()  # (1-z^2)^{-1/2}, orders 0..order-1
     f = named("odd_sqrt", order)
     assert np.allclose(f.series.coeffs[1:], u.coeffs, atol=1e-12)
 
@@ -291,38 +290,40 @@ def test_named_rejects_unknown_and_bad_params():
 
 
 def test_sample_measure_deterministic():
-    a = sample_measure(42, 8)
-    b = sample_measure(42, 8)
+    # reports depend on random_measure drawing the same measures from the same stream
+    a = [random_measure(np.random.default_rng(42), 8) for _ in range(2)]
+    b = [random_measure(np.random.default_rng(42), 8) for _ in range(2)]
     assert a == b
 
 
 def test_sample_measure_invariants():
-    m = sample_measure(7, 8)
-    assert m.k == 8
-    assert abs(sum(m.weights) - 1.0) <= 1e-12
-    assert all(0.0 <= t < 2 * math.pi for t in m.angles)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        m = random_measure(rng, 8)
+        assert 1 <= m.k <= 8
+        assert abs(sum(m.weights) - 1.0) <= 1e-12
+        assert all(0.0 <= t < 2 * math.pi for t in m.angles)
 
 
 def test_sample_measure_single_atom_forced_weight():
-    m = sample_measure(0, 1)
+    m = random_measure(np.random.default_rng(0), 1)
     assert m.weights == (1.0,)
 
 
 def test_wrap_angle_never_returns_two_pi():
-    from spirallab.classes import wrap_angle
-
     # -1e-20 % 2pi rounds up to exactly 2pi in doubles; wrap must land in range
     for t in (-1e-20, -1e-300, 2 * math.pi, -2 * math.pi, 7.0, -7.0):
-        w = wrap_angle(t)
-        assert 0.0 <= w < 2 * math.pi
-    AtomicMeasure.single(-1e-20)  # must not raise
+        angles, _ = _atoms_from_vector(np.array([t, 1.0]), 1)
+        assert 0.0 <= angles[0] < 2 * math.pi
 
 
 def test_measure_spec_json_round_trip():
-    m = sample_measure(5, 3)
+    m = fixed_measure(5, 3)
     spec = ClassSpec("spirallike", gamma=-0.4, alpha=0.2)
-    doc = encode_measure_spec(m, spec)
-    m2, spec2 = decode_measure_spec(doc)
+    doc = json.loads(json.dumps(encode_measure_spec(m, spec)))
+    atoms = doc["atoms"]
+    m2 = AtomicMeasure(tuple(a["t"] for a in atoms), tuple(a["w"] for a in atoms))
+    spec2 = ClassSpec.from_json(doc)
     assert spec2 == spec
     assert np.allclose(m2.angles, m.angles)
     assert np.allclose(m2.weights, m.weights)

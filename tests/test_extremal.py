@@ -1,21 +1,13 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
-from spirallab import (
-    AtomicMeasure,
-    ClassSpec,
-    SearchProblem,
-    SearchResult,
-    certify_never_exceeds,
-    member_from_measure,
-    search,
-)
+from spirallab import ClassSpec, SearchProblem, SearchResult, member_from_measure, search
 from spirallab.classes import InvalidParams
+from spirallab.cli import EXIT_OK, main
 from spirallab.extremal import _measure_from_vector, _objective
-from spirallab.inequalities import FUNCTIONALS
+from spirallab.inequalities import FUNCTIONALS, TOL_INEQ
 from spirallab.series import ORDER_DEFAULT
 
 
@@ -141,9 +133,11 @@ def test_objective_equals_the_functional_on_the_full_order_member(problem):
     assert _measure_from_vector(np.array([-1e-17] * k + [1.0] * k), k).angles[0] == 0.0
 
     with np.errstate(all="ignore"):
-        # the square of a weight of 1e200 overflows: the weights and the value are NaN
+        # the square of a weight of 1e200 overflows and the normalized weights are NaN
         x = np.concatenate([np.linspace(0.5, 2.0, k), [1e200], np.full(k - 1, 0.5)])
-        assert math.isnan(objective(x)) and math.isnan(full_order_value(x))
+        for evaluate in (objective, full_order_value):
+            with pytest.raises(InvalidParams):
+                evaluate(x)
         for bad in (np.inf, -np.inf, np.nan):
             x = np.concatenate([[bad], np.linspace(1.0, 5.0, k - 1), np.full(k, 0.5)])
             with pytest.raises(InvalidParams):
@@ -159,42 +153,48 @@ def test_on_improve_stream_matches_history():
     assert tuple(seen) == result.history
 
 
-def test_certify_vacuous_pass():
-    report = certify_never_exceeds(ClassSpec("starlike"), 5, trials=0, seed=0)
-    assert report.lhs == 0.0
-    assert report.passed
+def verified_rows(tmp_path, spec, theorem, n, functions, seed=0):
+    """JSON report rows of a ``verify`` run; every row must pass, as BoundReport.passed does."""
+    out = tmp_path / "rows.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "spec": spec, "theorem": theorem, "n": n, "seed": seed,
+        "functions": functions, "format": "json", "out": str(out),
+    }))
+    assert main(["verify", "--config", str(cfg)]) == EXIT_OK
+    rows = json.loads(out.read_text())
+    assert max(r["lhs"] for r in rows) <= min(r["rhs"] for r in rows) + TOL_INEQ
+    return rows
 
 
-def test_certify_starlike_alpha_zero():
-    report = certify_never_exceeds(ClassSpec("starlike"), 10, trials=200, seed=4)
-    assert report.theorem_id == "thm_A"
-    assert report.rhs == 1.0
-    assert report.passed
-    assert report.lhs > 0.2  # random members do exercise the functional
+def test_certify_starlike_alpha_zero(tmp_path):
+    sampled = [{"sampled": {"trials": 200, "k_atoms": 8}}]
+    rows = verified_rows(tmp_path, {"kind": "starlike"}, "thm_A", 10, sampled, seed=4)
+    assert len(rows) == 200
+    assert {r["rhs"] for r in rows} == {1.0}
+    assert max(r["lhs"] for r in rows) > 0.2  # random members do exercise the functional
 
 
-def test_certify_negative_order_starlike():
-    report = certify_never_exceeds(ClassSpec("starlike", alpha=-0.5), 6, trials=200, seed=8)
-    assert report.theorem_id == "thm_C"
-    assert report.rhs == pytest.approx(7.0, rel=1e-12)
-    assert report.passed
+def test_certify_negative_order_starlike(tmp_path):
+    sampled = [{"sampled": {"trials": 200, "k_atoms": 8}}]
+    spec = {"kind": "starlike", "alpha": -0.5}
+    rows = verified_rows(tmp_path, spec, "thm_C", 6, sampled, seed=8)
+    assert len(rows) == 200
+    assert rows[0]["rhs"] == pytest.approx(7.0, rel=1e-12)
 
 
-def test_certify_c_half():
-    report = certify_never_exceeds(ClassSpec("c_half", alpha=-0.5), 8, trials=100, seed=6)
-    assert report.theorem_id == "thm_c_half"
-    assert report.rhs == 1.0
-    assert report.passed
+def test_certify_c_half(tmp_path):
+    sampled = [{"sampled": {"trials": 100, "k_atoms": 8}}]
+    spec = {"kind": "c_half", "alpha": -0.5}
+    rows = verified_rows(tmp_path, spec, "thm_c_half", 8, sampled, seed=6)
+    assert len(rows) == 100
+    assert {r["rhs"] for r in rows} == {1.0}
 
 
-def test_certify_includes_incumbents():
-    # an incumbent at the extremal measure pushes lhs to the bound itself
-    incumbent = AtomicMeasure.single(0.0)
-    report = certify_never_exceeds(
-        ClassSpec("starlike"), 5, trials=0, seed=0, incumbents=[incumbent]
-    )
-    assert report.lhs == pytest.approx(1.0, abs=1e-10)
-    assert report.passed
+def test_certify_includes_incumbents(tmp_path):
+    # the extremal function itself reaches the bound
+    rows = verified_rows(tmp_path, {"kind": "starlike"}, "thm_A", 5, [{"name": "koebe"}])
+    assert rows[0]["lhs"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_result_serialization_shape():

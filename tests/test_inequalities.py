@@ -14,7 +14,6 @@ from spirallab import (
     OrderTooLow,
     Series,
     TOL_INEQ,
-    alexander_inverse,
     bound_rhs,
     gamma_ratio,
     lemma31_check,
@@ -26,10 +25,9 @@ from spirallab import (
     psi_max,
     recover_c,
     robertson_gap,
-    sample_measure,
-    spirallike_from_measure,
     successive_diff,
 )
+from oracles import alexander_inverse, fixed_measure
 
 
 def harmonic(n):
@@ -241,7 +239,7 @@ def test_lemma31_random_measures_pass():
     rng = np.random.default_rng(5)
     for trial in range(100):
         k = int(rng.integers(1, 9))
-        measure = sample_measure(900 + trial, k)
+        measure = fixed_measure(900 + trial, k)
         gamma = float(rng.uniform(-1.4, 1.4))
         alpha = float(rng.uniform(0.0, 0.9))
         n = int(rng.integers(1, 21))
@@ -301,10 +299,10 @@ def test_milin_third_guards():
 
 
 def test_recover_c_round_trips_measure_data():
-    measure = sample_measure(17, 5)
+    measure = fixed_measure(17, 5)
     gamma, alpha = 0.4, 0.3
     spec = ClassSpec("spirallike", gamma=gamma, alpha=alpha)
-    f = spirallike_from_measure(measure, spec, 64)
+    f = member_from_measure(measure, spec, 64)
     c = recover_c(f, gamma, 20)
     n = np.arange(1, 21)
     h = 2.0 * np.sum(
@@ -316,7 +314,7 @@ def test_recover_c_round_trips_measure_data():
     members = [
         (named("koebe", 256), 0.0),
         (named("two_point", 256, theta1=0.3, theta2=2.0), 0.0),
-        (spirallike_from_measure(measure, spec, 256), gamma),
+        (member_from_measure(measure, spec, 256), gamma),
     ]
     for g, g_gamma in members:
         full = recover_c(g, g_gamma, g.order - 1)
@@ -348,12 +346,12 @@ def test_proof_trace_sampled_members():
     rng = np.random.default_rng(23)
     for trial in range(50):
         k = int(rng.integers(1, 9))
-        measure = sample_measure(3000 + trial, k)
+        measure = fixed_measure(3000 + trial, k)
         gamma = float(rng.uniform(-1.2, 1.2))
         alpha = float(rng.uniform(0.01, 0.89))
         n = int(rng.integers(2, 21))
         spec = ClassSpec("spirallike", gamma=gamma, alpha=alpha)
-        f = spirallike_from_measure(measure, spec, 64)
+        f = member_from_measure(measure, spec, 64)
         trace = proof_trace(f, gamma, alpha, n)
         # chain validated by construction; check the reported slacks again
         lemma_cap = -2 * trace.M * alpha * math.cos(gamma)
@@ -364,10 +362,10 @@ def test_proof_trace_sampled_members():
 
 
 def test_proof_trace_final_bound_is_one_iff_alpha_zero():
-    measure = sample_measure(8, 3)
-    f0 = spirallike_from_measure(measure, ClassSpec("spirallike", gamma=0.5), 32)
+    measure = fixed_measure(8, 3)
+    f0 = member_from_measure(measure, ClassSpec("spirallike", gamma=0.5), 32)
     assert proof_trace(f0, 0.5, 0.0, 6).final_bound == 1.0
-    f1 = spirallike_from_measure(
+    f1 = member_from_measure(
         measure, ClassSpec("spirallike", gamma=0.5, alpha=0.3), 32
     )
     assert proof_trace(f1, 0.5, 0.3, 6).final_bound < 1.0
@@ -404,11 +402,11 @@ def test_convex_one_sided_bound_via_parent_trace():
     rng = np.random.default_rng(31)
     for trial in range(25):
         k = int(rng.integers(1, 7))
-        measure = sample_measure(5000 + trial, k)
+        measure = fixed_measure(5000 + trial, k)
         gamma = float(rng.uniform(-1.2, 1.2))
         alpha = float(rng.uniform(0.0, 0.9))
         n = int(rng.integers(2, 16))
-        g = spirallike_from_measure(
+        g = member_from_measure(
             measure, ClassSpec("spirallike", gamma=gamma, alpha=alpha), 48
         )
         trace = proof_trace(g, gamma, alpha, n)
@@ -421,9 +419,9 @@ def test_two_sided_diff_at_most_one_for_spiral_members():
     rng = np.random.default_rng(41)
     for trial in range(50):
         k = int(rng.integers(1, 9))
-        measure = sample_measure(8000 + trial, k)
+        measure = fixed_measure(8000 + trial, k)
         gamma = float(rng.uniform(-1.4, 1.4))
-        f = spirallike_from_measure(
+        f = member_from_measure(
             measure, ClassSpec("spirallike", gamma=gamma, alpha=0.0), 64
         )
         for n in range(2, 31):
@@ -436,8 +434,8 @@ def test_two_sided_diff_bounded_for_negative_order_starlike():
         spec = ClassSpec("starlike", alpha=alpha)
         for trial in range(20):
             k = int(rng.integers(1, 7))
-            measure = sample_measure(7000 + trial, k)
-            f = spirallike_from_measure(measure, spec, 32)
+            measure = fixed_measure(7000 + trial, k)
+            f = member_from_measure(measure, spec, 32)
             for n in range(2, 21):
                 cap = bound_rhs("thm_C", n, alpha=alpha)
                 assert successive_diff(f, n) <= cap + TOL_INEQ
@@ -465,7 +463,7 @@ def test_robertson_gap_identity_map():
 
 def test_robertson_gap_sampled_c_half_members():
     for seed in range(10):
-        measure = sample_measure(111 + seed, 5)
+        measure = fixed_measure(111 + seed, 5)
         f = member_from_measure(measure, ClassSpec("c_half", alpha=-0.5), 16)
         report = robertson_gap(f, 8, 3)
         assert report.passed

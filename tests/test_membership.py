@@ -12,15 +12,13 @@ from spirallab import (
     Series,
     TOL_MEMBER,
     ZeroOnGrid,
-    alexander_inverse,
     check_convex,
     check_kaplan,
     check_spirallike,
     member_from_measure,
     named,
-    sample_measure,
-    spirallike_from_measure,
 )
+from oracles import fixed_measure
 
 # Truncated polynomials only track their function out to a radius set by
 # the order: near-linear coefficient growth needs N^2 r^N small, so the
@@ -108,11 +106,11 @@ def test_sampled_members_pass_on_ladder():
     rng = np.random.default_rng(11)
     for trial in range(12):
         k = int(rng.integers(1, 9))
-        measure = sample_measure(100 + trial, k)
+        measure = fixed_measure(100 + trial, k)
         gamma = float(rng.uniform(-1.4, 1.4))
         alpha = float(rng.uniform(0.0, 0.95))
         spec = ClassSpec("spirallike", gamma=gamma, alpha=alpha)
-        f = spirallike_from_measure(measure, spec, ORDER_LADDER)
+        f = member_from_measure(measure, spec, ORDER_LADDER)
         report = check_spirallike(f, spec, LADDER)
         assert report.margin >= -TOL_MEMBER, (trial, report.margin)
 
@@ -172,7 +170,7 @@ def test_kaplan_matches_brute_force_window_minimum():
 def test_kaplan_holds_for_sampled_c_half_members():
     # pointwise integrand above -1/2 forces every window above -pi
     for seed in (1, 2, 3, 4, 5):
-        measure = sample_measure(seed, 4)
+        measure = fixed_measure(seed, 4)
         f = member_from_measure(measure, ClassSpec("c_half", alpha=-0.5), 1024)
         fp = f.series.derivative()
         fpp = fp.derivative()
