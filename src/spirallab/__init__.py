@@ -24,7 +24,6 @@ from .classes import (
 from .extremal import SearchProblem, SearchResult, search
 from .inequalities import (
     TOL_INEQ,
-    BoundReport,
     ChainInequalityViolation,
     DegenerateCosGamma,
     InvalidIndices,

@@ -73,10 +73,6 @@ class AtomicMeasure:
             raise InvalidParams("measure needs k >= 1 atoms with matching weights")
         check_atoms(np.array(angles), np.array(weights))
 
-    @property
-    def k(self) -> int:
-        return len(self.angles)
-
     def to_json(self) -> list:
         return [{"t": t, "w": w} for t, w in zip(self.angles, self.weights)]
 
@@ -100,8 +96,8 @@ class ClassSpec:
             raise InvalidParams(f"unknown class kind {self.kind!r}")
         if not -math.pi / 2 < self.gamma < math.pi / 2:
             raise InvalidParams("gamma must lie strictly inside (-pi/2, pi/2)")
-        if not self.alpha < 1.0:
-            raise InvalidParams("alpha must be < 1")
+        if not -math.inf < self.alpha < 1.0:
+            raise InvalidParams("alpha must be finite and < 1")
         if self.kind in ("starlike", "convex", "c_half") and self.gamma != 0.0:
             raise InvalidParams(f"kind {self.kind!r} forces gamma = 0")
         if self.kind == "c_half" and self.alpha != -0.5:
@@ -214,23 +210,13 @@ def member_from_measure(
     The coefficients come from :func:`member_builder`.
     """
     build = member_builder(spec, order, upto)
-    a = build(np.asarray(measure.angles), np.asarray(measure.weights))
-    params = {"measure": measure, **spec.to_json()}
-    if not spec.is_convex_kind:
-        return FunctionSeries(Series(a), "from-measure", params)
-    return FunctionSeries(
-        Series(a), "alexander", {"direction": "inverse", "source": "from-measure", **params}
-    )
+    return FunctionSeries(Series(build(np.asarray(measure.angles), np.asarray(measure.weights))))
 
 
 def alexander_forward(f: FunctionSeries) -> FunctionSeries:
     """g(z) = z f'(z), i.e. b_n = n a_n."""
     n = np.arange(f.order + 1)
-    return FunctionSeries(
-        Series(n * f.series.coeffs),
-        "alexander",
-        {"direction": "forward", "source": f.provenance},
-    )
+    return FunctionSeries(Series(n * f.series.coeffs))
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +305,7 @@ def named(name: str, order: int = ORDER_DEFAULT, **params) -> FunctionSeries:
         coeffs = build(order, **params)
     except TypeError as exc:
         raise InvalidParams(f"{name}: {exc}") from None
-    return FunctionSeries(Series(coeffs), "named", {"name": name, **params})
+    return FunctionSeries(Series(coeffs))
 
 
 def random_measure(rng: np.random.Generator, k_atoms: int) -> AtomicMeasure:

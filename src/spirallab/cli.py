@@ -69,7 +69,15 @@ CSV_COLUMNS = (
 #: search builds members at order max(64, 2n), so n stays within the order ceiling.
 #: "coefficients" bounds trials x (built order + 1) over all sampled members of
 #: one run, which are held at once: 2**25 complex coefficients are 512 MiB.
-_CEILINGS = {"order": 65536, "m": 2**20, "n": 32768, "trials": 100000, "coefficients": 2**25}
+#: "budget" caps the objective evaluations of one search, which run one after another.
+_CEILINGS = {
+    "order": 65536,
+    "m": 2**20,
+    "n": 32768,
+    "trials": 100000,
+    "coefficients": 2**25,
+    "budget": 1_000_000,
+}
 
 
 class ConfigError(ValueError):
@@ -215,13 +223,14 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
             params = entry.get("params", {})
             if not isinstance(entry["name"], str) or not isinstance(params, dict):
                 raise ConfigError("field 'name' must be a string and 'params' an object")
-            if not all(type(v) in (int, float) for v in params.values()):
-                raise ConfigError("function parameters must be numbers")
+            # math.isfinite of an integer past the double range raises OverflowError
+            if not all(type(v) in (int, float) and math.isfinite(v) for v in params.values()):
+                raise ConfigError("function parameters must be finite numbers")
             try:
                 f = named(entry["name"], order, **params)
             except UnknownName as exc:
                 raise ConfigError(f"unknown function name {exc}") from None
-            except ValueError as exc:  # InvalidParams, or a NaN parameter that breaks a_1 = 1
+            except ValueError as exc:  # InvalidParams, or coefficients that break a_1 = 1
                 raise ConfigError(str(exc)) from None
             tag = entry["name"]
             if params:
@@ -362,7 +371,7 @@ def _cmd_search(cfg: dict) -> int:
             functional=_optional(cfg, "functional", "two_sided_diff"),
             m=None if cfg.get("m") is None else _optional(cfg, "m", 0),
             k_atoms=_optional(cfg, "k_atoms", 2),
-            budget=_optional(cfg, "budget", 5000),
+            budget=_positive(cfg, "budget", 5000),
             restarts=_optional(cfg, "restarts", 8),
             seed=_seed(cfg),
             minimize=_optional(cfg, "minimize", False),

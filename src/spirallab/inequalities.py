@@ -23,7 +23,7 @@ constant is claimed anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,7 @@ THEOREM_FUNCTIONAL = {
 FUNCTIONALS = {
     "two_sided_diff": lambda f, n, m=None: successive_diff(f, n),
     "one_sided_diff": lambda f, n, m=None: one_sided_diff(f, n),
-    "robertson": lambda f, n, m: robertson_gap(f, n, m).lhs,
+    "robertson": lambda f, n, m: robertson_gap(f, n, m),
 }
 
 #: The same functionals on a coefficient getter a(k) -> a_k, such as
@@ -60,8 +60,6 @@ ON_COEFFICIENTS = {
     "one_sided_diff": lambda a, n, m=None: abs(a(n + 1)) - abs(a(n)),
     "robertson": lambda a, n, m: abs(n * abs(a(n)) - m * abs(a(m))),
 }
-
-THEOREM_IDS = frozenset(THEOREM_FUNCTIONAL) | {"lemma31", "membership"}
 
 
 class OrderTooLow(ValueError):
@@ -86,40 +84,6 @@ def _exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One verified inequality instance: lhs <= rhs up to TOL_INEQ."""
-
-    theorem_id: str
-    n: int
-    lhs: float
-    rhs: float
-    m: int | None = None
-    two_sided: bool = field(init=False)
-    slack: float = field(init=False)
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        if self.theorem_id not in THEOREM_IDS:
-            raise InvalidIndices(f"unknown theorem id {self.theorem_id!r}")
-        two_sided = THEOREM_FUNCTIONAL.get(self.theorem_id) in ("two_sided_diff", "robertson")
-        object.__setattr__(self, "two_sided", two_sided)
-        object.__setattr__(self, "slack", self.rhs - self.lhs)
-        object.__setattr__(self, "passed", self.slack >= -TOL_INEQ)
-
-    def to_json(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "n": self.n,
-            "m": self.m,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "two_sided": self.two_sided,
-            "pass": self.passed,
-        }
 
 
 def successive_diff(f: FunctionSeries, n: int) -> float:
@@ -306,12 +270,14 @@ def psi_max(c, n: int, gamma: float):
     return best, theta % (2.0 * np.pi)
 
 
-def lemma31_check(c, lam, gamma: float, alpha: float, M: float) -> BoundReport:
-    """Weighted-coefficient inequality: cos(gamma) sum lam_k |c_k|^2 <= 2 M (1-alpha).
+def lemma31_check(c, lam, gamma: float, alpha: float, M: float):
+    """Both sides of the weighted-coefficient inequality.
 
-    ``c`` holds c_1.. and ``lam`` the matching nonnegative weights; the
-    caller certifies Re of the generating function exceeds alpha and
-    supplies M as the circle maximum of the weighted Re psi.
+    Returns (cos(gamma) sum lam_k |c_k|^2, 2 M (1-alpha)), the lhs <= rhs
+    pair, like :func:`milin_third`.  ``c`` holds c_1.. and ``lam`` the
+    matching nonnegative weights; the caller certifies Re of the
+    generating function exceeds alpha and supplies M as the circle
+    maximum of the weighted Re psi.
     """
     c = np.asarray(c, dtype=np.complex128)
     lam = np.asarray(lam, dtype=float)
@@ -320,8 +286,7 @@ def lemma31_check(c, lam, gamma: float, alpha: float, M: float) -> BoundReport:
     if np.any(lam < 0):
         raise InvalidIndices("weights must be nonnegative")
     lhs = math.cos(gamma) * float(np.sum(lam * np.abs(c[: lam.size]) ** 2))
-    rhs = 2.0 * M * (1.0 - alpha)
-    return BoundReport("lemma31", n=lam.size, lhs=lhs, rhs=rhs)
+    return lhs, 2.0 * M * (1.0 - alpha)
 
 
 def milin_third(alpha_seq, n: int):
@@ -451,12 +416,10 @@ def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofT
     return trace
 
 
-def robertson_gap(f: FunctionSeries, n: int, m: int) -> BoundReport:
-    """| n|a_n| - m|a_m| | against the bound (n-m)(n+m+1)/2."""
+def robertson_gap(f: FunctionSeries, n: int, m: int) -> float:
+    """Robertson's functional | n|a_n| - m|a_m| |, bounded by (n-m)(n+m+1)/2."""
     if not n > m >= 1:
         raise InvalidIndices("robertson gap needs n > m >= 1")
     if n > f.order:
         raise OrderTooLow(f"need order >= {n}, have {f.order}")
-    lhs = ON_COEFFICIENTS["robertson"](f.a, n, m)
-    rhs = bound_rhs("thm_robertson", n, m)
-    return BoundReport("thm_robertson", n=n, m=m, lhs=lhs, rhs=rhs)
+    return ON_COEFFICIENTS["robertson"](f.a, n, m)

@@ -60,7 +60,6 @@ class MembershipReport:
     theta2) pair of the minimizing arc and worst_point its right end.
     """
 
-    spec: ClassSpec | None
     margin: float
     grid: Grid
     worst_point: complex
@@ -69,20 +68,6 @@ class MembershipReport:
     @property
     def passed(self) -> bool:
         return self.margin >= -TOL_MEMBER
-
-    def to_json(self) -> dict:
-        doc = {
-            "margin": self.margin,
-            "radii": list(self.grid.radii),
-            "m": self.grid.m,
-            "worst_point": [self.worst_point.real, self.worst_point.imag],
-            "passed": self.passed,
-        }
-        if self.spec is not None:
-            doc.update(self.spec.to_json())
-        if self.window is not None:
-            doc["window"] = list(self.window)
-        return doc
 
 
 def _circle(r: float, m: int) -> np.ndarray:
@@ -108,7 +93,7 @@ def check_spirallike(f: FunctionSeries, spec: ClassSpec, grid: Grid = Grid()) ->
         if vals[j] < best:
             best = float(vals[j])
             worst = complex(z[j])
-    return MembershipReport(spec, best, grid, worst)
+    return MembershipReport(best, grid, worst)
 
 
 def check_convex(f: FunctionSeries, spec: ClassSpec, grid: Grid = Grid()) -> MembershipReport:
@@ -131,7 +116,7 @@ def check_convex(f: FunctionSeries, spec: ClassSpec, grid: Grid = Grid()) -> Mem
         if vals[j] < best:
             best = float(vals[j])
             worst = complex(z[j])
-    return MembershipReport(spec, best, grid, worst)
+    return MembershipReport(best, grid, worst)
 
 
 def check_kaplan(f: FunctionSeries, r: float = 0.99, m: int = 4096) -> MembershipReport:
@@ -176,4 +161,4 @@ def check_kaplan(f: FunctionSeries, r: float = 0.99, m: int = 4096) -> Membershi
         j1 = (j2 - m) + int(np.argmax(p[j2 - m : m]))
     window = (j1 * h, j2 * h)
     worst = complex(r * np.exp(1j * (j2 * h)))
-    return MembershipReport(None, best + math.pi, Grid((r,), m), worst, window)
+    return MembershipReport(best + math.pi, Grid((r,), m), worst, window)

@@ -134,20 +134,16 @@ class FunctionSeries:
 
     The normalization ``a_0 = 0`` and ``a_1 = 1`` must hold exactly;
     constructors in this package produce it exactly, so any violation is
-    treated as a caller bug.  ``provenance`` records how the function was
-    built ("named", "from-measure" or "alexander") and ``params`` holds
-    the construction parameters.
+    treated as a caller bug.
     """
 
-    __slots__ = ("series", "provenance", "params")
+    __slots__ = ("series",)
 
-    def __init__(self, series: Series, provenance: str, params: dict | None = None):
+    def __init__(self, series: Series):
         c = series.coeffs
         if series.order < 1 or c[0] != 0 or c[1] != 1:
             raise ValueError("normalized function needs a_0 = 0 and a_1 = 1 exactly")
         self.series = series
-        self.provenance = provenance
-        self.params = dict(params or {})
 
     @property
     def order(self) -> int:
@@ -160,4 +156,4 @@ class FunctionSeries:
         return complex(self.series.coeffs[n])
 
     def __repr__(self) -> str:
-        return f"FunctionSeries(order={self.order}, provenance={self.provenance!r})"
+        return f"FunctionSeries(order={self.order})"

@@ -85,7 +85,7 @@ def test_criterion_03_c_half_equality_function():
         for n in range(2, 31):
             for m in range(1, n):
                 gap = robertson_gap(small, n, m)
-                assert abs(gap.lhs - gap.rhs) <= 1e-12
+                assert abs(gap - bound_rhs("thm_robertson", n, m)) <= 1e-12
 
 
 def test_criterion_04_sharp_convex_family():
@@ -150,14 +150,14 @@ def test_criterion_07_weighted_lemma_suite():
             c = (1.0 - alpha) * h
             lam = 1.0 / ks
             M, _ = psi_max(c, n, gamma)
-            report = lemma31_check(c, lam, gamma, alpha, M)
-            assert report.slack >= -1e-8, (trial, report.slack)
+            lhs, rhs = lemma31_check(c, lam, gamma, alpha, M)
+            assert rhs - lhs >= -1e-8, (trial, rhs - lhs)
         # equality case: constant-2 data, lam = 1/k, gamma = alpha = 0
         n = 20
         c = np.full(n, 2.0)
         M, _ = psi_max(c, n, 0.0)
-        report = lemma31_check(c, 1.0 / np.arange(1, n + 1), 0.0, 0.0, M)
-        assert abs(report.lhs - report.rhs) <= 1e-9
+        lhs, rhs = lemma31_check(c, 1.0 / np.arange(1, n + 1), 0.0, 0.0, M)
+        assert abs(lhs - rhs) <= 1e-9
 
 
 def test_criterion_08_exponentiation_inequality_suite():

@@ -31,7 +31,7 @@ KOEBE_ATOM = AtomicMeasure((0.0,), (1.0,))
 
 def test_measure_invariants():
     m = AtomicMeasure((0.0, math.pi), (0.5, 0.5))
-    assert m.k == 2
+    assert len(m.angles) == 2
     with pytest.raises(InvalidParams):
         AtomicMeasure((), ())
     with pytest.raises(InvalidParams):
@@ -149,7 +149,6 @@ def test_member_from_measure_convex_spirallike():
     f = member_from_measure(m, spec, 20)
     n = np.arange(1, 21)
     assert np.allclose(f.series.coeffs[1:] * n, g.series.coeffs[1:])
-    assert f.params["kind"] == "convex_spirallike"
 
 
 @pytest.mark.parametrize(
@@ -216,7 +215,6 @@ def test_alexander_forward_of_log_extremal():
 def test_koebe_coefficients():
     f = named("koebe", 10)
     assert f.a(5) == 5
-    assert f.provenance == "named"
 
 
 def test_c_half_extremal_coefficients():
@@ -300,7 +298,7 @@ def test_sample_measure_invariants():
     rng = np.random.default_rng(7)
     for _ in range(20):
         m = random_measure(rng, 8)
-        assert 1 <= m.k <= 8
+        assert 1 <= len(m.angles) <= 8
         assert abs(sum(m.weights) - 1.0) <= 1e-12
         assert all(0.0 <= t < 2 * math.pi for t in m.angles)
 

@@ -381,6 +381,21 @@ _OUTSIDE_SCHEMA = {
     "search_budget_not_int": (
         "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "budget": "x"}
     ),
+    # non-finite numbers, which Python's json reads from NaN and -Infinity
+    "named_param_nan": (
+        "verify",
+        {**_SAMPLED_MAIN, "functions": [{"name": "power_map", "params": {"beta": math.nan}}]},
+    ),
+    "two_point_theta_nan": (
+        "verify",
+        {
+            **_SAMPLED_MAIN,
+            "functions": [{"name": "two_point", "params": {"theta1": math.nan, "theta2": 1.0}}],
+        },
+    ),
+    "spec_alpha_negative_infinity": (
+        "verify", {**_SAMPLED_MAIN, "spec": {"kind": "starlike", "alpha": -math.inf}}
+    ),
     "seed_negative": ("verify", {**_SAMPLED_MAIN, "seed": -1}),
     "seed_flag_negative": ("verify", _SAMPLED_MAIN, "--seed", "-1"),
     "sample_seed_negative": (
@@ -428,6 +443,9 @@ _OUTSIDE_SCHEMA = {
         "verify", {**_SAMPLED_MAIN, "membership": {"radii": [0.5], "m": 2**20 + 1}}
     ),
     "search_n_past_ceiling": ("search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 32769}),
+    "search_budget_past_ceiling": (
+        "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "budget": 1_000_001}
+    ),
     "sample_trials_past_ceiling": (
         "sample", {"seed": 1, "trials": 100001, "spec": {"kind": "starlike"}}
     ),

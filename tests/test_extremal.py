@@ -154,7 +154,7 @@ def test_on_improve_stream_matches_history():
 
 
 def verified_rows(tmp_path, spec, theorem, n, functions, seed=0):
-    """JSON report rows of a ``verify`` run; every row must pass, as BoundReport.passed does."""
+    """JSON report rows of a ``verify`` run; every row must pass (slack >= -TOL_INEQ)."""
     out = tmp_path / "rows.json"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -37,7 +37,7 @@ def harmonic(n):
 def identity_map(order=8):
     c = np.zeros(order + 1)
     c[1] = 1.0
-    return FunctionSeries(Series(c), "named", {"name": "identity"})
+    return FunctionSeries(Series(c))
 
 
 # ----------------------------------------------------------------------
@@ -218,10 +218,9 @@ def test_psi_max_guards():
 
 
 def test_lemma31_zero_sequence():
-    report = lemma31_check(np.zeros(4), np.ones(4), 0.0, 0.0, 0.0)
-    assert report.lhs == 0.0
-    assert report.rhs == 0.0
-    assert report.passed
+    lhs, rhs = lemma31_check(np.zeros(4), np.ones(4), 0.0, 0.0, 0.0)
+    assert lhs == 0.0
+    assert rhs == 0.0
 
 
 def test_lemma31_koebe_equality():
@@ -229,10 +228,9 @@ def test_lemma31_koebe_equality():
     c = np.full(n, 2.0)
     lam = 1.0 / np.arange(1, n + 1)
     M, _ = psi_max(c, n, 0.0)
-    report = lemma31_check(c, lam, 0.0, 0.0, M)
-    assert report.lhs == pytest.approx(4 * harmonic(n), rel=1e-12)
-    assert abs(report.rhs - report.lhs) <= 1e-9
-    assert report.passed
+    lhs, rhs = lemma31_check(c, lam, 0.0, 0.0, M)
+    assert lhs == pytest.approx(4 * harmonic(n), rel=1e-12)
+    assert abs(rhs - lhs) <= 1e-9
 
 
 def test_lemma31_random_measures_pass():
@@ -254,8 +252,8 @@ def test_lemma31_random_measures_pass():
         c = (1 - alpha) * h
         lam = 1.0 / np.arange(1, n + 1)
         M, _ = psi_max(c, n, gamma)
-        report = lemma31_check(c, lam, gamma, alpha, M)
-        assert report.slack >= -TOL_INEQ, (trial, report.slack)
+        lhs, rhs = lemma31_check(c, lam, gamma, alpha, M)
+        assert rhs - lhs >= -TOL_INEQ, (trial, rhs - lhs)
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +379,7 @@ def test_proof_trace_rejects_non_members():
     c = np.zeros(13)
     c[1] = 1.0
     c[12] = 500.0
-    fake = FunctionSeries(Series(c), "named", {"name": "fake"})
+    fake = FunctionSeries(Series(c))
     with pytest.raises(ChainInequalityViolation):
         proof_trace(fake, 0.0, 0.5, 11)
 
@@ -449,24 +447,20 @@ def test_robertson_gap_equality_for_c_half_extremal():
     f = named("c_half_extremal", 35)
     for n in range(2, 31):
         for m in range(1, n):
-            report = robertson_gap(f, n, m)
-            assert abs(report.slack) <= 1e-12
-            assert report.passed
+            gap = robertson_gap(f, n, m)
+            assert abs(bound_rhs("thm_robertson", n, m) - gap) <= 1e-12
 
 
 def test_robertson_gap_identity_map():
-    report = robertson_gap(identity_map(8), 3, 2)
-    assert report.lhs == 0.0  # a_2 = a_3 = 0
-    assert report.rhs == 3.0
-    assert report.passed
+    assert robertson_gap(identity_map(8), 3, 2) == 0.0  # a_2 = a_3 = 0
+    assert bound_rhs("thm_robertson", 3, 2) == 3.0
 
 
 def test_robertson_gap_sampled_c_half_members():
     for seed in range(10):
         measure = fixed_measure(111 + seed, 5)
         f = member_from_measure(measure, ClassSpec("c_half", alpha=-0.5), 16)
-        report = robertson_gap(f, 8, 3)
-        assert report.passed
+        assert robertson_gap(f, 8, 3) <= bound_rhs("thm_robertson", 8, 3) + TOL_INEQ
 
 
 def test_robertson_gap_guards():
@@ -475,22 +469,3 @@ def test_robertson_gap_guards():
         robertson_gap(f, 3, 3)
     with pytest.raises(OrderTooLow):
         robertson_gap(f, 12, 3)
-
-
-# ----------------------------------------------------------------------
-# report plumbing
-
-
-def test_bound_report_two_sidedness_follows_theorem():
-    two = robertson_gap(named("c_half_extremal", 10), 4, 2)
-    assert two.two_sided
-    one = lemma31_check(np.ones(3), np.ones(3), 0.0, 0.0, 10.0)
-    assert not one.two_sided
-
-
-def test_bound_report_json():
-    report = robertson_gap(named("c_half_extremal", 10), 4, 2)
-    doc = report.to_json()
-    assert doc["theorem_id"] == "thm_robertson"
-    assert doc["pass"] is True
-    assert doc["slack"] == pytest.approx(doc["rhs"] - doc["lhs"])

@@ -30,7 +30,7 @@ LADDER = Grid((0.5, 0.9, 0.99), 4096)
 def identity_map(order=8):
     c = np.zeros(order + 1)
     c[1] = 1.0
-    return FunctionSeries(Series(c), "named", {"name": "identity"})
+    return FunctionSeries(Series(c))
 
 
 def test_koebe_is_starlike_on_ladder():
@@ -81,14 +81,14 @@ def test_koebe_is_not_convex():
 
 def test_zero_on_grid_raises():
     # f = z - 2 z^2 vanishes at z = 1/2, which the grid hits at theta = 0
-    f = FunctionSeries(Series([0, 1, -2]), "named", {"name": "demo"})
+    f = FunctionSeries(Series([0, 1, -2]))
     with pytest.raises(ZeroOnGrid):
         check_spirallike(f, ClassSpec("starlike"), Grid((0.5,), 8))
 
 
 def test_critical_point_on_grid_raises():
     # f' = 1 - 2z vanishes at z = 1/2
-    f = FunctionSeries(Series([0, 1, -1]), "named", {"name": "demo"})
+    f = FunctionSeries(Series([0, 1, -1]))
     with pytest.raises(CriticalPointOnGrid):
         check_convex(f, ClassSpec("convex"), Grid((0.5,), 8))
 
@@ -180,12 +180,3 @@ def test_kaplan_holds_for_sampled_c_half_members():
         assert np.min(g) > -0.5 - 1e-9
         report = check_kaplan(f, r=r, m=m)
         assert report.margin > 0
-
-
-def test_membership_report_serializes():
-    f = named("koebe", 256)
-    report = check_spirallike(f, ClassSpec("starlike"), Grid((0.5,), 64))
-    doc = report.to_json()
-    assert doc["kind"] == "starlike"
-    assert doc["passed"] is True
-    assert len(doc["worst_point"]) == 2

@@ -361,9 +361,9 @@ def test_eval_matches_direct_summation(s, r, theta):
 
 def test_function_series_requires_normalization():
     with pytest.raises(ValueError):
-        FunctionSeries(Series([0, 2, 0]), "named")
+        FunctionSeries(Series([0, 2, 0]))
     with pytest.raises(ValueError):
-        FunctionSeries(Series([0.1, 1, 0]), "named")
-    f = FunctionSeries(Series([0, 1, 5]), "named", {"name": "demo"})
+        FunctionSeries(Series([0.1, 1, 0]))
+    f = FunctionSeries(Series([0, 1, 5]))
     assert f.a(2) == 5
     assert f.order == 2
