@@ -210,13 +210,13 @@ def member_from_measure(
     The coefficients come from :func:`member_builder`.
     """
     build = member_builder(spec, order, upto)
-    return FunctionSeries(Series(build(np.asarray(measure.angles), np.asarray(measure.weights))))
+    return FunctionSeries(build(np.asarray(measure.angles), np.asarray(measure.weights)))
 
 
 def alexander_forward(f: FunctionSeries) -> FunctionSeries:
     """g(z) = z f'(z), i.e. b_n = n a_n."""
     n = np.arange(f.order + 1)
-    return FunctionSeries(Series(n * f.series.coeffs))
+    return FunctionSeries(n * f.coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -305,7 +305,7 @@ def named(name: str, order: int = ORDER_DEFAULT, **params) -> FunctionSeries:
         coeffs = build(order, **params)
     except TypeError as exc:
         raise InvalidParams(f"{name}: {exc}") from None
-    return FunctionSeries(Series(coeffs))
+    return FunctionSeries(coeffs)
 
 
 def random_measure(rng: np.random.Generator, k_atoms: int) -> AtomicMeasure:

@@ -280,8 +280,8 @@ def _row(theorem, fid, seed, spec, n, m, lhs, rhs):
         "theorem_id": theorem,
         "function_id": fid,
         "seed": seed,
-        "gamma": spec.gamma if spec else None,
-        "alpha": spec.alpha if spec else None,
+        "gamma": spec.gamma,
+        "alpha": spec.alpha,
         "n": n,
         "m": m,
         "lhs": lhs,
@@ -299,11 +299,11 @@ def _grid(cfg: dict) -> Grid | None:
     block = {} if block is True else block
     if not isinstance(block, dict):
         raise ConfigError("field 'membership' must be true, false or an object")
-    radii = _optional(block, "radii", [0.5, 0.9, 0.99])
+    radii = _optional(block, "radii", list(Grid.radii))
     if not all(type(r) in (int, float) for r in radii):
         raise ConfigError("field 'radii' must be a list of numbers")
     try:
-        return Grid(tuple(radii), _positive(block, "m", 4096))
+        return Grid(tuple(radii), _positive(block, "m", Grid.m))
     except ValueError as exc:
         raise ConfigError(f"field 'membership': {exc}") from None
 
@@ -368,13 +368,13 @@ def _cmd_search(cfg: dict) -> int:
         problem = SearchProblem(
             spec=spec,
             n=n,
-            functional=_optional(cfg, "functional", "two_sided_diff"),
+            functional=_optional(cfg, "functional", SearchProblem.functional),
             m=None if cfg.get("m") is None else _optional(cfg, "m", 0),
-            k_atoms=_optional(cfg, "k_atoms", 2),
-            budget=_positive(cfg, "budget", 5000),
-            restarts=_optional(cfg, "restarts", 8),
+            k_atoms=_optional(cfg, "k_atoms", SearchProblem.k_atoms),
+            budget=_positive(cfg, "budget", SearchProblem.budget),
+            restarts=_optional(cfg, "restarts", SearchProblem.restarts),
             seed=_seed(cfg),
-            minimize=_optional(cfg, "minimize", False),
+            minimize=_optional(cfg, "minimize", SearchProblem.minimize),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -383,11 +383,12 @@ def _cmd_search(cfg: dict) -> int:
         sys.stdout.write(json.dumps({"evaluations": evals, "incumbent": value}) + "\n")
 
     # the bound is taken before the search, so an n it rejects streams nothing
-    theorem, rhs = (None, None) if problem.minimize else class_bound(spec, n)
+    bound = None if problem.minimize else class_bound(spec, problem.functional, n)
     result = search(problem, on_improve=stream)
     doc = {**result.to_json(), "problem": problem.to_json()}
     violated = False
-    if theorem is not None and THEOREM_FUNCTIONAL[theorem] == problem.functional:
+    if bound is not None:
+        theorem, rhs = bound
         violated = result.best_value > rhs + TOL_INEQ
         doc["bound"] = {"theorem_id": theorem, "rhs": rhs, "violated": violated}
     _write(cfg, doc)
@@ -406,7 +407,7 @@ def _cmd_sample(cfg: dict) -> int:
             **encode_measure_spec(measure, spec),
             "trial": t,
             "seed": seed,
-            "coefficients": [[c.real, c.imag] for c in f.series.coeffs],
+            "coefficients": [[c.real, c.imag] for c in f.coeffs],
         }
         for t, (measure, f) in enumerate(_suite(seed, spec, order, order, trials, k_atoms))
     ]

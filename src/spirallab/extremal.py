@@ -124,7 +124,7 @@ def _objective(problem: SearchProblem, order: int):
 
 
 def _simplex_min(cost, x0: np.ndarray, steps: np.ndarray, max_evals: int):
-    """Simplex-reflection minimization; returns (best_x, best_cost, evals, converged)."""
+    """Simplex-reflection minimization of cost; returns whether the spread converged."""
     d = x0.size
     pts = np.vstack([x0] + [x0 + steps[i] * np.eye(d)[i] for i in range(d)])
     vals = np.empty(d + 1)
@@ -139,14 +139,13 @@ def _simplex_min(cost, x0: np.ndarray, steps: np.ndarray, max_evals: int):
         idx = np.argsort(vals, kind="stable")
         pts, vals = pts[idx], vals[idx]
         if vals[-1] - vals[0] < SPREAD_TOL:
-            return pts[0], vals[0], evals, True
+            return True
         centroid = np.add.reduce(pts[:-1], axis=0) / d
         xr = centroid + (centroid - pts[-1])
         fr = cost(xr)
         evals += 1
         if fr < vals[0]:
             if evals >= max_evals:
-                pts[-1], vals[-1] = xr, fr
                 break
             xe = centroid + 2.0 * (centroid - pts[-1])
             fe = cost(xe)
@@ -170,8 +169,7 @@ def _simplex_min(cost, x0: np.ndarray, steps: np.ndarray, max_evals: int):
                     pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
                     vals[i] = cost(pts[i])
                     evals += 1
-    i = int(np.argmin(vals))
-    return pts[i], vals[i], evals, False
+    return False
 
 
 def search(problem: SearchProblem, on_improve=None) -> SearchResult:
@@ -212,7 +210,7 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
     exhausted = False
     for _ in range(problem.restarts):
         x0 = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, k), rng.uniform(0.3, 1.0, k)])
-        _, _, _, converged = _simplex_min(cost, x0, steps, min(share, problem.budget - state["evals"]))
+        converged = _simplex_min(cost, x0, steps, min(share, problem.budget - state["evals"]))
         exhausted = exhausted or not converged
         if state["evals"] >= problem.budget:
             break

@@ -114,26 +114,21 @@ def gamma_ratio(alpha: float, n: int) -> float:
 
 
 def bound_rhs(
-    theorem_id: str,
-    n: int,
-    m: int | None = None,
-    *,
-    alpha: float | None = None,
-    gamma: float | None = None,
-    M: float | None = None,
+    theorem_id: str, n: int, m: int | None = None, *, alpha: float | None = None
 ) -> float:
-    """Right-hand side of the quoted theorem bound at index n (and m).
+    """Class-wide right-hand side of the quoted theorem bound at index n (and m).
 
-    thm_main      exp(-M alpha cos gamma)            (per-function M)
+    thm_main      1                                  (alpha = 0)
     cor_spiral    1                                  (n >= 2)
-    cor_convex_gamma  exp(-M alpha cos gamma)/(n+1)
+    cor_convex_gamma  1/(n+1)                        (alpha = 0)
     thm_A         1
     thm_B         1/(n+1)
     thm_C         Gamma(1-2a+n) / (Gamma(1-2a) Gamma(n+1))
     thm_c_half    1
     thm_robertson (n-m)(n+m+1)/2                     (n > m >= 1)
 
-    An exponential past the double range is inf, which every lhs meets.
+    At alpha != 0, thm_main and cor_convex_gamma bound each function by
+    its own exp(-M alpha cos gamma): see :func:`member_rhs`.
     """
     if theorem_id == "thm_robertson":
         if m is None or not n > m >= 1:
@@ -150,15 +145,9 @@ def bound_rhs(
             raise InvalidIndices("thm_C bound needs alpha")
         return gamma_ratio(alpha, n)
     if theorem_id in ("thm_main", "cor_convex_gamma"):
-        if alpha is None:
-            raise InvalidIndices(f"{theorem_id} bound needs alpha")
-        if alpha == 0.0:
-            factor = 1.0
-        else:
-            if M is None or gamma is None:
-                raise InvalidIndices(f"{theorem_id} bound with alpha != 0 needs M and gamma")
-            factor = _exp(-M * alpha * math.cos(gamma))
-        return factor if theorem_id == "thm_main" else factor / (n + 1)
+        if alpha != 0.0:
+            raise InvalidIndices(f"{theorem_id} at alpha != 0 is per-function; see member_rhs")
+        return 1.0 if theorem_id == "thm_main" else 1.0 / (n + 1)
     raise InvalidIndices(f"unknown theorem id {theorem_id!r}")
 
 
@@ -174,32 +163,28 @@ def member_rhs(
         return proof_trace(f, spec.gamma, spec.alpha, n).final_bound
     if theorem_id == "cor_convex_gamma" and spec.alpha != 0.0:
         return proof_trace(alexander_forward(f), spec.gamma, spec.alpha, n).final_bound / (n + 1)
-    return bound_rhs(theorem_id, n, m, alpha=spec.alpha, gamma=spec.gamma)
+    return bound_rhs(theorem_id, n, m, alpha=spec.alpha)
 
 
-def default_target(spec: ClassSpec) -> str:
-    """Theorem id certified for random members of spec.
+def class_bound(spec: ClassSpec, functional: str, n: int) -> tuple | None:
+    """(theorem_id, rhs): the theorem certified for spec and its class-wide bound at n.
 
+    None when that theorem bounds a functional other than ``functional``.
     Classes with alpha > 0 nest inside their alpha = 0 parent, so their
-    members are certified against the parent's constant bound here; the
-    sharper per-function exponential bound is the proof-trace's job.
+    members are bounded by the parent's constant here; only thm_C reads
+    alpha.  The sharper per-function exponential bound is the proof
+    trace's job.
     """
     if spec.kind == "c_half":
-        return "thm_c_half"
-    if spec.is_convex_kind:
-        return "thm_B" if spec.gamma == 0.0 else "cor_convex_gamma"
-    if spec.kind == "starlike":
-        return "thm_C" if spec.alpha < 0.0 else "thm_A"
-    return "cor_spiral"
-
-
-def class_bound(spec: ClassSpec, n: int) -> tuple:
-    """(theorem_id, rhs): the default theorem for spec and its class-level bound at n.
-
-    Only thm_C reads alpha; the others are taken at alpha = 0, their
-    class-wide constant (see :func:`default_target`).
-    """
-    theorem = default_target(spec)
+        theorem = "thm_c_half"
+    elif spec.is_convex_kind:
+        theorem = "thm_B" if spec.gamma == 0.0 else "cor_convex_gamma"
+    elif spec.kind == "starlike":
+        theorem = "thm_C" if spec.alpha < 0.0 else "thm_A"
+    else:
+        theorem = "cor_spiral"
+    if THEOREM_FUNCTIONAL[theorem] != functional:
+        return None
     return theorem, bound_rhs(theorem, n, alpha=spec.alpha if theorem == "thm_C" else 0.0)
 
 
@@ -373,7 +358,7 @@ def recover_c(f: FunctionSeries, gamma: float, count: int) -> np.ndarray:
     if count > f.order - 1:
         raise OrderTooLow(f"need order >= {count + 1}, have {f.order}")
     # Quotient coefficient k reads only coefficients 0..k of each operand.
-    u = Series(f.series.coeffs[1 : count + 2])
+    u = Series(f.coeffs[1 : count + 2])
     q = u.derivative().div(u)
     return np.asarray(q.coeffs[:count]) / (np.exp(1j * gamma) * cos_g)
 
@@ -408,10 +393,10 @@ def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofT
         beta_bound=beta,
         final_bound=final,
     )
-    if successive_diff(f, n) > trace.final_bound + TOL_INEQ:
+    diff = successive_diff(f, n)
+    if diff > trace.final_bound + TOL_INEQ:
         raise ChainInequalityViolation(
-            f"successive difference {successive_diff(f, n):.6e} exceeds "
-            f"final bound {trace.final_bound:.6e}"
+            f"successive difference {diff:.6e} exceeds final bound {trace.final_bound:.6e}"
         )
     return trace
 

@@ -76,14 +76,14 @@ def _circle(r: float, m: int) -> np.ndarray:
 
 def check_spirallike(f: FunctionSeries, spec: ClassSpec, grid: Grid = Grid()) -> MembershipReport:
     """Margin of Re(e^{-i gamma} z f'(z)/f(z)) - alpha cos(gamma) over the grid."""
-    fp = f.series.derivative()
+    fp = f.derivative()
     best = math.inf
     worst = 0j
     thresh = spec.threshold()
     e = np.exp(-1j * spec.gamma)
     for r in grid.radii:
         z = _circle(r, grid.m)
-        vf = f.series.eval_circle(r, grid.m)
+        vf = f.eval_circle(r, grid.m)
         if np.min(np.abs(vf)) <= DIV_FLOOR * r:
             j = int(np.argmin(np.abs(vf)))
             raise ZeroOnGrid(f"f vanishes near z = {z[j]:.6g}")
@@ -98,7 +98,7 @@ def check_spirallike(f: FunctionSeries, spec: ClassSpec, grid: Grid = Grid()) ->
 
 def check_convex(f: FunctionSeries, spec: ClassSpec, grid: Grid = Grid()) -> MembershipReport:
     """Margin of Re(e^{-i gamma}(1 + z f''(z)/f'(z))) - alpha cos(gamma)."""
-    fp = f.series.derivative()
+    fp = f.derivative()
     fpp = fp.derivative()
     best = math.inf
     worst = 0j
@@ -128,7 +128,7 @@ def check_kaplan(f: FunctionSeries, r: float = 0.99, m: int = 4096) -> Membershi
     the window cap loses nothing.  The minimum is found in O(m) from
     prefix sums over a doubled grid.
     """
-    fp = f.series.derivative()
+    fp = f.derivative()
     fpp = fp.derivative()
     z = _circle(r, m)
     vfp = fp.eval_circle(r, m)

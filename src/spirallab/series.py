@@ -129,31 +129,26 @@ class Series:
         return m * np.fft.ifft(folded)
 
 
-class FunctionSeries:
-    """A normalized function ``f(z) = z + a_2 z^2 + ...`` given as a Series.
+class FunctionSeries(Series):
+    """A normalized function ``f(z) = z + a_2 z^2 + ...``: a Series with a_0 = 0, a_1 = 1.
 
-    The normalization ``a_0 = 0`` and ``a_1 = 1`` must hold exactly;
-    constructors in this package produce it exactly, so any violation is
-    treated as a caller bug.
+    The normalization must hold exactly; constructors in this package
+    produce it exactly, so any violation is treated as a caller bug.
     """
 
-    __slots__ = ("series",)
+    __slots__ = ()
 
-    def __init__(self, series: Series):
-        c = series.coeffs
-        if series.order < 1 or c[0] != 0 or c[1] != 1:
+    def __init__(self, coeffs):
+        super().__init__(coeffs)
+        c = self._c
+        if c.size < 2 or c[0] != 0 or c[1] != 1:
             raise ValueError("normalized function needs a_0 = 0 and a_1 = 1 exactly")
-        self.series = series
-
-    @property
-    def order(self) -> int:
-        return self.series.order
 
     def a(self, n: int) -> complex:
         """Taylor coefficient a_n of f."""
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient index {n} outside order {self.order}")
-        return complex(self.series.coeffs[n])
+        return complex(self._c[n])
 
     def __repr__(self) -> str:
         return f"FunctionSeries(order={self.order})"

@@ -37,9 +37,9 @@ def horner(s: Series, z: complex) -> complex:
 
 def alexander_inverse(g: FunctionSeries) -> FunctionSeries:
     """The f with z f'(z) = g(z), i.e. a_n = b_n / n."""
-    c = np.array(g.series.coeffs)
+    c = np.array(g.coeffs)
     c[1:] = c[1:] / np.arange(1, g.order + 1)
-    return FunctionSeries(Series(c))
+    return FunctionSeries(c)
 
 
 def fixed_measure(seed: int, k: int) -> AtomicMeasure:

@@ -100,7 +100,7 @@ def test_herglotz_constant_term_is_one():
 
 def test_single_atom_reproduces_koebe():
     f = member_from_measure(KOEBE_ATOM, ClassSpec("starlike"), 50)
-    assert np.max(np.abs(f.series.coeffs - np.arange(51))) < 1e-10
+    assert np.max(np.abs(f.coeffs - np.arange(51))) < 1e-10
 
 
 def test_single_atom_general_parameters_is_complex_power_map():
@@ -110,7 +110,7 @@ def test_single_atom_general_parameters_is_complex_power_map():
     f = member_from_measure(KOEBE_ATOM, spec, 50)
     B = 2.0 * (1 - alpha) * np.exp(1j * gamma) * math.cos(gamma)
     g = named("power_map", 50, beta=B)
-    assert_series_close(f.series, g.series, 1e-9)
+    assert_series_close(f, g, 1e-9)
 
 
 def test_real_exponent_power_map_disagrees_for_nonzero_gamma():
@@ -122,7 +122,7 @@ def test_real_exponent_power_map_disagrees_for_nonzero_gamma():
     f = member_from_measure(KOEBE_ATOM, spec, 30)
     beta_real = 2.0 * (1 - alpha) * math.cos(gamma)
     g = named("power_map", 30, beta=beta_real)
-    gap = np.max(np.abs(f.series.coeffs - g.series.coeffs))
+    gap = np.max(np.abs(f.coeffs - g.coeffs))
     assert gap > 1e-2
 
 
@@ -131,7 +131,7 @@ def test_two_atoms_match_two_point_extremal():
     m = AtomicMeasure((th1, th2), (0.5, 0.5))
     f = member_from_measure(m, ClassSpec("starlike"), 40)
     g = named("two_point", 40, theta1=th1, theta2=th2)
-    assert_series_close(f.series, g.series, 1e-9)
+    assert_series_close(f, g, 1e-9)
 
 
 def test_member_from_measure_convex_kind_goes_through_alexander():
@@ -139,7 +139,7 @@ def test_member_from_measure_convex_kind_goes_through_alexander():
     g = member_from_measure(m, ClassSpec("starlike", alpha=-0.5), 20)
     f = member_from_measure(m, ClassSpec("c_half", alpha=-0.5), 20)
     n = np.arange(1, 21)
-    assert np.allclose(f.series.coeffs[1:] * n, g.series.coeffs[1:])
+    assert np.allclose(f.coeffs[1:] * n, g.coeffs[1:])
 
 
 def test_member_from_measure_convex_spirallike():
@@ -148,7 +148,7 @@ def test_member_from_measure_convex_spirallike():
     g = member_from_measure(m, spec.spiral_parent(), 20)
     f = member_from_measure(m, spec, 20)
     n = np.arange(1, 21)
-    assert np.allclose(f.series.coeffs[1:] * n, g.series.coeffs[1:])
+    assert np.allclose(f.coeffs[1:] * n, g.coeffs[1:])
 
 
 @pytest.mark.parametrize(
@@ -167,11 +167,11 @@ def test_member_upto_is_a_bitwise_prefix_of_the_full_member(spec, order):
     rng = np.random.default_rng(order)
     for _ in range(4):
         measure = random_measure(rng, 8)
-        full = member_from_measure(measure, spec, order).series.coeffs
+        full = member_from_measure(measure, spec, order).coeffs
         for upto in (-1, 0, 1, 2, 7, 21, order, order + 1):
             f = member_from_measure(measure, spec, order, upto=upto)
             assert f.order == min(max(upto, 1), order)
-            assert np.array_equal(f.series.coeffs, full[: f.order + 1])
+            assert np.array_equal(f.coeffs, full[: f.order + 1])
 
 
 # ----------------------------------------------------------------------
@@ -180,13 +180,13 @@ def test_member_upto_is_a_bitwise_prefix_of_the_full_member(spec, order):
 
 def test_alexander_inverse_of_koebe_is_half_plane_map():
     f = alexander_inverse(named("koebe", 30))
-    assert np.allclose(f.series.coeffs[1:], np.ones(30))
+    assert np.allclose(f.coeffs[1:], np.ones(30))
 
 
 def test_alexander_on_identity_map():
     z = named("power_map", 10, beta=0.0)  # just z
-    assert np.allclose(alexander_forward(z).series.coeffs, z.series.coeffs)
-    assert np.allclose(alexander_inverse(z).series.coeffs, z.series.coeffs)
+    assert np.allclose(alexander_forward(z).coeffs, z.coeffs)
+    assert np.allclose(alexander_inverse(z).coeffs, z.coeffs)
 
 
 def test_alexander_round_trip():
@@ -194,8 +194,8 @@ def test_alexander_round_trip():
     # round trip is identity to machine precision rather than bitwise
     f = named("two_point", 25, theta1=0.3, theta2=2.0)
     g = alexander_inverse(alexander_forward(f))
-    err = np.abs(g.series.coeffs - f.series.coeffs)
-    assert np.all(err <= 5e-16 * np.abs(f.series.coeffs))
+    err = np.abs(g.coeffs - f.coeffs)
+    assert np.all(err <= 5e-16 * np.abs(f.coeffs))
 
 
 def test_alexander_forward_of_log_extremal():
@@ -204,8 +204,8 @@ def test_alexander_forward_of_log_extremal():
     g = alexander_forward(f)
     n = np.arange(1, 31)
     expect = np.sin(n * phi) / math.sin(phi)
-    assert np.allclose(g.series.coeffs[1:], expect, atol=1e-12)
-    assert np.all(np.abs(g.series.coeffs[1:]) <= n + 1e-12)
+    assert np.allclose(g.coeffs[1:], expect, atol=1e-12)
+    assert np.all(np.abs(g.coeffs[1:]) <= n + 1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -231,13 +231,13 @@ def test_l_phi_sharp_index():
 def test_power_map_cube_is_triangular_numbers():
     f = named("power_map", 20, beta=3.0)
     n = np.arange(1, 21)
-    assert np.allclose(f.series.coeffs[1:], n * (n + 1) / 2)
+    assert np.allclose(f.coeffs[1:], n * (n + 1) / 2)
 
 
 def test_power_map_ratio_recurrence_property():
     for beta in (1.5, 3.0, 0.5, 2.0 + 1.2j):
         f = named("power_map", 40, beta=beta)
-        a = f.series.coeffs
+        a = f.coeffs
         for n in range(1, 40):
             expect = a[n] * (n - 1 + beta) / n
             assert abs(a[n + 1] - expect) <= 1e-12 * max(1.0, abs(expect))
@@ -271,7 +271,7 @@ def test_odd_sqrt_matches_series_engine():
         c[2] = -1.0
     u = Series(-0.5 * log_unit(Series(c)).coeffs).exp_zero()  # (1-z^2)^{-1/2}, orders 0..order-1
     f = named("odd_sqrt", order)
-    assert np.allclose(f.series.coeffs[1:], u.coeffs, atol=1e-12)
+    assert np.allclose(f.coeffs[1:], u.coeffs, atol=1e-12)
 
 
 def test_named_rejects_unknown_and_bad_params():
@@ -372,7 +372,7 @@ def test_sampled_members_match_product_formula_oracle(spec):
     rng = np.random.default_rng(2024)
     for _ in range(4):
         measure = random_measure(rng, 4)
-        got = member_from_measure(measure, spec, 64).series.coeffs
+        got = member_from_measure(measure, spec, 64).coeffs
         exact = product_formula_coeffs(measure, spec, 64)
         rel = np.abs(got[1:] - exact[1:]) / np.abs(exact[1:])
         assert np.max(rel) <= ORACLE_TOL

@@ -219,6 +219,26 @@ def test_search_command_streams_and_writes(tmp_path, capsys):
     assert doc["bound"]["violated"] is False
 
 
+@pytest.mark.parametrize(
+    "kind, functional",
+    [("spirallike", "one_sided_diff"), ("convex", "two_sided_diff")],
+)
+def test_search_without_a_bound_on_its_functional_runs_at_any_n(tmp_path, capsys, kind, functional):
+    # the class's theorem bounds the other functional, so no bound reads n = 1
+    out = tmp_path / "result.json"
+    doc = {
+        "seed": 0,
+        "spec": {"kind": kind},
+        "n": 1,
+        "functional": functional,
+        "budget": 200,
+        "restarts": 1,
+        "out": str(out),
+    }
+    assert main(["search", "--config", write_config(tmp_path, doc)]) == EXIT_OK
+    assert "bound" not in json.loads(out.read_text())
+
+
 def test_sample_command_deterministic(tmp_path):
     out1 = tmp_path / "s1.json"
     out2 = tmp_path / "s2.json"
@@ -402,6 +422,10 @@ _OUTSIDE_SCHEMA = {
         "sample", {"seed": -1, "trials": 2, "spec": {"kind": "starlike"}}
     ),
     "search_n_below_bound": ("search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 1}),
+    "search_convex_n_below_bound": (
+        "search",
+        {"seed": 1, "spec": {"kind": "convex"}, "n": 1, "functional": "one_sided_diff"},
+    ),
     "search_functional_not_string": (
         "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "functional": ["x"]}
     ),

@@ -12,7 +12,6 @@ from spirallab import (
     FunctionSeries,
     InvalidIndices,
     OrderTooLow,
-    Series,
     TOL_INEQ,
     bound_rhs,
     gamma_ratio,
@@ -27,6 +26,7 @@ from spirallab import (
     robertson_gap,
     successive_diff,
 )
+from spirallab.inequalities import class_bound
 from oracles import alexander_inverse, fixed_measure
 
 
@@ -37,7 +37,7 @@ def harmonic(n):
 def identity_map(order=8):
     c = np.zeros(order + 1)
     c[1] = 1.0
-    return FunctionSeries(Series(c))
+    return FunctionSeries(c)
 
 
 # ----------------------------------------------------------------------
@@ -105,13 +105,12 @@ def test_bound_constants():
 
 
 def test_bound_exponential_forms():
-    M, alpha, gamma = 3.0, 0.5, 0.4
-    expect = math.exp(-M * alpha * math.cos(gamma))
-    assert bound_rhs("thm_main", 5, alpha=alpha, gamma=gamma, M=M) == pytest.approx(expect)
-    assert bound_rhs("cor_convex_gamma", 5, alpha=alpha, gamma=gamma, M=M) == pytest.approx(
-        expect / 6
-    )
+    # class-wide only at alpha = 0; otherwise the bound is per-function
+    assert bound_rhs("thm_main", 5, alpha=0.0) == 1.0
     assert bound_rhs("cor_convex_gamma", 5, alpha=0.0) == pytest.approx(1 / 6)
+    for theorem in ("thm_main", "cor_convex_gamma"):
+        with pytest.raises(InvalidIndices, match="member_rhs"):
+            bound_rhs(theorem, 5, alpha=0.5)
 
 
 def test_bound_invalid_indices():
@@ -121,8 +120,32 @@ def test_bound_invalid_indices():
         bound_rhs("thm_robertson", 3, 3)
     with pytest.raises(InvalidIndices):
         bound_rhs("thm_C", 5)  # alpha missing
-    with pytest.raises(InvalidIndices):
-        bound_rhs("thm_main", 5, alpha=0.5)  # M and gamma missing
+
+
+@pytest.mark.parametrize(
+    "spec, theorem, functional, rhs",
+    [
+        (ClassSpec("c_half", alpha=-0.5), "thm_c_half", "one_sided_diff", 1.0),
+        (ClassSpec("convex"), "thm_B", "one_sided_diff", 1 / 6),
+        (ClassSpec("convex_spirallike", alpha=0.3), "thm_B", "one_sided_diff", 1 / 6),
+        (ClassSpec("convex_spirallike", gamma=0.4, alpha=0.3), "cor_convex_gamma",
+         "one_sided_diff", 1 / 6),
+        (ClassSpec("starlike", alpha=-0.5), "thm_C", "two_sided_diff", 6.0),
+        (ClassSpec("starlike", alpha=0.25), "thm_A", "two_sided_diff", 1.0),
+        (ClassSpec("spirallike", gamma=0.4, alpha=0.3), "cor_spiral", "two_sided_diff", 1.0),
+    ],
+)
+def test_class_bound_picks_the_class_theorem(spec, theorem, functional, rhs):
+    assert class_bound(spec, functional, 5) == (theorem, pytest.approx(rhs, rel=1e-14))
+    for other in ("two_sided_diff", "one_sided_diff", "robertson"):
+        if other != functional:
+            assert class_bound(spec, other, 5) is None
+
+
+def test_class_bound_thm_c_reads_alpha():
+    for alpha in (-0.5, -0.25, -1.0):
+        _, rhs = class_bound(ClassSpec("starlike", alpha=alpha), "two_sided_diff", 5)
+        assert rhs == gamma_ratio(alpha, 5)
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +402,7 @@ def test_proof_trace_rejects_non_members():
     c = np.zeros(13)
     c[1] = 1.0
     c[12] = 500.0
-    fake = FunctionSeries(Series(c))
+    fake = FunctionSeries(c)
     with pytest.raises(ChainInequalityViolation):
         proof_trace(fake, 0.0, 0.5, 11)
 

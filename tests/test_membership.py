@@ -9,7 +9,6 @@ from spirallab import (
     CriticalPointOnGrid,
     FunctionSeries,
     Grid,
-    Series,
     TOL_MEMBER,
     ZeroOnGrid,
     check_convex,
@@ -30,7 +29,7 @@ LADDER = Grid((0.5, 0.9, 0.99), 4096)
 def identity_map(order=8):
     c = np.zeros(order + 1)
     c[1] = 1.0
-    return FunctionSeries(Series(c))
+    return FunctionSeries(c)
 
 
 def test_koebe_is_starlike_on_ladder():
@@ -81,14 +80,14 @@ def test_koebe_is_not_convex():
 
 def test_zero_on_grid_raises():
     # f = z - 2 z^2 vanishes at z = 1/2, which the grid hits at theta = 0
-    f = FunctionSeries(Series([0, 1, -2]))
+    f = FunctionSeries([0, 1, -2])
     with pytest.raises(ZeroOnGrid):
         check_spirallike(f, ClassSpec("starlike"), Grid((0.5,), 8))
 
 
 def test_critical_point_on_grid_raises():
     # f' = 1 - 2z vanishes at z = 1/2
-    f = FunctionSeries(Series([0, 1, -1]))
+    f = FunctionSeries([0, 1, -1])
     with pytest.raises(CriticalPointOnGrid):
         check_convex(f, ClassSpec("convex"), Grid((0.5,), 8))
 
@@ -151,7 +150,7 @@ def test_kaplan_matches_brute_force_window_minimum():
     r, m = 0.8, 64
     report = check_kaplan(f, r=r, m=m)
 
-    fp = f.series.derivative()
+    fp = f.derivative()
     fpp = fp.derivative()
     z = r * np.exp(2j * np.pi * np.arange(m) / m)
     g = np.real(1.0 + z * fpp.eval_circle(r, m) / fp.eval_circle(r, m))
@@ -172,7 +171,7 @@ def test_kaplan_holds_for_sampled_c_half_members():
     for seed in (1, 2, 3, 4, 5):
         measure = fixed_measure(seed, 4)
         f = member_from_measure(measure, ClassSpec("c_half", alpha=-0.5), 1024)
-        fp = f.series.derivative()
+        fp = f.derivative()
         fpp = fp.derivative()
         r, m = 0.9, 2048
         z = r * np.exp(2j * np.pi * np.arange(m) / m)

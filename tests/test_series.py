@@ -361,9 +361,12 @@ def test_eval_matches_direct_summation(s, r, theta):
 
 def test_function_series_requires_normalization():
     with pytest.raises(ValueError):
-        FunctionSeries(Series([0, 2, 0]))
+        FunctionSeries([0, 2, 0])
     with pytest.raises(ValueError):
-        FunctionSeries(Series([0.1, 1, 0]))
-    f = FunctionSeries(Series([0, 1, 5]))
+        FunctionSeries([0.1, 1, 0])
+    with pytest.raises(ValueError):
+        FunctionSeries([0])
+    f = FunctionSeries([0, 1, 5])
     assert f.a(2) == 5
     assert f.order == 2
+    assert isinstance(f, Series)
