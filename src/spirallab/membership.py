@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,17 @@ class Grid:
         if self.m < 1:
             raise ValueError("m must be >= 1")
 
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Read-only m-th roots of unity exp(2 pi i j / m); circle r is r * roots.
+
+        Built once per grid, on first use, and shared by every check and
+        radius on it; not a field, so equality and hash ignore it.
+        """
+        w = np.exp(2j * np.pi * np.arange(self.m) / self.m)
+        w.setflags(write=False)
+        return w
+
 
 @dataclass(frozen=True)
 class MembershipReport:
@@ -70,10 +82,6 @@ class MembershipReport:
         return self.margin >= -TOL_MEMBER
 
 
-def _circle(r: float, m: int) -> np.ndarray:
-    return r * np.exp(2j * np.pi * np.arange(m) / m)
-
-
 def check_spirallike(f: FunctionSeries, spec: ClassSpec, grid: Grid = Grid()) -> MembershipReport:
     """Margin of Re(e^{-i gamma} z f'(z)/f(z)) - alpha cos(gamma) over the grid."""
     fp = f.derivative()
@@ -82,7 +90,7 @@ def check_spirallike(f: FunctionSeries, spec: ClassSpec, grid: Grid = Grid()) ->
     thresh = spec.threshold()
     e = np.exp(-1j * spec.gamma)
     for r in grid.radii:
-        z = _circle(r, grid.m)
+        z = r * grid.roots
         vf = f.eval_circle(r, grid.m)
         if np.min(np.abs(vf)) <= DIV_FLOOR * r:
             j = int(np.argmin(np.abs(vf)))
@@ -105,7 +113,7 @@ def check_convex(f: FunctionSeries, spec: ClassSpec, grid: Grid = Grid()) -> Mem
     thresh = spec.threshold()
     e = np.exp(-1j * spec.gamma)
     for r in grid.radii:
-        z = _circle(r, grid.m)
+        z = r * grid.roots
         vfp = fp.eval_circle(r, grid.m)
         if np.min(np.abs(vfp)) <= DIV_FLOOR:
             j = int(np.argmin(np.abs(vfp)))
@@ -130,7 +138,8 @@ def check_kaplan(f: FunctionSeries, r: float = 0.99, m: int = 4096) -> Membershi
     """
     fp = f.derivative()
     fpp = fp.derivative()
-    z = _circle(r, m)
+    grid = Grid((r,), m)
+    z = r * grid.roots
     vfp = fp.eval_circle(r, m)
     if np.min(np.abs(vfp)) <= DIV_FLOOR:
         j = int(np.argmin(np.abs(vfp)))
@@ -161,4 +170,4 @@ def check_kaplan(f: FunctionSeries, r: float = 0.99, m: int = 4096) -> Membershi
         j1 = (j2 - m) + int(np.argmax(p[j2 - m : m]))
     window = (j1 * h, j2 * h)
     worst = complex(r * np.exp(1j * (j2 * h)))
-    return MembershipReport(best + math.pi, Grid((r,), m), worst, window)
+    return MembershipReport(best + math.pi, grid, worst, window)

@@ -79,11 +79,11 @@ class Series:
             )
         n = min(self.order, other.order)
         a = self._c
-        q = np.zeros(n + 1, dtype=np.complex128)
-        q[0] = a[0] / b[0]
+        rq = np.zeros(n + 1, dtype=np.complex128)  # rq[n - j] = q_j
+        rq[n] = a[0] / b[0]
         for k in range(1, n + 1):
-            q[k] = (a[k] - np.dot(b[1 : k + 1], q[k - 1 :: -1][:k])) / b[0]
-        return Series(q)
+            rq[n - k] = (a[k] - np.dot(b[1 : k + 1], rq[n - k + 1 :])) / b[0]
+        return Series(rq[::-1])
 
     # ------------------------------------------------------------------
     # calculus and transcendental maps
@@ -99,17 +99,19 @@ class Series:
         """Exponential of a series with zero constant term.
 
         Uses the convolution recurrence ``k b_k = sum_{j<=k} j a_j b_{k-j}``,
-        which costs O(N^2) and needs no root finding.
+        which costs O(N^2) and needs no root finding.  The b_j are kept
+        reversed, so each step dots two contiguous slices in the order
+        j = 1..k and no step copies a reversed view.
         """
         if abs(self._c[0]) > TOL_EXACT:
             raise NonzeroConstantTerm(f"constant term {self._c[0]:.3e} is not 0")
         n = self.order
         ka = np.arange(n + 1) * self._c
-        b = np.zeros(n + 1, dtype=np.complex128)
-        b[0] = 1.0
+        rb = np.zeros(n + 1, dtype=np.complex128)  # rb[n - j] = b_j
+        rb[n] = 1.0
         for k in range(1, n + 1):
-            b[k] = np.dot(ka[1 : k + 1], b[k - 1 :: -1][:k]) / k
-        return Series(b)
+            rb[n - k] = np.dot(ka[1 : k + 1], rb[n - k + 1 :]) / k
+        return Series(rb[::-1])
 
     # ------------------------------------------------------------------
     # evaluation

@@ -30,6 +30,40 @@ def log_unit(b: Series) -> Series:
     return Series(a)
 
 
+def exp_zero_sliced(s: Series) -> Series:
+    """exp of a zero-constant series by k b_k = sum_{j<=k} j a_j b_{k-j}, reading b reversed by slicing.
+
+    The same products summed in the same order as ``Series.exp_zero``,
+    which keeps b in a reversed buffer instead, so the two agree bit for bit.
+    """
+    n = s.order
+    ka = np.arange(n + 1) * s.coeffs
+    b = np.zeros(n + 1, dtype=np.complex128)
+    b[0] = 1.0
+    for k in range(1, n + 1):
+        b[k] = np.dot(ka[1 : k + 1], b[k - 1 :: -1][:k]) / k
+    return Series(b)
+
+
+def div_sliced(a: Series, b: Series) -> Series:
+    """Quotient by q_k = (a_k - sum_{1<=j<=k} b_j q_{k-j}) / b_0, reading q reversed by slicing.
+
+    Bit for bit what ``Series.div`` computes from its reversed buffer.
+    """
+    n = min(a.order, b.order)
+    ac, bc = a.coeffs, b.coeffs
+    q = np.zeros(n + 1, dtype=np.complex128)
+    q[0] = ac[0] / bc[0]
+    for k in range(1, n + 1):
+        q[k] = (ac[k] - np.dot(bc[1 : k + 1], q[k - 1 :: -1][:k])) / bc[0]
+    return Series(q)
+
+
+def circle(r: float, m: int) -> np.ndarray:
+    """The m grid points r exp(2 pi i j / m), built afresh on each call."""
+    return r * np.exp(2j * np.pi * np.arange(m) / m)
+
+
 def horner(s: Series, z: complex) -> complex:
     """Value of the truncated polynomial at one point."""
     return complex(np.polyval(s.coeffs[::-1], z))

@@ -50,6 +50,39 @@ CASES = {
         "afd35a898b7e7c49f10f4c58c99f7585b89d6d23380fb0780a8b911902bd6c7d",
         EMPTY,
     ),
+    # order 1024 pins exp_zero bits far past order 64, and the convex
+    # case is the only pinned check_convex output.  Both exit 2: order
+    # 1024 cannot support r = 0.99, so one member per case fails there.
+    "verify_highorder_membership_spirallike": (
+        "verify",
+        {
+            "seed": 13,
+            "order": 1024,
+            "spec": {"kind": "spirallike", "gamma": 0.3, "alpha": 0.25},
+            "theorem": "cor_spiral",
+            "n": [2, 4],
+            "functions": [{"sampled": {"trials": 2, "k_atoms": 4}}],
+            "membership": {"radii": [0.5, 0.9, 0.99], "m": 8192},
+        },
+        EXIT_VIOLATION,
+        "6a9f1ce138381dc722bfcc9d5861ea90f1e36be0be41f0e56e03c3b089d195da",
+        EMPTY,
+    ),
+    "verify_highorder_membership_convex_spirallike": (
+        "verify",
+        {
+            "seed": 13,
+            "order": 1024,
+            "spec": {"kind": "convex_spirallike", "gamma": 0.3, "alpha": 0.2},
+            "theorem": "cor_convex_gamma",
+            "n": [2, 4],
+            "functions": [{"sampled": {"trials": 2, "k_atoms": 4}}],
+            "membership": {"radii": [0.5, 0.9, 0.99], "m": 8192},
+        },
+        EXIT_VIOLATION,
+        "376392d5956dc0421a033f5aa9dd12d0c13aa389691a22427a67559f106b4d75",
+        EMPTY,
+    ),
     "verify_thm_robertson": (
         "verify",
         {

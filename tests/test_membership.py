@@ -17,7 +17,7 @@ from spirallab import (
     member_from_measure,
     named,
 )
-from oracles import fixed_measure
+from oracles import circle, fixed_measure
 
 # Truncated polynomials only track their function out to a radius set by
 # the order: near-linear coefficient growth needs N^2 r^N small, so the
@@ -112,6 +112,38 @@ def test_sampled_members_pass_on_ladder():
         f = member_from_measure(measure, spec, ORDER_LADDER)
         report = check_spirallike(f, spec, LADDER)
         assert report.margin >= -TOL_MEMBER, (trial, report.margin)
+
+
+def test_grid_roots_are_built_once_read_only_and_bitwise_the_per_call_circle(monkeypatch):
+    grid = Grid((0.5, 0.9), 600)  # m not a power of 2, so the division by m rounds
+    spiral = ClassSpec("spirallike", gamma=0.3, alpha=0.25)
+    convex = ClassSpec("convex_spirallike", gamma=0.3, alpha=0.25)
+    f = member_from_measure(fixed_measure(7, 4), spiral, 256)
+    g = member_from_measure(fixed_measure(7, 4), convex, 256)
+
+    def reports():
+        return [
+            check_spirallike(f, spiral, grid),
+            check_convex(g, convex, grid),
+            check_kaplan(g, r=0.9, m=600),
+        ]
+
+    got = reports()
+    roots = grid.roots
+    check_spirallike(f, spiral, grid)
+    assert grid.roots is roots
+    with pytest.raises(ValueError):
+        roots[0] = 0.0
+    twin = Grid((0.5, 0.9), 600)
+    assert grid == twin and hash(grid) == hash(twin)
+
+    # the reference builds each circle afresh on every call and radius
+    monkeypatch.setattr(Grid, "roots", property(lambda self: circle(1.0, self.m)))
+    want = reports()
+    for a, b in zip(got, want):
+        assert a.margin == b.margin and a.worst_point == b.worst_point
+    for r in grid.radii:
+        assert np.array_equal(r * roots, circle(r, grid.m))
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spirallab import DivisionByNearZeroConstant, FunctionSeries, NonzeroConstantTerm, Series
+from spirallab import (
+    ClassSpec,
+    DivisionByNearZeroConstant,
+    FunctionSeries,
+    NonzeroConstantTerm,
+    Series,
+    herglotz,
+    member_from_measure,
+    random_measure,
+)
 from conftest import assert_series_close
-from oracles import horner, log_unit, mul
+from oracles import div_sliced, exp_zero_sliced, horner, log_unit, mul
 
 TOL_ALGEBRA = 1e-9
 
@@ -179,6 +188,74 @@ def test_exp_log_inverse_pair():
 def test_exp_zero_precondition():
     with pytest.raises(NonzeroConstantTerm):
         Series([0.5, 1.0]).exp_zero()
+
+
+# ----------------------------------------------------------------------
+# exp_zero and div keep their summation order: bit for bit the slicing
+# recurrences in tests/oracles.py
+
+BITWISE_ORDERS = [*range(65), 256, 4096]
+
+
+def member_log_series(order, seed=4):
+    """log(f/z) of a sampled spirallike member (gamma 0.3, alpha 0.25, 4 atoms) to ``order``."""
+    spec = ClassSpec("spirallike", gamma=0.3, alpha=0.25)
+    h = herglotz(random_measure(np.random.default_rng(seed), 4), order).coeffs
+    factor = np.exp(1j * spec.gamma) * math.cos(spec.gamma) * (1 - spec.alpha)
+    return np.concatenate([[0.0], factor * h[1:] / np.arange(1, order + 1)])
+
+
+def random_complex(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("order", BITWISE_ORDERS)
+def test_exp_zero_is_bitwise_the_slicing_recurrence(order):
+    rng = np.random.default_rng(order)
+    # coefficients of size 1/k keep the exponential finite at every order
+    tail = random_complex(rng, order) / np.arange(1, order + 1)
+    s = Series(np.concatenate([[0.0], tail]))
+    assert np.array_equal(s.exp_zero().coeffs, exp_zero_sliced(s).coeffs)
+
+
+@pytest.mark.parametrize("order", BITWISE_ORDERS)
+def test_div_is_bitwise_the_slicing_recurrence(order):
+    rng = np.random.default_rng(order)
+    a = Series(random_complex(rng, order + 1))
+    # |b_0| = 2 dominates sum |b_k|, k >= 1, so the quotient stays finite
+    tail = random_complex(rng, order) / np.arange(2, order + 2) ** 2
+    b = Series(np.concatenate([[2.0 * np.exp(1j * rng.uniform(0, 2 * np.pi))], tail]))
+    assert np.array_equal(a.div(b).coeffs, div_sliced(a, b).coeffs)
+
+
+def test_member_series_at_order_4096_are_bitwise_the_slicing_recurrences():
+    s = Series(member_log_series(4095))
+    u = exp_zero_sliced(s)
+    assert np.array_equal(s.exp_zero().coeffs, u.coeffs)
+    f = member_from_measure(
+        random_measure(np.random.default_rng(4), 4),
+        ClassSpec("spirallike", gamma=0.3, alpha=0.25),
+        4096,
+    )
+    assert np.array_equal(f.coeffs[1:], u.coeffs)
+    # z f'/f = f'/(f/z), the quotient behind the membership expression
+    assert np.array_equal(f.derivative().div(u).coeffs, div_sliced(f.derivative(), u).coeffs)
+
+
+def test_exp_zero_against_40_digit_recurrence():
+    # the sampled member's log series at order 64, exponentiated in mpmath
+    mpmath = pytest.importorskip("mpmath")
+    s = Series(member_log_series(64))
+    got = s.exp_zero().coeffs
+    with mpmath.workdps(40):
+        ka = [j * mpmath.mpc(c.real, c.imag) for j, c in enumerate(s.coeffs)]
+        b = [mpmath.mpc(1)]
+        for k in range(1, s.order + 1):
+            b.append(mpmath.fsum(ka[j] * b[k - j] for j in range(1, k + 1)) / k)
+        err = max(
+            abs(mpmath.mpc(g.real, g.imag) - e) / max(1, abs(e)) for g, e in zip(got, b)
+        )
+    assert err <= 1e-14, float(err)
 
 
 # ----------------------------------------------------------------------
