@@ -26,7 +26,7 @@ from .classes import (
 from .extremal import SearchProblem, search
 from .inequalities import (
     FUNCTIONALS,
-    THEOREM_FUNCTIONAL,
+    THEOREMS,
     TOL_INEQ,
     ChainInequalityViolation,
     DegenerateCosGamma,
@@ -312,10 +312,13 @@ def _cmd_verify(cfg: dict) -> int:
     order = _positive(cfg, "order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
     theorem = _require(cfg, "theorem", str)
-    if theorem not in THEOREM_FUNCTIONAL:
+    if theorem not in THEOREMS:
         raise ConfigError(f"unknown theorem id {theorem!r}")
-    functional = FUNCTIONALS[THEOREM_FUNCTIONAL[theorem]]
-    m = _require(cfg, "m", int) if THEOREM_FUNCTIONAL[theorem] == "robertson" else None
+    row = THEOREMS[theorem]
+    if not row.admits(spec):
+        raise ConfigError(f"theorem {theorem!r} is not stated for the class {spec.to_json()}")
+    functional = FUNCTIONALS[row.functional]
+    m = _require(cfg, "m", int) if row.functional == "robertson" else None
     ns = _n_range(cfg)
     grid = _grid(cfg)
     # membership reads every coefficient, the bounds none past a_{max n + 1}
@@ -436,7 +439,7 @@ def _cmd_table(cfg: dict) -> int:
     rows = []
     for n in ns:
         for theorem, fid, spec, build in cases:
-            lhs = FUNCTIONALS[THEOREM_FUNCTIONAL[theorem]](build(n), n)
+            lhs = FUNCTIONALS[THEOREMS[theorem].functional](build(n), n)
             rhs = bound_rhs(theorem, n, alpha=spec.alpha)
             rows.append(_row(theorem, fid, None, spec, n, None, lhs, rhs))
     return _write_rows(cfg, rows)

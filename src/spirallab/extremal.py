@@ -12,7 +12,7 @@ bound is a red-alert finding, reported in-band rather than raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,17 +57,9 @@ class SearchProblem:
             raise ValueError("n must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            **self.spec.to_json(),
-            "n": self.n,
-            "functional": self.functional,
-            "m": self.m,
-            "k_atoms": self.k_atoms,
-            "budget": self.budget,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "minimize": self.minimize,
-        }
+        """Every field, with the spec's fields in place of ``spec``."""
+        doc = asdict(self)
+        return {**doc.pop("spec"), **doc}
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ constant is claimed anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,19 +34,6 @@ from .series import FunctionSeries, Series
 
 #: Slack below -TOL_INEQ counts as a bound violation.
 TOL_INEQ = 1e-8
-
-#: The functional each theorem bounds: the two-sided | |a_{n+1}| - |a_n| |,
-#: the signed |a_{n+1}| - |a_n|, or Robertson's | n|a_n| - m|a_m| |.
-THEOREM_FUNCTIONAL = {
-    "thm_main": "two_sided_diff",
-    "cor_spiral": "two_sided_diff",
-    "thm_A": "two_sided_diff",
-    "thm_C": "two_sided_diff",
-    "thm_B": "one_sided_diff",
-    "cor_convex_gamma": "one_sided_diff",
-    "thm_c_half": "one_sided_diff",
-    "thm_robertson": "robertson",
-}
 
 #: Evaluator (f, n, m) -> value of each functional; only robertson reads m.
 FUNCTIONALS = {
@@ -113,42 +102,73 @@ def gamma_ratio(alpha: float, n: int) -> float:
     return value
 
 
+class Theorem(NamedTuple):
+    """One row of THEOREMS."""
+
+    functional: str  # the FUNCTIONALS key of the functional it bounds
+    admits: Callable[[ClassSpec], bool]  # true for the classes it is stated for
+    rhs: Callable[[int, int | None, float | None], float]  # class-wide rhs(n, m, alpha)
+    per_function: bool = False  # class-wide only at alpha = 0; else see member_rhs
+
+
+def _gamma_ratio_rhs(n: int, m: int | None, alpha: float | None) -> float:
+    """thm_C's rhs: the Gamma ratio at alpha, which the caller must give."""
+    if alpha is None:
+        raise InvalidIndices("thm_C bound needs alpha")
+    return gamma_ratio(alpha, n)
+
+
+#: Every theorem by id.  class_bound gives each class the first row that
+#: admits it, so the row order fixes each class's theorem.
+THEOREMS = {
+    "thm_c_half": Theorem("one_sided_diff", lambda s: s.kind == "c_half", lambda n, m, a: 1.0),
+    "thm_B": Theorem(
+        "one_sided_diff",
+        lambda s: s.is_convex_kind and s.alpha >= 0.0 and s.gamma == 0.0,
+        lambda n, m, a: 1.0 / (n + 1),
+    ),
+    "cor_convex_gamma": Theorem(
+        "one_sided_diff",
+        lambda s: s.is_convex_kind and s.alpha >= 0.0,
+        lambda n, m, a: 1.0 / (n + 1),
+        per_function=True,
+    ),
+    "thm_C": Theorem(
+        "two_sided_diff", lambda s: s.kind == "starlike" and s.alpha < 0.0, _gamma_ratio_rhs
+    ),
+    "thm_A": Theorem(
+        "two_sided_diff", lambda s: s.kind == "starlike" and s.alpha >= 0.0, lambda n, m, a: 1.0
+    ),
+    "cor_spiral": Theorem(
+        "two_sided_diff", lambda s: not s.is_convex_kind and s.alpha >= 0.0, lambda n, m, a: 1.0
+    ),
+    "thm_main": Theorem(
+        "two_sided_diff", lambda s: not s.is_convex_kind, lambda n, m, a: 1.0, per_function=True
+    ),
+    "thm_robertson": Theorem(
+        "robertson", lambda s: s.kind == "c_half", lambda n, m, a: (n - m) * (n + m + 1) / 2.0
+    ),
+}
+
+
 def bound_rhs(
     theorem_id: str, n: int, m: int | None = None, *, alpha: float | None = None
 ) -> float:
-    """Class-wide right-hand side of the quoted theorem bound at index n (and m).
+    """Class-wide right-hand side of the theorem's THEOREMS row at index n (and m).
 
-    thm_main      1                                  (alpha = 0)
-    cor_spiral    1                                  (n >= 2)
-    cor_convex_gamma  1/(n+1)                        (alpha = 0)
-    thm_A         1
-    thm_B         1/(n+1)
-    thm_C         Gamma(1-2a+n) / (Gamma(1-2a) Gamma(n+1))
-    thm_c_half    1
-    thm_robertson (n-m)(n+m+1)/2                     (n > m >= 1)
-
-    At alpha != 0, thm_main and cor_convex_gamma bound each function by
-    its own exp(-M alpha cos gamma): see :func:`member_rhs`.
+    thm_robertson needs n > m >= 1, every other theorem n >= 2.
     """
-    if theorem_id == "thm_robertson":
+    row = THEOREMS.get(theorem_id)
+    if row is None:
+        raise InvalidIndices(f"unknown theorem id {theorem_id!r}")
+    if row.functional == "robertson":
         if m is None or not n > m >= 1:
             raise InvalidIndices("robertson bound needs n > m >= 1")
-        return (n - m) * (n + m + 1) / 2.0
-    if n < 2:
+    elif n < 2:
         raise InvalidIndices(f"{theorem_id} bound needs n >= 2")
-    if theorem_id in ("thm_A", "cor_spiral", "thm_c_half"):
-        return 1.0
-    if theorem_id == "thm_B":
-        return 1.0 / (n + 1)
-    if theorem_id == "thm_C":
-        if alpha is None:
-            raise InvalidIndices("thm_C bound needs alpha")
-        return gamma_ratio(alpha, n)
-    if theorem_id in ("thm_main", "cor_convex_gamma"):
-        if alpha != 0.0:
-            raise InvalidIndices(f"{theorem_id} at alpha != 0 is per-function; see member_rhs")
-        return 1.0 if theorem_id == "thm_main" else 1.0 / (n + 1)
-    raise InvalidIndices(f"unknown theorem id {theorem_id!r}")
+    if row.per_function and alpha != 0.0:
+        raise InvalidIndices(f"{theorem_id} at alpha != 0 is per-function; see member_rhs")
+    return row.rhs(n, m, alpha)
 
 
 def member_rhs(
@@ -167,25 +187,16 @@ def member_rhs(
 
 
 def class_bound(spec: ClassSpec, functional: str, n: int) -> tuple | None:
-    """(theorem_id, rhs): the theorem certified for spec and its class-wide bound at n.
+    """(theorem_id, rhs): the first THEOREMS row that admits spec, and its class-wide bound at n.
 
     None when that theorem bounds a functional other than ``functional``.
-    Classes with alpha > 0 nest inside their alpha = 0 parent, so their
-    members are bounded by the parent's constant here; only thm_C reads
-    alpha.  The sharper per-function exponential bound is the proof
-    trace's job.
+    A class with alpha > 0 nests inside its alpha = 0 parent and gets the
+    parent's constant; only thm_C reads alpha.
     """
-    if spec.kind == "c_half":
-        theorem = "thm_c_half"
-    elif spec.is_convex_kind:
-        theorem = "thm_B" if spec.gamma == 0.0 else "cor_convex_gamma"
-    elif spec.kind == "starlike":
-        theorem = "thm_C" if spec.alpha < 0.0 else "thm_A"
-    else:
-        theorem = "cor_spiral"
-    if THEOREM_FUNCTIONAL[theorem] != functional:
+    theorem, row = next((t, row) for t, row in THEOREMS.items() if row.admits(spec))
+    if row.functional != functional:
         return None
-    return theorem, bound_rhs(theorem, n, alpha=spec.alpha if theorem == "thm_C" else 0.0)
+    return theorem, bound_rhs(theorem, n, alpha=0.0 if row.per_function else spec.alpha)
 
 
 def _newton_peak(d, k, k2, ik, theta: float, value: float, h: float):
@@ -331,19 +342,11 @@ class ProofTrace:
             )
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-            "c": [[v.real, v.imag] for v in self.c],
-            "C": [[v.real, v.imag] for v in self.C],
-            "M": self.M,
-            "max_angle": self.max_angle,
-            "xi0": [self.xi0.real, self.xi0.imag],
-            "milin_exponent": self.milin_exponent,
-            "beta_bound": self.beta_bound,
-            "final_bound": self.final_bound,
-        }
+        """Every field, with complex numbers as [real, imag] pairs."""
+        doc = asdict(self)
+        doc.update({key: [[v.real, v.imag] for v in doc[key]] for key in ("c", "C")})
+        doc["xi0"] = [self.xi0.real, self.xi0.imag]
+        return doc
 
 
 def recover_c(f: FunctionSeries, gamma: float, count: int) -> np.ndarray:

@@ -361,14 +361,29 @@ _SAMPLED_MAIN = {
     "functions": [{"sampled": {"trials": 2, "k_atoms": 3}}],
 }
 
+_NEGATIVE_ORDER_STARLIKE = {
+    "seed": 1,
+    "spec": {"kind": "starlike", "alpha": -1.0},
+    "n": [2, 6],
+    "functions": [{"sampled": {"trials": 3}}],
+}
+
 # case -> (command, config); each config holds one value outside the schema
 _OUTSIDE_SCHEMA = {
     "radius_past_one": (
         "verify", {**_SAMPLED_MAIN, "membership": {"radii": [1.5], "m": 64}}
     ),
     "radii_not_a_list": ("verify", {**_SAMPLED_MAIN, "membership": {"radii": "x"}}),
+    # a class thm_robertson is stated for, so the order check is what rejects it
     "robertson_n_past_order": (
-        "verify", {**_SAMPLED_MAIN, "theorem": "thm_robertson", "n": [30, 40], "m": 2}
+        "verify",
+        {
+            **_SAMPLED_MAIN,
+            "spec": {"kind": "c_half", "alpha": -0.5},
+            "theorem": "thm_robertson",
+            "n": [30, 40],
+            "m": 2,
+        },
     ),
     "unknown_theorem": ("verify", {**_SAMPLED_MAIN, "theorem": "thm_nonexistent"}),
     "sampled_order_zero": ("verify", {**_SAMPLED_MAIN, "order": 0}),
@@ -510,6 +525,30 @@ _OUTSIDE_SCHEMA = {
     "trace_n_zero": ("trace", {**_SAMPLED_MAIN, "n": 0}),
     "trace_n_negative": ("trace", {**_SAMPLED_MAIN, "n": [-1, -1]}),
     "trace_n_from_zero": ("trace", {**_SAMPLED_MAIN, "n": [0, 3]}),
+    # a theorem on a class it is not stated for, where its rhs bounds nothing
+    "thm_c_on_positive_order": (
+        "verify",
+        {
+            "seed": 3,
+            "spec": {"kind": "starlike", "alpha": 0.75},
+            "theorem": "thm_C",
+            "n": [2, 3],
+            "functions": [{"sampled": {"trials": 2}}],
+        },
+    ),
+    "thm_a_on_negative_order": ("verify", {**_NEGATIVE_ORDER_STARLIKE, "theorem": "thm_A"}),
+    "cor_spiral_on_negative_order": (
+        "verify", {**_NEGATIVE_ORDER_STARLIKE, "theorem": "cor_spiral"}
+    ),
+    "thm_b_on_c_half": (
+        "verify",
+        {
+            "spec": {"kind": "c_half", "alpha": -0.5},
+            "theorem": "thm_B",
+            "n": [2, 5],
+            "functions": [{"name": "c_half_extremal"}],
+        },
+    ),
 }
 
 

@@ -3,15 +3,18 @@
 Documents for all five commands are drawn from well-formed values, with
 at most one field per object swapped for a value of the wrong type or
 an edge value.  A traceback anywhere fails the test, so a config the
-schema checks miss shows up here.  Sizes are capped (order <= 64,
-trials <= 3, budget <= 400) to keep the run short.
+schema checks miss shows up here.  A verify document that pairs a valid
+class with a theorem not stated for it must end in exit 1.  Sizes are
+capped (order <= 64, trials <= 3, budget <= 400) to keep the run short.
 """
 
 import json
 
 from hypothesis import given, settings, strategies as st
 
+from spirallab.classes import ClassSpec, InvalidParams
 from spirallab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
+from spirallab.inequalities import THEOREMS
 
 NAN = float("nan")
 EDGE = st.sampled_from([True, False, "x", "3", -1, 0, -0.5, NAN, None, [], [1], {}])
@@ -117,6 +120,17 @@ CONFIGS = st.sampled_from(sorted(FIELDS)).flatmap(
 )
 
 
+def outside_its_class(doc: dict) -> bool:
+    """True when doc pairs a valid class spec with a theorem not stated for that class."""
+    theorem, spec = doc.get("theorem"), doc.get("spec")
+    if not (isinstance(theorem, str) and theorem in THEOREMS and isinstance(spec, dict)):
+        return False
+    try:
+        return not THEOREMS[theorem].admits(ClassSpec.from_json(spec))
+    except InvalidParams:
+        return False
+
+
 def test_any_config_ends_in_an_exit_code(tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
     cfg = work / "cfg.json"
@@ -126,6 +140,10 @@ def test_any_config_ends_in_an_exit_code(tmp_path_factory):
     def run(case):
         command, doc = case
         cfg.write_text(json.dumps({**doc, "out": str(work / "out")}))
-        assert main([command, "--config", str(cfg)]) in (EXIT_OK, EXIT_CONFIG, EXIT_VIOLATION)
+        code = main([command, "--config", str(cfg)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VIOLATION)
+        if command == "verify" and outside_its_class(doc):
+            # rejected before any member is built, whatever else the document holds
+            assert code == EXIT_CONFIG
 
     run()

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from spirallab import (
     robertson_gap,
     successive_diff,
 )
-from spirallab.inequalities import class_bound
+from spirallab.inequalities import THEOREMS, class_bound
 from oracles import alexander_inverse, fixed_measure
 
 
@@ -146,6 +148,13 @@ def test_class_bound_thm_c_reads_alpha():
     for alpha in (-0.5, -0.25, -1.0):
         _, rhs = class_bound(ClassSpec("starlike", alpha=alpha), "two_sided_diff", 5)
         assert rhs == gamma_ratio(alpha, 5)
+
+
+def test_readme_theorem_table_mirrors_theorems():
+    # README's theorem table lists every THEOREMS row, in order, with its functional
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", readme, re.MULTILINE)
+    assert rows == [(theorem, row.functional) for theorem, row in THEOREMS.items()]
 
 
 # ----------------------------------------------------------------------
