@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -79,6 +80,20 @@ _CEILINGS = {
     "budget": 1_000_000,
 }
 
+#: The fields each config object may hold; any other is a config error, never ignored.  The
+#: top level takes every field some command reads, so one config can serve several commands.
+_FIELDS = {
+    "config": {
+        "seed", "order", "out", "format", "spec", "theorem", "n", "m", "functions",
+        "membership", "functional", "k_atoms", "budget", "restarts", "minimize", "trials",
+    },
+    "spec": {"kind", "gamma", "alpha"},
+    "named entry": {"name", "params"},
+    "sampled entry": {"sampled"},
+    "sampled object": {"trials", "k_atoms"},
+    "membership object": {"radii", "m"},
+}
+
 
 class ConfigError(ValueError):
     """Config file or flag contents outside the accepted schema."""
@@ -104,10 +119,18 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
 
+def _known(doc: dict, what: str) -> None:
+    """Reject any field of doc outside the fields _FIELDS gives the object ``what``."""
+    unknown = sorted(set(doc) - _FIELDS[what])
+    if unknown:
+        raise ConfigError(f"unknown field {unknown[0]!r} in the {what}")
+
+
 def _merged(args: argparse.Namespace) -> dict:
     cfg = _load_config(args.config) if args.config else {}
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    _known(cfg, "config")
     for key in ("seed", "order", "out", "format"):
         override = getattr(args, key, None)
         if override is not None:
@@ -157,8 +180,10 @@ def _positive(doc: dict, key: str, default: int | None = None) -> int:
 
 
 def _class_spec(cfg: dict) -> ClassSpec:
+    doc = _require(cfg, "spec", dict)
+    _known(doc, "spec")
     try:
-        return ClassSpec.from_json(_require(cfg, "spec", dict))
+        return ClassSpec.from_json(doc)
     except InvalidParams as exc:
         raise ConfigError(f"field 'spec': {exc}") from None
 
@@ -205,44 +230,55 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
     """(function_id, FunctionSeries, seed-or-None) per function the config entries name.
 
     Sampled members are built through a_upto only; named ones in full.
-    The coefficient ceiling holds for the sampled entries together, checked
-    before any member is drawn.
+    Every entry is checked before any member is built: function ids must
+    not repeat, and the coefficient ceiling holds for the sampled entries
+    together.
     """
     entries = _require(cfg, "functions", list)
+    ids = []  # the function ids of each entry
     for entry in entries:
         if not isinstance(entry, dict) or ("name" in entry) == ("sampled" in entry):
             raise ConfigError("a function entry is an object with one of 'name' and 'sampled'")
-        if "sampled" in entry and not isinstance(entry["sampled"], dict):
-            raise ConfigError("field 'sampled' must be an object")
-    trials = [_positive(e["sampled"], "trials", 1) for e in entries if "sampled" in e]
-    _check_coefficients(sum(trials), order, upto)
-    suite_trials = iter(trials)
+        if "sampled" in entry:
+            _known(entry, "sampled entry")
+            if not isinstance(entry["sampled"], dict):
+                raise ConfigError("field 'sampled' must be an object")
+            _known(entry["sampled"], "sampled object")
+            trials = _positive(entry["sampled"], "trials", 1)
+            ids.append([f"sample-{t:04d}" for t in range(trials)])
+            continue
+        _known(entry, "named entry")
+        params = entry.get("params", {})
+        if not isinstance(entry["name"], str) or not isinstance(params, dict):
+            raise ConfigError("field 'name' must be a string and 'params' an object")
+        # math.isfinite of an integer past the double range raises OverflowError
+        if not all(type(v) in (int, float) and math.isfinite(v) for v in params.values()):
+            raise ConfigError("function parameters must be finite numbers")
+        tag = entry["name"]
+        if params:
+            inner = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))
+            tag = f"{tag}({inner})"
+        ids.append([tag])
+    _check_coefficients(sum(len(i) for e, i in zip(entries, ids) if "sampled" in e), order, upto)
+    counts = Counter(fid for group in ids for fid in group)
+    repeated = [fid for fid, count in counts.items() if count > 1]
+    if repeated:
+        raise ConfigError(f"function id {repeated[0]!r} repeats")
     out = []
-    for entry in entries:
+    for entry, group in zip(entries, ids):
         if "name" in entry:
-            params = entry.get("params", {})
-            if not isinstance(entry["name"], str) or not isinstance(params, dict):
-                raise ConfigError("field 'name' must be a string and 'params' an object")
-            # math.isfinite of an integer past the double range raises OverflowError
-            if not all(type(v) in (int, float) and math.isfinite(v) for v in params.values()):
-                raise ConfigError("function parameters must be finite numbers")
             try:
-                f = named(entry["name"], order, **params)
+                f = named(entry["name"], order, **entry.get("params", {}))
             except UnknownName as exc:
                 raise ConfigError(f"unknown function name {exc}") from None
             except ValueError as exc:  # InvalidParams, or coefficients that break a_1 = 1
                 raise ConfigError(str(exc)) from None
-            tag = entry["name"]
-            if params:
-                inner = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))
-                tag = f"{tag}({inner})"
-            out.append((tag, f, None))
+            out.append((group[0], f, None))
         else:
             k_atoms = _optional(entry["sampled"], "k_atoms", 2)
             seed = _seed(cfg)
-            members = _suite(seed, spec, order, upto, next(suite_trials), k_atoms)
-            for t, (_, f) in enumerate(members):
-                out.append((f"sample-{t:04d}", f, seed))
+            members = _suite(seed, spec, order, upto, len(group), k_atoms)
+            out.extend((fid, f, seed) for fid, (_, f) in zip(group, members))
     return out
 
 
@@ -299,6 +335,7 @@ def _grid(cfg: dict) -> Grid | None:
     block = {} if block is True else block
     if not isinstance(block, dict):
         raise ConfigError("field 'membership' must be true, false or an object")
+    _known(block, "membership object")
     radii = _optional(block, "radii", list(Grid.radii))
     if not all(type(r) in (int, float) for r in radii):
         raise ConfigError("field 'radii' must be a list of numbers")
@@ -386,7 +423,7 @@ def _cmd_search(cfg: dict) -> int:
         sys.stdout.write(json.dumps({"evaluations": evals, "incumbent": value}) + "\n")
 
     # the bound is taken before the search, so an n it rejects streams nothing
-    bound = None if problem.minimize else class_bound(spec, problem.functional, n)
+    bound = None if problem.minimize else class_bound(spec, problem.functional, n, problem.m)
     result = search(problem, on_improve=stream)
     doc = {**result.to_json(), "problem": problem.to_json()}
     violated = False
@@ -478,7 +515,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse printed the help (code 0) or a usage error, which exits 1 like a config error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         cfg = _merged(args)
         return _COMMANDS[args.command](cfg)

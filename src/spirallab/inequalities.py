@@ -108,7 +108,8 @@ class Theorem(NamedTuple):
     functional: str  # the FUNCTIONALS key of the functional it bounds
     admits: Callable[[ClassSpec], bool]  # true for the classes it is stated for
     rhs: Callable[[int, int | None, float | None], float]  # class-wide rhs(n, m, alpha)
-    per_function: bool = False  # class-wide only at alpha = 0; else see member_rhs
+    # per-function rhs(f, spec, n) when there is one; rhs is then class-wide at alpha = 0 only
+    member: Callable[[FunctionSeries, ClassSpec, int], float] | None = None
 
 
 def _gamma_ratio_rhs(n: int, m: int | None, alpha: float | None) -> float:
@@ -118,8 +119,14 @@ def _gamma_ratio_rhs(n: int, m: int | None, alpha: float | None) -> float:
     return gamma_ratio(alpha, n)
 
 
+def _chain_rhs(f: FunctionSeries, spec: ClassSpec, n: int) -> float:
+    """thm_main's per-function rhs: the final bound of a proof trace of f in spec."""
+    return proof_trace(f, spec.gamma, spec.alpha, n).final_bound
+
+
 #: Every theorem by id.  class_bound gives each class the first row that
-#: admits it, so the row order fixes each class's theorem.
+#: admits it and bounds the searched functional, so the row order fixes
+#: each class's theorem.
 THEOREMS = {
     "thm_c_half": Theorem("one_sided_diff", lambda s: s.kind == "c_half", lambda n, m, a: 1.0),
     "thm_B": Theorem(
@@ -131,7 +138,7 @@ THEOREMS = {
         "one_sided_diff",
         lambda s: s.is_convex_kind and s.alpha >= 0.0,
         lambda n, m, a: 1.0 / (n + 1),
-        per_function=True,
+        lambda f, spec, n: _chain_rhs(alexander_forward(f), spec, n) / (n + 1),
     ),
     "thm_C": Theorem(
         "two_sided_diff", lambda s: s.kind == "starlike" and s.alpha < 0.0, _gamma_ratio_rhs
@@ -143,7 +150,7 @@ THEOREMS = {
         "two_sided_diff", lambda s: not s.is_convex_kind and s.alpha >= 0.0, lambda n, m, a: 1.0
     ),
     "thm_main": Theorem(
-        "two_sided_diff", lambda s: not s.is_convex_kind, lambda n, m, a: 1.0, per_function=True
+        "two_sided_diff", lambda s: not s.is_convex_kind, lambda n, m, a: 1.0, _chain_rhs
     ),
     "thm_robertson": Theorem(
         "robertson", lambda s: s.kind == "c_half", lambda n, m, a: (n - m) * (n + m + 1) / 2.0
@@ -166,7 +173,7 @@ def bound_rhs(
             raise InvalidIndices("robertson bound needs n > m >= 1")
     elif n < 2:
         raise InvalidIndices(f"{theorem_id} bound needs n >= 2")
-    if row.per_function and alpha != 0.0:
+    if row.member is not None and alpha != 0.0:
         raise InvalidIndices(f"{theorem_id} at alpha != 0 is per-function; see member_rhs")
     return row.rhs(n, m, alpha)
 
@@ -174,29 +181,25 @@ def bound_rhs(
 def member_rhs(
     theorem_id: str, f: FunctionSeries, spec: ClassSpec, n: int, m: int | None = None
 ) -> float:
-    """Right-hand side of theorem_id for f in spec at index n.
-
-    thm_main, and cor_convex_gamma at alpha != 0, read the per-function M
-    from a proof trace of f or of its Alexander transform z f'(z).
-    """
-    if theorem_id == "thm_main":
-        return proof_trace(f, spec.gamma, spec.alpha, n).final_bound
-    if theorem_id == "cor_convex_gamma" and spec.alpha != 0.0:
-        return proof_trace(alexander_forward(f), spec.gamma, spec.alpha, n).final_bound / (n + 1)
+    """theorem_id's rhs for f in spec at n: the row's per-function rhs, else its class-wide one."""
+    row = THEOREMS.get(theorem_id)
+    if row is not None and row.member is not None:
+        return row.member(f, spec, n)
     return bound_rhs(theorem_id, n, m, alpha=spec.alpha)
 
 
-def class_bound(spec: ClassSpec, functional: str, n: int) -> tuple | None:
-    """(theorem_id, rhs): the first THEOREMS row that admits spec, and its class-wide bound at n.
+def class_bound(spec: ClassSpec, functional: str, n: int, m: int | None = None) -> tuple | None:
+    """(theorem_id, rhs): the first THEOREMS row that admits spec and bounds functional.
 
-    None when that theorem bounds a functional other than ``functional``.
+    rhs is that row's class-wide bound at n (and m); None when no row fits.
     A class with alpha > 0 nests inside its alpha = 0 parent and gets the
     parent's constant; only thm_C reads alpha.
     """
-    theorem, row = next((t, row) for t, row in THEOREMS.items() if row.admits(spec))
-    if row.functional != functional:
-        return None
-    return theorem, bound_rhs(theorem, n, alpha=0.0 if row.per_function else spec.alpha)
+    for theorem, row in THEOREMS.items():
+        if row.admits(spec) and row.functional == functional:
+            alpha = 0.0 if row.member is not None else spec.alpha
+            return theorem, bound_rhs(theorem, n, m, alpha=alpha)
+    return None
 
 
 def _newton_peak(d, k, k2, ik, theta: float, value: float, h: float):
@@ -307,13 +310,7 @@ def milin_third(alpha_seq, n: int):
 
 @dataclass(frozen=True)
 class ProofTrace:
-    """Every quantity in the derivation chain for one (f, n) instance.
-
-    Construction validates the chain: |xi0| = 1, the weighted-lemma step
-    milin_exponent <= -2 M alpha cos(gamma), and the exponentiation step
-    beta_bound^2 <= exp(milin_exponent), all up to TOL_INEQ; an
-    exponential past the double range is inf there and in final_bound.
-    """
+    """Every quantity in the derivation chain for one (f, n), as proof_trace checked it."""
 
     n: int
     gamma: float
@@ -326,20 +323,6 @@ class ProofTrace:
     milin_exponent: float
     beta_bound: float
     final_bound: float
-
-    def __post_init__(self):
-        if abs(abs(self.xi0) - 1.0) > 1e-12:
-            raise ChainInequalityViolation(f"|xi0| = {abs(self.xi0)!r} is not 1")
-        lemma_cap = -2.0 * self.M * self.alpha * math.cos(self.gamma)
-        if self.milin_exponent > lemma_cap + TOL_INEQ:
-            raise ChainInequalityViolation(
-                f"milin exponent {self.milin_exponent:.6e} exceeds {lemma_cap:.6e}"
-            )
-        # a product, not **2, which raises past the double range
-        if self.beta_bound * self.beta_bound > _exp(self.milin_exponent) + TOL_INEQ:
-            raise ChainInequalityViolation(
-                f"beta bound {self.beta_bound:.6e} breaks the exponentiation step"
-            )
 
     def to_json(self) -> dict:
         """Every field, with complex numbers as [real, imag] pairs."""
@@ -367,11 +350,12 @@ def recover_c(f: FunctionSeries, gamma: float, count: int) -> np.ndarray:
 
 
 def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofTrace:
-    """Replay the whole derivation chain on f at index n.
+    """Replay the derivation chain on f at index n, checking every link up to TOL_INEQ.
 
-    Recovers c_k, maximizes Re psi to get (M, xi0), fills the trace, and
-    checks the final link ||a_{n+1}| - |a_n|| <= exp(-M alpha cos gamma)
-    on top of the chain inequalities validated by ProofTrace itself.
+    In order: |xi0| = 1, milin_exponent <= -2 M alpha cos(gamma),
+    beta_bound^2 <= exp(milin_exponent) and ||a_{n+1}| - |a_n|| <=
+    final_bound = exp(-M alpha cos gamma); the first to fail raises
+    ChainInequalityViolation.  An exponential past the double range is inf.
     """
     if n < 1:
         raise InvalidIndices("proof trace needs n >= 1")
@@ -383,7 +367,20 @@ def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofT
     exponent = float(np.sum(np.abs(big_c - xi0**k) ** 2 / k - 1.0 / k))
     beta = abs(f.a(n + 1) - xi0 * f.a(n))
     final = _exp(-M * alpha * math.cos(gamma))
-    trace = ProofTrace(
+    if abs(abs(xi0) - 1.0) > 1e-12:
+        raise ChainInequalityViolation(f"|xi0| = {abs(xi0)!r} is not 1")
+    lemma_cap = -2.0 * M * alpha * math.cos(gamma)
+    if exponent > lemma_cap + TOL_INEQ:
+        raise ChainInequalityViolation(f"milin exponent {exponent:.6e} exceeds {lemma_cap:.6e}")
+    # a product, not **2, which raises past the double range
+    if beta * beta > _exp(exponent) + TOL_INEQ:
+        raise ChainInequalityViolation(f"beta bound {beta:.6e} breaks the exponentiation step")
+    diff = successive_diff(f, n)
+    if diff > final + TOL_INEQ:
+        raise ChainInequalityViolation(
+            f"successive difference {diff:.6e} exceeds final bound {final:.6e}"
+        )
+    return ProofTrace(
         n=n,
         gamma=gamma,
         alpha=alpha,
@@ -396,12 +393,6 @@ def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofT
         beta_bound=beta,
         final_bound=final,
     )
-    diff = successive_diff(f, n)
-    if diff > trace.final_bound + TOL_INEQ:
-        raise ChainInequalityViolation(
-            f"successive difference {diff:.6e} exceeds final bound {trace.final_bound:.6e}"
-        )
-    return trace
 
 
 def robertson_gap(f: FunctionSeries, n: int, m: int) -> float:

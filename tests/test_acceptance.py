@@ -125,7 +125,7 @@ def test_criterion_06_proof_trace_chain():
             n = int(rng.integers(2, 21))
             spec = ClassSpec("spirallike", gamma=gamma, alpha=alpha)
             f = member_from_measure(measure, spec, 64)
-            # construction raises ChainInequalityViolation on any failed link
+            # proof_trace raises ChainInequalityViolation on any failed link
             trace = proof_trace(f, gamma, alpha, n)
             assert abs(abs(trace.xi0) - 1.0) <= 1e-12
             lemma_cap = -2.0 * trace.M * alpha * math.cos(gamma)

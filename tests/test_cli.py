@@ -219,6 +219,39 @@ def test_search_command_streams_and_writes(tmp_path, capsys):
     assert doc["bound"]["violated"] is False
 
 
+def test_search_robertson_on_c_half_checks_thm_robertson(tmp_path, capsys):
+    # c_half's first row bounds one_sided_diff; a robertson search reads thm_robertson
+    out = tmp_path / "result.json"
+    doc = {
+        "seed": 1,
+        "spec": {"kind": "c_half", "alpha": -0.5},
+        "n": 5,
+        "m": 2,
+        "functional": "robertson",
+        "budget": 400,
+        "restarts": 2,
+        "out": str(out),
+    }
+    assert main(["search", "--config", write_config(tmp_path, doc)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["bound"] == {"theorem_id": "thm_robertson", "rhs": 12.0, "violated": False}
+    assert report["best_value"] == pytest.approx(12.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--n", "3"], ["verify", "--seed", "x"], ["nope"], [], ["table", "--format", "xml"]],
+)
+def test_usage_error_exits_one(capsys, argv):
+    assert main(argv) == EXIT_CONFIG
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["verify", "--help"]) == EXIT_OK
+    assert "--config" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "kind, functional",
     [("spirallike", "one_sided_diff"), ("convex", "two_sided_diff")],
@@ -539,6 +572,32 @@ _OUTSIDE_SCHEMA = {
     "thm_a_on_negative_order": ("verify", {**_NEGATIVE_ORDER_STARLIKE, "theorem": "thm_A"}),
     "cor_spiral_on_negative_order": (
         "verify", {**_NEGATIVE_ORDER_STARLIKE, "theorem": "cor_spiral"}
+    ),
+    # a misspelt field in each config object, which would otherwise be ignored
+    "unknown_top_level_field": ("verify", {**_SAMPLED_MAIN, "membershp": {"radii": [0.5]}}),
+    "unknown_spec_field": (
+        "verify", {**_SAMPLED_MAIN, "spec": {"kind": "spirallike", "gamma": 0.3, "aplha": 0.2}}
+    ),
+    "unknown_named_entry_field": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"name": "koebe", "parms": {"x": 1.0}}]}
+    ),
+    "unknown_sampled_entry_field": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"sampled": {"trials": 2}, "k_atoms": 3}]}
+    ),
+    "unknown_sampled_field": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"sampled": {"trails": 1000}}]}
+    ),
+    "unknown_membership_field": ("verify", {**_SAMPLED_MAIN, "membership": {"radius": [0.5]}}),
+    "unknown_search_field": (
+        "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "budgte": 400}
+    ),
+    # two entries that give the same function ids
+    "sampled_entries_repeat_ids": (
+        "verify",
+        {**_SAMPLED_MAIN, "functions": [{"sampled": {"trials": 2}}, {"sampled": {"trials": 3}}]},
+    ),
+    "named_entries_repeat_ids": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"name": "koebe"}, {"name": "koebe"}]}
     ),
     "thm_b_on_c_half": (
         "verify",

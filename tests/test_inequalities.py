@@ -24,10 +24,12 @@ from spirallab import (
     one_sided_diff,
     proof_trace,
     psi_max,
+    random_measure,
     recover_c,
     robertson_gap,
     successive_diff,
 )
+from spirallab import inequalities
 from spirallab.inequalities import THEOREMS, class_bound
 from oracles import alexander_inverse, fixed_measure
 
@@ -124,6 +126,10 @@ def test_bound_invalid_indices():
         bound_rhs("thm_C", 5)  # alpha missing
 
 
+#: (kind, functional) -> (theorem_id, rhs at n = 5, m = 2) for a row past the class's first
+_LATER_ROWS = {("c_half", "robertson"): ("thm_robertson", 12.0)}
+
+
 @pytest.mark.parametrize(
     "spec, theorem, functional, rhs",
     [
@@ -139,9 +145,25 @@ def test_bound_invalid_indices():
 )
 def test_class_bound_picks_the_class_theorem(spec, theorem, functional, rhs):
     assert class_bound(spec, functional, 5) == (theorem, pytest.approx(rhs, rel=1e-14))
+    # the first row that admits the class and bounds the functional
     for other in ("two_sided_diff", "one_sided_diff", "robertson"):
         if other != functional:
-            assert class_bound(spec, other, 5) is None
+            assert class_bound(spec, other, 5, 2) == _LATER_ROWS.get((spec.kind, other))
+
+
+@pytest.mark.parametrize(
+    "theorem, kind", [("thm_main", "spirallike"), ("cor_convex_gamma", "convex_spirallike")]
+)
+def test_member_rhs_at_alpha_zero_is_the_class_wide_rhs(theorem, kind):
+    # bound_rhs and class_bound give a per-function row its class-wide rhs at alpha = 0
+    row = THEOREMS[theorem]
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        spec = ClassSpec(kind, gamma=float(rng.uniform(-1.2, 1.2)), alpha=0.0)
+        assert spec.gamma != 0.0
+        f = member_from_measure(random_measure(rng, 6), spec, 32)
+        for n in range(2, 21):
+            assert row.member(f, spec, n) == row.rhs(n, None, 0.0)
 
 
 def test_class_bound_thm_c_reads_alpha():
@@ -383,7 +405,7 @@ def test_proof_trace_sampled_members():
         spec = ClassSpec("spirallike", gamma=gamma, alpha=alpha)
         f = member_from_measure(measure, spec, 64)
         trace = proof_trace(f, gamma, alpha, n)
-        # chain validated by construction; check the reported slacks again
+        # proof_trace checked the chain; check the reported slacks again
         lemma_cap = -2 * trace.M * alpha * math.cos(gamma)
         assert trace.milin_exponent <= lemma_cap + TOL_INEQ
         assert trace.beta_bound**2 <= math.exp(trace.milin_exponent) + TOL_INEQ
@@ -412,8 +434,24 @@ def test_proof_trace_rejects_non_members():
     c[1] = 1.0
     c[12] = 500.0
     fake = FunctionSeries(c)
-    with pytest.raises(ChainInequalityViolation):
+    with pytest.raises(ChainInequalityViolation, match="milin exponent .* exceeds"):
         proof_trace(fake, 0.0, 0.5, 11)
+
+
+@pytest.mark.parametrize(
+    "name, broken, message",
+    [
+        # psi_max's angle becomes imaginary, so |xi0| = e^0.5
+        ("psi_max", lambda c, n, gamma: (0.0, 0.5j), r"\|xi0\| = .* is not 1"),
+        ("_exp", lambda x: 0.0, "beta bound .* breaks the exponentiation step"),
+        ("successive_diff", lambda f, n: 10.0, r"successive difference 1.0+e\+01 exceeds final"),
+    ],
+)
+def test_proof_trace_checks_each_link(monkeypatch, name, broken, message):
+    # the chain of koebe at alpha = 0 holds with equality; break one link at a time
+    monkeypatch.setattr(inequalities, name, broken)
+    with pytest.raises(ChainInequalityViolation, match=message):
+        proof_trace(named("koebe", 20), 0.0, 0.0, 5)
 
 
 def test_proof_trace_serializes():
