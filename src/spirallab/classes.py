@@ -302,9 +302,12 @@ def named(name: str, order: int = ORDER_DEFAULT, **params) -> FunctionSeries:
     except KeyError:
         raise UnknownName(name) from None
     try:
-        coeffs = build(order, **params)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+            coeffs = build(order, **params)
     except TypeError as exc:
         raise InvalidParams(f"{name}: {exc}") from None
+    if not np.all(np.isfinite(coeffs)):
+        raise InvalidParams(f"{name}: coefficients past the double range at order {order}")
     return FunctionSeries(coeffs)
 
 

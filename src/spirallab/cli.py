@@ -28,13 +28,13 @@ from .extremal import SearchProblem, search
 from .inequalities import (
     FUNCTIONALS,
     THEOREMS,
-    TOL_INEQ,
     ChainInequalityViolation,
     DegenerateCosGamma,
     InvalidIndices,
     OrderTooLow,
     bound_rhs,
     class_bound,
+    holds,
     member_rhs,
     proof_trace,
 )
@@ -323,7 +323,7 @@ def _row(theorem, fid, seed, spec, n, m, lhs, rhs):
         "lhs": lhs,
         "rhs": rhs,
         "slack": slack,
-        "pass": slack >= -TOL_INEQ,
+        "pass": holds(lhs, rhs),
     }
 
 
@@ -429,7 +429,7 @@ def _cmd_search(cfg: dict) -> int:
     violated = False
     if bound is not None:
         theorem, rhs = bound
-        violated = result.best_value > rhs + TOL_INEQ
+        violated = not holds(result.best_value, rhs)
         doc["bound"] = {"theorem_id": theorem, "rhs": rhs, "violated": violated}
     _write(cfg, doc)
     return EXIT_VIOLATION if violated else EXIT_OK
@@ -482,12 +482,14 @@ def _cmd_table(cfg: dict) -> int:
     return _write_rows(cfg, rows)
 
 
+#: command -> (handler, help, the override flags it reads besides --config and --out)
 _COMMANDS = {
-    "verify": _cmd_verify,
-    "trace": _cmd_trace,
-    "search": _cmd_search,
-    "sample": _cmd_sample,
-    "table": _cmd_table,
+    "verify": (_cmd_verify, "membership and bound suites over named or sampled functions",
+               ("seed", "order", "format")),
+    "trace": (_cmd_trace, "derivation-chain traces per function", ("seed", "order")),
+    "search": (_cmd_search, "sharpness search over atomic measures", ("seed",)),
+    "sample": (_cmd_sample, "write sampled measures and their coefficients", ("seed", "order")),
+    "table": (_cmd_table, "golden table of the named extremal functions", ("order", "format")),
 }
 
 
@@ -497,19 +499,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="verification suites for successive-coefficient bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("verify", "membership and bound suites over named or sampled functions"),
-        ("trace", "derivation-chain traces per function"),
-        ("search", "sharpness search over atomic measures"),
-        ("sample", "write sampled measures and their coefficients"),
-        ("table", "golden table of the named extremal functions"),
-    ):
+    options = {
+        "seed": {"type": int, "help": "override config seed"},
+        "order": {"type": int, "help": "override truncation order"},
+        "format": {"choices": ("csv", "json"), "help": "override output format"},
+    }
+    for name, (_, blurb, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="JSON config path")
-        p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--order", type=int, help="override truncation order")
         p.add_argument("--out", help="override output path")
-        p.add_argument("--format", choices=("csv", "json"), help="override output format")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **options[flag])
     return parser
 
 
@@ -522,7 +522,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         cfg = _merged(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ConfigError, OrderTooLow, InvalidIndices, InvalidParams, DegenerateCosGamma,
             OverflowError) as exc:
         # every one of these traces back to a config value outside its valid range;

@@ -32,7 +32,7 @@ import numpy as np
 from .classes import ClassSpec, alexander_forward
 from .series import FunctionSeries, Series
 
-#: Slack below -TOL_INEQ counts as a bound violation.
+#: Slack below -TOL_INEQ counts as a bound violation; see holds.
 TOL_INEQ = 1e-8
 
 #: Evaluator (f, n, m) -> value of each functional; only robertson reads m.
@@ -73,6 +73,11 @@ def _exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def holds(lhs: float, rhs: float) -> bool:
+    """The verdict rule: slack rhs - lhs >= -TOL_INEQ, so NaN and inf against inf fail."""
+    return rhs - lhs >= -TOL_INEQ
 
 
 def successive_diff(f: FunctionSeries, n: int) -> float:
@@ -350,11 +355,11 @@ def recover_c(f: FunctionSeries, gamma: float, count: int) -> np.ndarray:
 
 
 def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofTrace:
-    """Replay the derivation chain on f at index n, checking every link up to TOL_INEQ.
+    """Replay the derivation chain on f at index n, judging each link as :func:`holds` does.
 
-    In order: |xi0| = 1, milin_exponent <= -2 M alpha cos(gamma),
-    beta_bound^2 <= exp(milin_exponent) and ||a_{n+1}| - |a_n|| <=
-    final_bound = exp(-M alpha cos gamma); the first to fail raises
+    In order: |xi0| = 1 to 1e-12, milin_exponent <= -2 M alpha cos(gamma),
+    beta_bound^2 <= exp(milin_exponent) and ||a_{n+1}| - |a_n|| <= final_bound
+    = exp(-M alpha cos gamma); the first to fail, or to read NaN, raises
     ChainInequalityViolation.  An exponential past the double range is inf.
     """
     if n < 1:
@@ -367,16 +372,16 @@ def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofT
     exponent = float(np.sum(np.abs(big_c - xi0**k) ** 2 / k - 1.0 / k))
     beta = abs(f.a(n + 1) - xi0 * f.a(n))
     final = _exp(-M * alpha * math.cos(gamma))
-    if abs(abs(xi0) - 1.0) > 1e-12:
+    if not abs(abs(xi0) - 1.0) <= 1e-12:
         raise ChainInequalityViolation(f"|xi0| = {abs(xi0)!r} is not 1")
     lemma_cap = -2.0 * M * alpha * math.cos(gamma)
-    if exponent > lemma_cap + TOL_INEQ:
+    if not holds(exponent, lemma_cap):
         raise ChainInequalityViolation(f"milin exponent {exponent:.6e} exceeds {lemma_cap:.6e}")
     # a product, not **2, which raises past the double range
-    if beta * beta > _exp(exponent) + TOL_INEQ:
+    if not holds(beta * beta, _exp(exponent)):
         raise ChainInequalityViolation(f"beta bound {beta:.6e} breaks the exponentiation step")
     diff = successive_diff(f, n)
-    if diff > final + TOL_INEQ:
+    if not holds(diff, final):
         raise ChainInequalityViolation(
             f"successive difference {diff:.6e} exceeds final bound {final:.6e}"
         )

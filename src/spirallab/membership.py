@@ -22,9 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from .classes import ClassSpec
+from .inequalities import holds
 from .series import DIV_FLOOR, FunctionSeries
 
-#: Margins above -TOL_MEMBER count as membership at grid resolution.
+#: A report passes when holds(-margin, TOL_MEMBER): margin >= -(TOL_MEMBER + TOL_INEQ).
 TOL_MEMBER = 1e-7
 
 
@@ -79,7 +80,8 @@ class MembershipReport:
 
     @property
     def passed(self) -> bool:
-        return self.margin >= -TOL_MEMBER
+        """holds(-margin, TOL_MEMBER), the verdict of the CLI's membership row too."""
+        return holds(-self.margin, TOL_MEMBER)
 
 
 def check_spirallike(f: FunctionSeries, spec: ClassSpec, grid: Grid = Grid()) -> MembershipReport:

@@ -281,6 +281,9 @@ def test_named_rejects_unknown_and_bad_params():
         named("l_phi", 10, phi=0.0)
     with pytest.raises(InvalidParams):
         named("koebe", 10, beta=2.0)
+    # a_n of z (1-z)^{-beta} grows like beta^(n-1) / (n-1)!, past the double range by order 64
+    with pytest.raises(InvalidParams, match="double range"):
+        named("power_map", 64, beta=1e9)
 
 
 # ----------------------------------------------------------------------

@@ -240,7 +240,19 @@ def test_search_robertson_on_c_half_checks_thm_robertson(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["table", "--n", "3"], ["verify", "--seed", "x"], ["nope"], [], ["table", "--format", "xml"]],
+    [
+        ["table", "--n", "3"],
+        ["verify", "--seed", "x"],
+        ["nope"],
+        [],
+        ["table", "--format", "xml"],
+        # a flag the command does not read
+        ["search", "--order", "4096"],
+        ["search", "--format", "csv"],
+        ["table", "--seed", "3"],
+        ["trace", "--format", "json"],
+        ["sample", "--format", "json"],
+    ],
 )
 def test_usage_error_exits_one(capsys, argv):
     assert main(argv) == EXIT_CONFIG
@@ -598,6 +610,16 @@ _OUTSIDE_SCHEMA = {
     ),
     "named_entries_repeat_ids": (
         "verify", {**_SAMPLED_MAIN, "functions": [{"name": "koebe"}, {"name": "koebe"}]}
+    ),
+    # a named function whose coefficients overflow a double
+    "named_coefficients_overflow": (
+        "trace",
+        {
+            "spec": {"kind": "starlike", "alpha": -1.0},
+            "n": [50, 60],
+            "order": 64,
+            "functions": [{"name": "power_map", "params": {"beta": 1e9}}],
+        },
     ),
     "thm_b_on_c_half": (
         "verify",

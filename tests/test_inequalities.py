@@ -30,7 +30,7 @@ from spirallab import (
     successive_diff,
 )
 from spirallab import inequalities
-from spirallab.inequalities import THEOREMS, class_bound
+from spirallab.inequalities import THEOREMS, class_bound, holds
 from oracles import alexander_inverse, fixed_measure
 
 
@@ -452,6 +452,23 @@ def test_proof_trace_checks_each_link(monkeypatch, name, broken, message):
     monkeypatch.setattr(inequalities, name, broken)
     with pytest.raises(ChainInequalityViolation, match=message):
         proof_trace(named("koebe", 20), 0.0, 0.0, 5)
+
+
+def test_holds_boundary():
+    # slack rhs - lhs exactly -TOL_INEQ passes; the next float below it fails
+    assert holds(TOL_INEQ, 0.0)
+    assert not holds(math.nextafter(TOL_INEQ, math.inf), 0.0)
+    assert holds(1.0, math.inf) and holds(-math.inf, 1.0)
+    for lhs, rhs in [(math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf)]:
+        assert not holds(lhs, rhs)  # NaN, read or made by inf - inf, fails
+
+
+def test_proof_trace_fails_on_nan():
+    # a NaN coefficient makes M and the links that read it NaN, which must not pass
+    c = named("koebe", 20).coeffs.copy()
+    c[6] = math.nan
+    with pytest.raises(ChainInequalityViolation):
+        proof_trace(FunctionSeries(c), 0.0, -1.0, 8)
 
 
 def test_proof_trace_serializes():

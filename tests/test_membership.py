@@ -9,6 +9,8 @@ from spirallab import (
     CriticalPointOnGrid,
     FunctionSeries,
     Grid,
+    MembershipReport,
+    TOL_INEQ,
     TOL_MEMBER,
     ZeroOnGrid,
     check_convex,
@@ -17,6 +19,7 @@ from spirallab import (
     member_from_measure,
     named,
 )
+from spirallab.cli import _row
 from oracles import circle, fixed_measure
 
 # Truncated polynomials only track their function out to a radius set by
@@ -39,6 +42,17 @@ def test_koebe_is_starlike_on_ladder():
     assert report.margin > 0
     assert report.margin == pytest.approx(0.01 / 1.99, abs=1e-6)
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "margin, passed",
+    [(-1.05e-7, True), (-(TOL_MEMBER + TOL_INEQ), True), (-1.2e-7, False), (math.nan, False)],
+)
+def test_report_verdict_is_the_cli_membership_row(margin, passed):
+    # one rule for both: margin >= -(TOL_MEMBER + TOL_INEQ), and NaN fails
+    assert MembershipReport(margin, Grid(), 0j).passed == passed
+    row = _row("membership", "f", None, ClassSpec("starlike"), None, None, -margin, TOL_MEMBER)
+    assert row["pass"] == passed
 
 
 def test_identity_map_margin_is_exact():
