@@ -12,6 +12,8 @@ import json
 import math
 import sys
 from collections import Counter
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -282,19 +284,9 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
     return out
 
 
-def _write(cfg: dict, doc, tabular: bool = False) -> None:
-    """Write doc to cfg's 'out' path, or to stdout without one.
-
-    A list of report rows (``tabular``) follows the 'format' field, CSV
-    or JSON; any other document is always JSON.
-    """
-    if tabular and cfg.get("format", "csv") == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for row in doc:
-            lines.append(",".join(_fmt(row[col]) for col in CSV_COLUMNS))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(cfg: dict, doc) -> None:
+    """Write doc to cfg's 'out' path, or to stdout without one: a str as it is, else as JSON."""
+    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True) + "\n"
     out = cfg.get("out")
     if out:
         with _open_out(out, "w") as fh:
@@ -303,28 +295,45 @@ def _write(cfg: dict, doc, tabular: bool = False) -> None:
         sys.stdout.write(text)
 
 
-def _write_rows(cfg: dict, rows: list) -> int:
-    """Sort report rows by function then index, write them, and return the exit code."""
-    rows.sort(key=lambda r: (r["function_id"], r["n"] if r["n"] is not None else -1))
-    _write(cfg, rows, tabular=True)
-    return EXIT_OK if all(r["pass"] for r in rows) else EXIT_VIOLATION
+class _Block(NamedTuple):
+    """One function's report rows: a cell (theorem, n, m, lhs, rhs) each, membership first."""
+
+    fid: str
+    seed: int | None
+    spec: ClassSpec
+    cells: list
 
 
-def _row(theorem, fid, seed, spec, n, m, lhs, rhs):
-    slack = rhs - lhs
-    return {
-        "theorem_id": theorem,
-        "function_id": fid,
-        "seed": seed,
-        "gamma": spec.gamma,
-        "alpha": spec.alpha,
-        "n": n,
-        "m": m,
-        "lhs": lhs,
-        "rhs": rhs,
-        "slack": slack,
-        "pass": holds(lhs, rhs),
-    }
+def _write_blocks(cfg: dict, blocks: list) -> int:
+    """Write the blocks' rows by function id, then n, in cfg's 'format'; return the exit code.
+
+    Each row's slack is rhs - lhs and its pass holds(lhs, rhs).  CSV fields
+    follow _fmt (.12g floats, "" for None, true/false), written inline; the
+    id, seed, gamma and alpha fields are formatted once per block.
+    """
+    blocks.sort(key=lambda b: b.fid)  # function ids are unique
+    if cfg.get("format", "csv") == "json":
+        rows = [
+            dict(zip(CSV_COLUMNS, (theorem, fid, seed, spec.gamma, spec.alpha, n, m,
+                                   lhs, rhs, rhs - lhs, holds(lhs, rhs))))
+            for fid, seed, spec, cells in blocks
+            for theorem, n, m, lhs, rhs in cells
+        ]
+        _write(cfg, rows)
+        return EXIT_OK if all(row["pass"] for row in rows) else EXIT_VIOLATION
+    lines = [",".join(CSV_COLUMNS)]
+    failed = False
+    for fid, seed, spec, cells in blocks:
+        ids = ",".join(_fmt(v) for v in (fid, seed, spec.gamma, spec.alpha))
+        for theorem, n, m, lhs, rhs in cells:
+            ok = holds(lhs, rhs)
+            failed = failed or not ok
+            lines.append(
+                f"{theorem},{ids},{'' if n is None else n},{'' if m is None else m},"
+                f"{lhs:.12g},{rhs:.12g},{rhs - lhs:.12g},{'true' if ok else 'false'}"
+            )
+    _write(cfg, "\n".join(lines) + "\n")
+    return EXIT_VIOLATION if failed else EXIT_OK
 
 
 def _grid(cfg: dict) -> Grid | None:
@@ -359,10 +368,15 @@ def _cmd_verify(cfg: dict) -> int:
     ns = _n_range(cfg)
     grid = _grid(cfg)
     # membership reads every coefficient, the bounds none past a_{max n + 1}
-    functions = _build_functions(cfg, spec, order, order if grid is not None else max(ns) + 1)
+    # (ns[-1]: max() would walk the whole range)
+    functions = _build_functions(cfg, spec, order, order if grid is not None else ns[-1] + 1)
+    # without a per-function rhs the row's rhs depends on n alone: each n's is
+    # computed once, when the first function reaches it
+    class_rhs = cache(lambda n: bound_rhs(theorem, n, m, alpha=spec.alpha))
 
-    rows = []
+    blocks = []
     for fid, f, seed in functions:
+        cells = []
         if grid is not None:
             check = check_convex if spec.is_convex_kind else check_spirallike
             try:
@@ -370,23 +384,27 @@ def _cmd_verify(cfg: dict) -> int:
             except (ZeroOnGrid, CriticalPointOnGrid):
                 # a vanishing f or f' on the grid rules the class out outright
                 lhs = math.inf
-            rows.append(_row("membership", fid, seed, spec, None, None, lhs, TOL_MEMBER))
+            cells.append(("membership", None, None, lhs, TOL_MEMBER))
         for n in ns:
             lhs = functional(f, n, m)
-            try:
-                rhs = member_rhs(theorem, f, spec, n, m)
-            except ChainInequalityViolation:
-                # a broken derivation chain is a red-alert row, not a crash
-                rhs = math.nan
-            rows.append(_row(theorem, fid, seed, spec, n, m, lhs, rhs))
-    return _write_rows(cfg, rows)
+            if row.member is None:
+                rhs = class_rhs(n)
+            else:
+                try:
+                    rhs = member_rhs(theorem, f, spec, n, m)
+                except ChainInequalityViolation:
+                    # a broken derivation chain is a red-alert row, not a crash
+                    rhs = math.nan
+            cells.append((theorem, n, m, lhs, rhs))
+        blocks.append(_Block(fid, seed, spec, cells))
+    return _write_blocks(cfg, blocks)
 
 
 def _cmd_trace(cfg: dict) -> int:
     order = _positive(cfg, "order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
     ns = _n_range(cfg)
-    functions = _build_functions(cfg, spec, order, max(ns) + 1)
+    functions = _build_functions(cfg, spec, order, ns[-1] + 1)
     docs = []
     for fid, f, seed in functions:
         for n in ns:
@@ -458,7 +476,7 @@ def _cmd_sample(cfg: dict) -> int:
 def _cmd_table(cfg: dict) -> int:
     """Golden table: the named extremal functions against their theorems."""
     ns = _n_range(cfg) if "n" in cfg else range(2, 21)
-    order = _positive(cfg, "order", max(ORDER_DEFAULT, max(ns) + 1))
+    order = _positive(cfg, "order", max(ORDER_DEFAULT, ns[-1] + 1))
     koebe = named("koebe", order)
     chalf = named("c_half_extremal", order)
     cube = named("power_map", order, beta=3.0)
@@ -473,13 +491,12 @@ def _cmd_table(cfg: dict) -> int:
         ("thm_C", "power_map(beta=3)", ClassSpec("starlike", alpha=-0.5), lambda n: cube),
         ("thm_B", "l_phi(pi/n)", ClassSpec("convex"), sharp),
     )
-    rows = []
+    blocks = [_Block(fid, None, spec, []) for _, fid, spec, _ in cases]
     for n in ns:
-        for theorem, fid, spec, build in cases:
+        for (theorem, _, spec, build), block in zip(cases, blocks):
             lhs = FUNCTIONALS[THEOREMS[theorem].functional](build(n), n)
-            rhs = bound_rhs(theorem, n, alpha=spec.alpha)
-            rows.append(_row(theorem, fid, None, spec, n, None, lhs, rhs))
-    return _write_rows(cfg, rows)
+            block.cells.append((theorem, n, None, lhs, bound_rhs(theorem, n, alpha=spec.alpha)))
+    return _write_blocks(cfg, blocks)
 
 
 #: command -> (handler, help, the override flags it reads besides --config and --out)

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from spirallab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
+from spirallab.cli import CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _fmt, main
+from test_golden import CASES as GOLDEN
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -630,6 +631,10 @@ _OUTSIDE_SCHEMA = {
             "functions": [{"name": "c_half_extremal"}],
         },
     ),
+    # an n range far past the order: the top of the range is read, never the whole range
+    "verify_n_range_past_order": ("verify", {**_SAMPLED_MAIN, "order": 64, "n": [2, 10**15]}),
+    "trace_n_range_past_order": ("trace", {**_SAMPLED_MAIN, "order": 64, "n": [2, 10**15]}),
+    "table_n_range_past_order_ceiling": ("table", {"n": [2, 10**15]}),
 }
 
 
@@ -664,3 +669,37 @@ def test_empty_membership_object_is_the_default_grid(tmp_path):
         runs.append((main(["verify", "--config", cfg]), out.read_bytes()))
     assert runs[0] == runs[1]
     assert runs[0][1].count(b"membership,") == 2
+
+
+#: command and config of reports written in both formats; the golden ones hold
+#: named and sampled entries together, and nan and inf cells
+_BOTH_FORMATS = {
+    "named_and_sampled": ("verify", GOLDEN["verify_thm_robertson"][1]),
+    "sampled_membership": ("verify", {**_SAMPLED_MAIN, "membership": True}),
+    "class_wide_membership": (
+        "verify", {**_SAMPLED_MAIN, "theorem": "cor_spiral", "membership": {"radii": [0.5]}}
+    ),
+    "nan_cells": ("verify", GOLDEN["verify_thm_main_nan_rows"][1]),
+    "inf_cells": ("verify", GOLDEN["verify_thm_main_bound_overflows_csv"][1]),
+    "table": ("table", {"n": [2, 8]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOTH_FORMATS))
+def test_csv_rows_are_the_json_rows_formatted(tmp_path, case):
+    # the CSV writer formats its fields inline: each must be _fmt of the JSON value
+    command, doc = _BOTH_FORMATS[case]
+    codes, reports = set(), {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        cfg = write_config(tmp_path, {**doc, "format": fmt, "out": str(out)})
+        codes.add(main([command, "--config", cfg]))
+        reports[fmt] = out.read_text()
+    assert len(codes) == 1
+    header, *lines = reports["csv"].splitlines()
+    rows = json.loads(reports["json"])
+    assert header == ",".join(CSV_COLUMNS)
+    assert len(lines) == len(rows) > 0
+    for line, row in zip(lines, rows):
+        # function ids may hold commas, so the whole line is compared
+        assert line == ",".join(_fmt(row[col]) for col in CSV_COLUMNS)

@@ -117,6 +117,35 @@ CASES = {
         "bf94a04df0f79c371eb50632060ccc5f533268539bb498ad12d0d9911ce059d0",
         EMPTY,
     ),
+    # koebe is not starlike of order 0.9, so its derivation chain breaks:
+    # the rows read rhs and slack nan and fail
+    "verify_thm_main_nan_rows": (
+        "verify",
+        {
+            "spec": {"kind": "starlike", "alpha": 0.9},
+            "theorem": "thm_main",
+            "n": [9, 11],
+            "functions": [{"name": "koebe"}],
+        },
+        EXIT_VIOLATION,
+        "8a11ae5a4e07faffb159e797cef7bcaa15f20797d788000e37ebc155423c1903",
+        EMPTY,
+    ),
+    # exp(-M alpha cos gamma) past the double range: rhs and slack inf, every row passes
+    "verify_thm_main_bound_overflows_csv": (
+        "verify",
+        {
+            "seed": 1,
+            "order": 32,
+            "spec": {"kind": "starlike", "alpha": -100.0},
+            "theorem": "thm_main",
+            "n": [2, 4],
+            "functions": [{"sampled": {"trials": 2, "k_atoms": 3}}],
+        },
+        EXIT_OK,
+        "2b6c68de3e2d6362b05a75e920b0bb4132ef7740bfca4e001de00ab909105132",
+        EMPTY,
+    ),
     "trace": (
         "trace",
         {

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from spirallab import (
     member_from_measure,
     named,
 )
-from spirallab.cli import _row
+from spirallab.cli import EXIT_OK, EXIT_VIOLATION, _Block, _write_blocks
 from oracles import circle, fixed_measure
 
 # Truncated polynomials only track their function out to a radius set by
@@ -48,11 +49,19 @@ def test_koebe_is_starlike_on_ladder():
     "margin, passed",
     [(-1.05e-7, True), (-(TOL_MEMBER + TOL_INEQ), True), (-1.2e-7, False), (math.nan, False)],
 )
-def test_report_verdict_is_the_cli_membership_row(margin, passed):
+def test_report_verdict_is_the_cli_membership_row(tmp_path, margin, passed):
     # one rule for both: margin >= -(TOL_MEMBER + TOL_INEQ), and NaN fails
     assert MembershipReport(margin, Grid(), 0j).passed == passed
-    row = _row("membership", "f", None, ClassSpec("starlike"), None, None, -margin, TOL_MEMBER)
-    assert row["pass"] == passed
+    cell = ("membership", None, None, -margin, TOL_MEMBER)
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        block = _Block("f", None, ClassSpec("starlike"), [cell])
+        code = _write_blocks({"format": fmt, "out": str(out)}, [block])
+        assert code == (EXIT_OK if passed else EXIT_VIOLATION)
+        if fmt == "json":
+            assert json.loads(out.read_text())[0]["pass"] == passed
+        else:
+            assert out.read_text().splitlines()[1].endswith(",true" if passed else ",false")
 
 
 def test_identity_map_margin_is_exact():
