@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classes import (
+    MAX_ATOMS,
     ClassSpec,
     InvalidParams,
     UnknownName,
@@ -37,7 +38,6 @@ from .inequalities import (
     bound_rhs,
     class_bound,
     holds,
-    member_rhs,
     proof_trace,
 )
 from .membership import (
@@ -78,6 +78,7 @@ _CEILINGS = {
     "m": 2**20,
     "n": 32768,
     "trials": 100000,
+    "k_atoms": MAX_ATOMS,
     "coefficients": 2**25,
     "budget": 1_000_000,
 }
@@ -238,6 +239,7 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
     """
     entries = _require(cfg, "functions", list)
     ids = []  # the function ids of each entry
+    k_atoms = []  # the k_atoms of each sampled entry, in entry order
     for entry in entries:
         if not isinstance(entry, dict) or ("name" in entry) == ("sampled" in entry):
             raise ConfigError("a function entry is an object with one of 'name' and 'sampled'")
@@ -247,6 +249,7 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
                 raise ConfigError("field 'sampled' must be an object")
             _known(entry["sampled"], "sampled object")
             trials = _positive(entry["sampled"], "trials", 1)
+            k_atoms.append(_positive(entry["sampled"], "k_atoms", 2))
             ids.append([f"sample-{t:04d}" for t in range(trials)])
             continue
         _known(entry, "named entry")
@@ -266,6 +269,8 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
     repeated = [fid for fid, count in counts.items() if count > 1]
     if repeated:
         raise ConfigError(f"function id {repeated[0]!r} repeats")
+    seed = _seed(cfg) if k_atoms else None
+    atoms = iter(k_atoms)
     out = []
     for entry, group in zip(entries, ids):
         if "name" in entry:
@@ -277,9 +282,7 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
                 raise ConfigError(str(exc)) from None
             out.append((group[0], f, None))
         else:
-            k_atoms = _optional(entry["sampled"], "k_atoms", 2)
-            seed = _seed(cfg)
-            members = _suite(seed, spec, order, upto, len(group), k_atoms)
+            members = _suite(seed, spec, order, upto, len(group), next(atoms))
             out.extend((fid, f, seed) for fid, (_, f) in zip(group, members))
     return out
 
@@ -391,7 +394,7 @@ def _cmd_verify(cfg: dict) -> int:
                 rhs = class_rhs(n)
             else:
                 try:
-                    rhs = member_rhs(theorem, f, spec, n, m)
+                    rhs = row.member(f, spec, n)
                 except ChainInequalityViolation:
                     # a broken derivation chain is a red-alert row, not a crash
                     rhs = math.nan
@@ -457,7 +460,7 @@ def _cmd_sample(cfg: dict) -> int:
     order = _positive(cfg, "order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
     trials = _positive(cfg, "trials")
-    k_atoms = _optional(cfg, "k_atoms", 2)
+    k_atoms = _positive(cfg, "k_atoms", 2)
     seed = _seed(cfg)
     _check_coefficients(trials, order, order)
     docs = [
@@ -476,13 +479,16 @@ def _cmd_sample(cfg: dict) -> int:
 def _cmd_table(cfg: dict) -> int:
     """Golden table: the named extremal functions against their theorems."""
     ns = _n_range(cfg) if "n" in cfg else range(2, 21)
-    order = _positive(cfg, "order", max(ORDER_DEFAULT, ns[-1] + 1))
+    # built through a_{n+1}, the last coefficient a row reads; a row rejects an n below 2
+    order = max(ns[-1] + 1, 1)
+    if order > _CEILINGS["order"]:
+        raise ConfigError(f"field 'n' must be <= {_CEILINGS['order'] - 1}")
     koebe = named("koebe", order)
     chalf = named("c_half_extremal", order)
     cube = named("power_map", order, beta=3.0)
 
     def sharp(n):
-        return named("l_phi", order, phi=math.pi / n)
+        return named("l_phi", n + 1, phi=math.pi / n)
 
     # (theorem, function id, class, builder of the function used at index n)
     cases = (
@@ -506,7 +512,7 @@ _COMMANDS = {
     "trace": (_cmd_trace, "derivation-chain traces per function", ("seed", "order")),
     "search": (_cmd_search, "sharpness search over atomic measures", ("seed",)),
     "sample": (_cmd_sample, "write sampled measures and their coefficients", ("seed", "order")),
-    "table": (_cmd_table, "golden table of the named extremal functions", ("order", "format")),
+    "table": (_cmd_table, "golden table of the named extremal functions", ("format",)),
 }
 
 

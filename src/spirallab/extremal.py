@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .classes import MAX_ATOMS, TWO_PI, AtomicMeasure, ClassSpec, check_atoms, member_builder
-from .inequalities import FUNCTIONALS, ON_COEFFICIENTS
+from .inequalities import FUNCTIONALS, ON_COEFFICIENTS, check_indices
 from .series import ORDER_DEFAULT
 
 #: Per-restart convergence tolerance on the simplex objective spread.
@@ -45,8 +45,7 @@ class SearchProblem:
     def __post_init__(self):
         if self.functional not in FUNCTIONALS:
             raise ValueError(f"unknown functional {self.functional!r}")
-        if self.functional == "robertson" and (self.m is None or not self.n > self.m >= 1):
-            raise ValueError("robertson functional needs n > m >= 1")
+        check_indices(self.functional, self.n, self.m)
         if not 1 <= self.k_atoms <= MAX_ATOMS:
             raise ValueError(f"k_atoms must lie in 1..{MAX_ATOMS}")
         if self.budget < 100 * self.k_atoms:

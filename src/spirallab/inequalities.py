@@ -80,6 +80,12 @@ def holds(lhs: float, rhs: float) -> bool:
     return rhs - lhs >= -TOL_INEQ
 
 
+def check_indices(functional: str, n: int, m: int | None) -> None:
+    """Raise InvalidIndices unless the indices suit functional: robertson needs n > m >= 1."""
+    if functional == "robertson" and (m is None or not n > m >= 1):
+        raise InvalidIndices("robertson needs n > m >= 1")
+
+
 def successive_diff(f: FunctionSeries, n: int) -> float:
     """The two-sided functional | |a_{n+1}| - |a_n| |."""
     return abs(one_sided_diff(f, n))
@@ -97,14 +103,13 @@ def one_sided_diff(f: FunctionSeries, n: int) -> float:
 def gamma_ratio(alpha: float, n: int) -> float:
     """Gamma(1 - 2 alpha + n) / (Gamma(1 - 2 alpha) Gamma(n + 1)).
 
-    Computed by the telescoping product of (k - 2 alpha)/k, never by
-    evaluating Gamma itself, so it neither overflows nor loses more than
-    O(n ulp) relative accuracy.
+    Computed by the telescoping product of (k - 2 alpha)/k, k = 1..n, taken
+    in that order, never by evaluating Gamma itself, so it loses no more
+    than O(n ulp) relative accuracy.
     """
-    value = 1.0
-    for k in range(1, n + 1):
-        value *= (k - 2.0 * alpha) / k
-    return value
+    k = np.arange(1.0, n + 1)
+    with np.errstate(over="ignore"):  # a ratio past the double range is inf
+        return float(np.cumprod(np.append(1.0, (k - 2.0 * alpha) / k))[-1])
 
 
 class Theorem(NamedTuple):
@@ -168,29 +173,17 @@ def bound_rhs(
 ) -> float:
     """Class-wide right-hand side of the theorem's THEOREMS row at index n (and m).
 
-    thm_robertson needs n > m >= 1, every other theorem n >= 2.
+    Every theorem needs n >= 2, and thm_robertson n > m >= 1 (check_indices).
     """
     row = THEOREMS.get(theorem_id)
     if row is None:
         raise InvalidIndices(f"unknown theorem id {theorem_id!r}")
-    if row.functional == "robertson":
-        if m is None or not n > m >= 1:
-            raise InvalidIndices("robertson bound needs n > m >= 1")
-    elif n < 2:
+    check_indices(row.functional, n, m)
+    if n < 2:
         raise InvalidIndices(f"{theorem_id} bound needs n >= 2")
     if row.member is not None and alpha != 0.0:
-        raise InvalidIndices(f"{theorem_id} at alpha != 0 is per-function; see member_rhs")
+        raise InvalidIndices(f"{theorem_id} at alpha != 0 is per-function; see Theorem.member")
     return row.rhs(n, m, alpha)
-
-
-def member_rhs(
-    theorem_id: str, f: FunctionSeries, spec: ClassSpec, n: int, m: int | None = None
-) -> float:
-    """theorem_id's rhs for f in spec at n: the row's per-function rhs, else its class-wide one."""
-    row = THEOREMS.get(theorem_id)
-    if row is not None and row.member is not None:
-        return row.member(f, spec, n)
-    return bound_rhs(theorem_id, n, m, alpha=spec.alpha)
 
 
 def class_bound(spec: ClassSpec, functional: str, n: int, m: int | None = None) -> tuple | None:
@@ -402,8 +395,7 @@ def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofT
 
 def robertson_gap(f: FunctionSeries, n: int, m: int) -> float:
     """Robertson's functional | n|a_n| - m|a_m| |, bounded by (n-m)(n+m+1)/2."""
-    if not n > m >= 1:
-        raise InvalidIndices("robertson gap needs n > m >= 1")
+    check_indices("robertson", n, m)
     if n > f.order:
         raise OrderTooLow(f"need order >= {n}, have {f.order}")
     return ON_COEFFICIENTS["robertson"](f.a, n, m)

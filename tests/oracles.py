@@ -59,6 +59,18 @@ def div_sliced(a: Series, b: Series) -> Series:
     return Series(q)
 
 
+def gamma_ratios(alpha: float, n: int) -> list:
+    """Gamma(1 - 2 alpha + j) / (Gamma(1 - 2 alpha) Gamma(j + 1)) for j = 0..n, by a k-loop.
+
+    Entry j is the running product after multiplying in (k - 2 alpha)/k
+    for k = 1..j, one factor at a time, which ``gamma_ratio`` matches bit for bit.
+    """
+    values = [1.0]
+    for k in range(1, n + 1):
+        values.append(values[-1] * ((k - 2.0 * alpha) / k))
+    return values
+
+
 def circle(r: float, m: int) -> np.ndarray:
     """The m grid points r exp(2 pi i j / m), built afresh on each call."""
     return r * np.exp(2j * np.pi * np.arange(m) / m)

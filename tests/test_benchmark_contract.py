@@ -7,6 +7,7 @@ package would otherwise show up only when the benchmark runs.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -58,3 +59,35 @@ def test_every_span_target_exists_and_uninstall_restores_it(monkeypatch):
 )
 def test_oracle_copies_match_the_package(monkeypatch, name, package_value):
     assert getattr(load("oracle", monkeypatch), name) == package_value
+
+
+def test_span_counts_per_member_and_row(tmp_path, monkeypatch):
+    # the call shape perfbench/selftest.py pins on verify_main, at 2 members and n = 2..4:
+    # each row's lhs and its proof trace call successive_diff by its module-level name,
+    # which is the binding the tracer rebinds, and each member is built by one exp_zero
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps(
+            {
+                "seed": 1,
+                "order": 32,
+                "spec": {"kind": "spirallike", "gamma": 0.3, "alpha": 0.2},
+                "theorem": "thm_main",
+                "n": [2, 4],
+                "functions": [{"sampled": {"trials": 2, "k_atoms": 3}}],
+                "membership": {"radii": [0.5], "m": 64},
+                "out": str(tmp_path / "report.csv"),
+            }
+        )
+    )
+    tracer = load("spans", monkeypatch).Tracer()
+    try:
+        assert tracer.install() == []
+        assert cli.main(["verify", "--config", str(config)]) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    calls = {name: stats[0] for name, stats in tracer.span_stats().items()}
+    members, rows = 2, 2 * 3
+    assert calls["inequalities.successive_diff"] == 2 * rows
+    assert calls["classes.member_from_measure"] == members
+    assert calls["series.exp_zero"] == members

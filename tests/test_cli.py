@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import spirallab.cli as cli
+from spirallab import classes
 from spirallab.cli import CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _fmt, main
 from test_golden import CASES as GOLDEN
 
@@ -20,6 +22,21 @@ def test_table_passes_and_is_deterministic(tmp_path):
     assert main(["table", "--config", cfg, "--out", str(out1)]) == EXIT_OK
     assert main(["table", "--config", cfg, "--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_table_builds_each_l_phi_through_its_last_read_coefficient(tmp_path, monkeypatch):
+    # row n reads a_n and a_{n+1} of l_phi(pi/n), so that member is built at order n + 1
+    orders = []
+    build = classes._NAMED["l_phi"]
+
+    def recorded(order, phi):
+        orders.append(order)
+        return build(order, phi)
+
+    monkeypatch.setitem(classes._NAMED, "l_phi", recorded)
+    cfg = write_config(tmp_path, {"n": [2, 12], "out": str(tmp_path / "table.csv")})
+    assert main(["table", "--config", cfg]) == EXIT_OK
+    assert orders == [n + 1 for n in range(2, 13)]
 
 
 def test_table_contents(tmp_path):
@@ -253,6 +270,7 @@ def test_search_robertson_on_c_half_checks_thm_robertson(tmp_path, capsys):
         ["table", "--seed", "3"],
         ["trace", "--format", "json"],
         ["sample", "--format", "json"],
+        ["table", "--order", "64"],
     ],
 )
 def test_usage_error_exits_one(capsys, argv):
@@ -491,7 +509,9 @@ _OUTSIDE_SCHEMA = {
         "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "functional": ["x"]}
     ),
     "search_seed_negative": ("search", {"seed": -1, "spec": {"kind": "starlike"}, "n": 4}),
-    "table_order_zero": ("table", {"order": 0}),
+    "sample_order_zero": (
+        "sample", {"seed": 1, "trials": 1, "order": 0, "spec": {"kind": "starlike"}}
+    ),
     "out_not_a_string": ("table", {"out": 5}),
     "out_is_a_directory": ("table", {"out": "."}),
     "membership_string": ("verify", {**_SAMPLED_MAIN, "membership": "no"}),
@@ -523,7 +543,10 @@ _OUTSIDE_SCHEMA = {
     "sample_k_atoms_past_ceiling": (
         "sample", {"seed": 1, "trials": 2, "k_atoms": 17, "spec": {"kind": "starlike"}}
     ),
-    "order_past_ceiling": ("table", {"order": 65537}),
+    "order_past_ceiling": (
+        "sample", {"seed": 1, "trials": 1, "order": 65537, "spec": {"kind": "starlike"}}
+    ),
+    "table_n_past_ceiling": ("table", {"n": [2, 65536]}),
     "membership_m_past_ceiling": (
         "verify", {**_SAMPLED_MAIN, "membership": {"radii": [0.5], "m": 2**20 + 1}}
     ),
@@ -571,6 +594,7 @@ _OUTSIDE_SCHEMA = {
     "trace_n_zero": ("trace", {**_SAMPLED_MAIN, "n": 0}),
     "trace_n_negative": ("trace", {**_SAMPLED_MAIN, "n": [-1, -1]}),
     "trace_n_from_zero": ("trace", {**_SAMPLED_MAIN, "n": [0, 3]}),
+    "table_n_negative": ("table", {"n": [-1, -1]}),
     # a theorem on a class it is not stated for, where its rhs bounds nothing
     "thm_c_on_positive_order": (
         "verify",
@@ -647,6 +671,33 @@ def test_config_outside_schema_is_config_error(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
     assert captured.out == ""  # rejected before any work is streamed
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {
+            **_SAMPLED_MAIN,
+            "functions": [{"name": "koebe"}, {"sampled": {"trials": 1, "k_atoms": 17}}],
+        },
+        {
+            **{key: value for key, value in _SAMPLED_MAIN.items() if key != "seed"},
+            "functions": [{"name": "koebe"}, {"sampled": {"trials": 1}}],
+        },
+    ],
+    ids=["k_atoms_past_ceiling", "no_seed"],
+)
+def test_every_function_entry_is_checked_before_any_member_is_built(tmp_path, monkeypatch, doc):
+    # a sampled entry's k_atoms and the config's seed are read before the named koebe is built
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classes.named(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "named", counted)
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert calls == []
 
 
 def test_thm_main_bound_overflows(tmp_path):

@@ -29,9 +29,9 @@ from spirallab import (
     robertson_gap,
     successive_diff,
 )
-from spirallab import inequalities
+from spirallab import cli, inequalities
 from spirallab.inequalities import THEOREMS, class_bound, holds
-from oracles import alexander_inverse, fixed_measure
+from oracles import alexander_inverse, fixed_measure, gamma_ratios
 
 
 def harmonic(n):
@@ -94,6 +94,11 @@ def test_bound_thm_C_matches_lgamma():
             assert bound_rhs("thm_C", n, alpha=alpha) == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [-3.0, -0.5, -0.25, 0.0, 0.3, 0.75])
+def test_gamma_ratio_matches_the_k_loop_bit_for_bit(alpha):
+    assert [gamma_ratio(alpha, n) for n in range(2001)] == gamma_ratios(alpha, 2000)
+
+
 def test_bound_thm_B():
     assert bound_rhs("thm_B", 4) == pytest.approx(0.2)
 
@@ -113,7 +118,7 @@ def test_bound_exponential_forms():
     assert bound_rhs("thm_main", 5, alpha=0.0) == 1.0
     assert bound_rhs("cor_convex_gamma", 5, alpha=0.0) == pytest.approx(1 / 6)
     for theorem in ("thm_main", "cor_convex_gamma"):
-        with pytest.raises(InvalidIndices, match="member_rhs"):
+        with pytest.raises(InvalidIndices, match="Theorem.member"):
             bound_rhs(theorem, 5, alpha=0.5)
 
 
@@ -177,6 +182,18 @@ def test_readme_theorem_table_mirrors_theorems():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", readme, re.MULTILINE)
     assert rows == [(theorem, row.functional) for theorem, row in THEOREMS.items()]
+
+
+def test_readme_flags_sentence_mirrors_commands():
+    # README's per-command flags sentence names each command's override flags, in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"the fields it reads: (.*?)\.", readme, re.DOTALL).group(1)
+    flags = {}
+    for clause in sentence.split(";"):
+        commands, taken = re.split(r"\btakes?\b", clause)
+        for command in re.findall(r"`(\w+)`", commands):
+            flags[command] = re.findall(r"`--(\w+)`", taken)
+    assert flags == {name: list(reads) for name, (_, _, reads) in cli._COMMANDS.items()}
 
 
 # ----------------------------------------------------------------------
