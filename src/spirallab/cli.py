@@ -11,8 +11,8 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 from functools import cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -70,8 +70,10 @@ CSV_COLUMNS = (
 
 #: Ceilings on the integer sizes a config allocates from, checked by _positive;
 #: search builds members at order max(64, 2n), so n stays within the order ceiling.
-#: "coefficients" bounds trials x (built order + 1) over all sampled members of
-#: one run, which are held at once: 2**25 complex coefficients are 512 MiB.
+#: "coefficients" bounds trials x (built order + 1) of a run's one sampled suite: as members,
+#: 2**25 complex coefficients are 512 MiB.  verify and trace hold one member at a time, but
+#: their rows (about 420 B each) scale with it; sample holds every coefficient as a JSON
+#: [re, im] pair, about 500 B each (about 285 MiB for 64 trials at order 8192).
 #: "budget" caps the objective evaluations of one search, which run one after another.
 _CEILINGS = {
     "order": 65536,
@@ -220,37 +222,39 @@ def _check_coefficients(trials: int, order: int, upto: int) -> None:
         )
 
 
-def _suite(seed: int, spec: ClassSpec, order: int, upto: int, trials: int, k_atoms: int) -> list:
-    """(measure, member through a_upto) per trial, all drawn from one stream seeded by seed."""
+def _suite(seed: int, spec: ClassSpec, order: int, upto: int, trials: int, k_atoms: int):
+    """(measure, member through a_upto) per trial, drawn from one stream seeded by seed and
+    built one at a time; building draws nothing, so the draws are those of drawing all first."""
     rng = np.random.default_rng(seed)
-    measures = [random_measure(rng, k_atoms) for _ in range(trials)]
-    return [
-        (measure, member_from_measure(measure, spec, order, upto=upto)) for measure in measures
-    ]
+    for _ in range(trials):
+        measure = random_measure(rng, k_atoms)
+        yield measure, member_from_measure(measure, spec, order, upto=upto)
 
 
 def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
-    """(function_id, FunctionSeries, seed-or-None) per function the config entries name.
+    """An iterator of (function_id, FunctionSeries, seed-or-None), one per function named.
 
-    Sampled members are built through a_upto only; named ones in full.
-    Every entry is checked before any member is built: function ids must
-    not repeat, and the coefficient ceiling holds for the sampled entries
-    together.
+    One pass checks every entry first: ids must not repeat, so at most one entry is sampled
+    (any two number their members from sample-0000), within the coefficient ceiling.  The
+    named functions, closed forms built in full, come next, so a bad name or params fail
+    before any member is drawn.  The sampled members come last, built through a_upto one at
+    a time as the iterator is read.
     """
     entries = _require(cfg, "functions", list)
-    ids = []  # the function ids of each entry
-    k_atoms = []  # the k_atoms of each sampled entry, in entry order
+    named_entries = {}  # function id -> (name, params)
+    trials = k_atoms = 0  # of the sampled entry; without one, no member is drawn
     for entry in entries:
         if not isinstance(entry, dict) or ("name" in entry) == ("sampled" in entry):
             raise ConfigError("a function entry is an object with one of 'name' and 'sampled'")
         if "sampled" in entry:
+            if trials:
+                raise ConfigError("function id 'sample-0000' repeats")
             _known(entry, "sampled entry")
             if not isinstance(entry["sampled"], dict):
                 raise ConfigError("field 'sampled' must be an object")
             _known(entry["sampled"], "sampled object")
             trials = _positive(entry["sampled"], "trials", 1)
-            k_atoms.append(_positive(entry["sampled"], "k_atoms", 2))
-            ids.append([f"sample-{t:04d}" for t in range(trials)])
+            k_atoms = _positive(entry["sampled"], "k_atoms", 2)
             continue
         _known(entry, "named entry")
         params = entry.get("params", {})
@@ -263,28 +267,21 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
         if params:
             inner = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))
             tag = f"{tag}({inner})"
-        ids.append([tag])
-    _check_coefficients(sum(len(i) for e, i in zip(entries, ids) if "sampled" in e), order, upto)
-    counts = Counter(fid for group in ids for fid in group)
-    repeated = [fid for fid, count in counts.items() if count > 1]
-    if repeated:
-        raise ConfigError(f"function id {repeated[0]!r} repeats")
-    seed = _seed(cfg) if k_atoms else None
-    atoms = iter(k_atoms)
-    out = []
-    for entry, group in zip(entries, ids):
-        if "name" in entry:
-            try:
-                f = named(entry["name"], order, **entry.get("params", {}))
-            except UnknownName as exc:
-                raise ConfigError(f"unknown function name {exc}") from None
-            except ValueError as exc:  # InvalidParams, or coefficients that break a_1 = 1
-                raise ConfigError(str(exc)) from None
-            out.append((group[0], f, None))
-        else:
-            members = _suite(seed, spec, order, upto, len(group), next(atoms))
-            out.extend((fid, f, seed) for fid, (_, f) in zip(group, members))
-    return out
+        if tag in named_entries:
+            raise ConfigError(f"function id {tag!r} repeats")
+        named_entries[tag] = (entry["name"], params)
+    _check_coefficients(trials, order, upto)
+    seed = _seed(cfg) if trials else None
+    functions = []
+    for tag, (name, params) in named_entries.items():
+        try:
+            functions.append((tag, named(name, order, **params), None))
+        except UnknownName as exc:
+            raise ConfigError(f"unknown function name {exc}") from None
+        except ValueError as exc:  # InvalidParams, or coefficients that break a_1 = 1
+            raise ConfigError(str(exc)) from None
+    members = _suite(seed, spec, order, upto, trials, k_atoms) if trials else ()
+    return chain(functions, ((f"sample-{t:04d}", f, seed) for t, (_, f) in enumerate(members)))
 
 
 def _write(cfg: dict, doc) -> None:

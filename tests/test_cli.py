@@ -1,10 +1,11 @@
 import json
 import math
+import weakref
 
 import pytest
 
 import spirallab.cli as cli
-from spirallab import classes
+from spirallab import FunctionSeries, classes
 from spirallab.cli import CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _fmt, main
 from test_golden import CASES as GOLDEN
 
@@ -405,6 +406,45 @@ def test_membership_zero_on_grid_is_red_row(tmp_path):
     assert out.exists()
 
 
+#: power_map(3) = z (1 - z)^-3 has f'(-1/2) = 0, a point of the 4-point grid at r = 0.5
+_CRITICAL_POINT_MEMBERSHIP = {
+    "spec": {"kind": "convex"},
+    "theorem": "thm_B",
+    "n": [2, 3],
+    "functions": [{"name": "power_map", "params": {"beta": 3}}],
+    "membership": {"radii": [0.5], "m": 4},
+}
+
+
+def test_membership_critical_point_on_grid_is_red_row(tmp_path):
+    # f' vanishing on the grid rules the class out: an inf lhs, not a crash
+    out = tmp_path / "rows.json"
+    cfg = write_config(tmp_path, {**_CRITICAL_POINT_MEMBERSHIP, "format": "json", "out": str(out)})
+    assert main(["verify", "--config", cfg]) == EXIT_VIOLATION
+    row = json.loads(out.read_text())[0]
+    assert row["theorem_id"] == "membership"
+    assert (row["lhs"], row["slack"], row["pass"]) == (math.inf, -math.inf, False)
+
+
+def test_trace_broken_chain_writes_violation_docs(tmp_path):
+    # at alpha = -3 the recovered c_k lose digits, so some chains break: exit 2, not a crash
+    out = tmp_path / "traces.json"
+    doc = {
+        "seed": 1,
+        "order": 128,
+        "spec": {"kind": "starlike", "alpha": -3.0},
+        "n": [2, 40],
+        "functions": [{"sampled": {"trials": 20, "k_atoms": 4}}],
+        "out": str(out),
+    }
+    assert main(["trace", "--config", write_config(tmp_path, doc)]) == EXIT_VIOLATION
+    docs = json.loads(out.read_text())
+    assert len(docs) == 20 * 39
+    broken = [d for d in docs if "violation" in d]
+    assert broken
+    assert all(set(d) == {"function_id", "seed", "n", "violation"} for d in broken)
+
+
 def test_seed_flag_overrides_config(tmp_path):
     out1 = tmp_path / "s1.json"
     out2 = tmp_path / "s2.json"
@@ -476,6 +516,9 @@ _OUTSIDE_SCHEMA = {
     ),
     "search_format_unknown": (
         "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "format": "xml"}
+    ),
+    "search_restarts_zero": (
+        "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "restarts": 0}
     ),
     "search_budget_not_int": (
         "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "budget": "x"}
@@ -573,7 +616,7 @@ _OUTSIDE_SCHEMA = {
             "membership": {"radii": [0.5], "m": 64},
         },
     ),
-    # two entries each within the coefficient ceiling and past it together
+    # two sampled entries each within the coefficient ceiling: the second is rejected at once
     "sampled_entries_coefficients_past_ceiling": (
         "verify",
         {
@@ -700,6 +743,96 @@ def test_every_function_entry_is_checked_before_any_member_is_built(tmp_path, mo
     assert calls == []
 
 
+class _Member(FunctionSeries):
+    # a member a weakref can follow: FunctionSeries has no __weakref__ slot
+    __slots__ = ("__weakref__",)
+
+
+def _track_members(monkeypatch):
+    """Wrap cli.member_from_measure; return weakrefs to the members it builds and, per
+    build, how many earlier members are still alive."""
+    built, alive = [], []
+
+    def tracked(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in built))
+        member = _Member(classes.member_from_measure(*args, **kwargs).coeffs)
+        built.append(weakref.ref(member))
+        return member
+
+    monkeypatch.setattr(cli, "member_from_measure", tracked)
+    return built, alive
+
+
+#: case -> (command, config, its config error, the sampled members built before it):
+#: named functions are built before any member, and a row's error stops the run at once
+_LATE_ERRORS = {
+    "unknown_name_after_sampled": (
+        "verify",
+        {**_SAMPLED_MAIN, "functions": [{"sampled": {"trials": 60}}, {"name": "nope"}]},
+        "unknown function name 'nope'",
+        0,
+    ),
+    "n_past_order": (
+        "verify",
+        {
+            **_SAMPLED_MAIN,
+            "order": 256,
+            "theorem": "cor_spiral",
+            "n": [2, 300],
+            "functions": [{"sampled": {"trials": 40}}],
+        },
+        "need order >= 257, have 256",
+        1,
+    ),
+    "robertson_m_zero": (
+        "verify",
+        {
+            **_SAMPLED_MAIN,
+            "spec": {"kind": "c_half", "alpha": -0.5},
+            "theorem": "thm_robertson",
+            "m": 0,
+            "n": [5, 8],
+            "functions": [{"sampled": {"trials": 40}}],
+        },
+        "robertson needs n > m >= 1",
+        1,
+    ),
+    "trace_n_past_order": (
+        "trace",
+        {**_SAMPLED_MAIN, "n": [2, 40], "functions": [{"sampled": {"trials": 40}}]},
+        "need order >= 33, have 32",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LATE_ERRORS))
+def test_config_error_comes_before_the_next_member(tmp_path, monkeypatch, capsys, case):
+    command, doc, message, members = _LATE_ERRORS[case]
+    built, _ = _track_members(monkeypatch)
+    assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert len(built) == members
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("verify", {**_SAMPLED_MAIN, "membership": {"radii": [0.5], "m": 64}}),
+        ("verify", {**_SAMPLED_MAIN, "theorem": "cor_spiral"}),
+        ("trace", _SAMPLED_MAIN),
+    ],
+    ids=["verify_thm_main_membership", "verify_cor_spiral", "trace"],
+)
+def test_each_member_is_dropped_after_its_rows(tmp_path, monkeypatch, command, doc):
+    # the loop still holds the last member while the next is built, and no earlier one
+    built, alive = _track_members(monkeypatch)
+    doc = {**doc, "functions": [{"sampled": {"trials": 6, "k_atoms": 3}}]}
+    cfg = write_config(tmp_path, {**doc, "out": str(tmp_path / "out")})
+    assert main([command, "--config", cfg]) == EXIT_OK
+    assert alive == [0, 1, 1, 1, 1, 1]
+
+
 def test_thm_main_bound_overflows(tmp_path):
     # starlike of order -100 is a valid class whose exp(-M alpha cos gamma) is
     # past the double range: the bound is inf and every row passes against it
@@ -731,6 +864,7 @@ _BOTH_FORMATS = {
         "verify", {**_SAMPLED_MAIN, "theorem": "cor_spiral", "membership": {"radii": [0.5]}}
     ),
     "nan_cells": ("verify", GOLDEN["verify_thm_main_nan_rows"][1]),
+    "critical_point_membership": ("verify", _CRITICAL_POINT_MEMBERSHIP),
     "inf_cells": ("verify", GOLDEN["verify_thm_main_bound_overflows_csv"][1]),
     "table": ("table", {"n": [2, 8]}),
 }

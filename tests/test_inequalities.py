@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from pathlib import Path
@@ -194,6 +195,24 @@ def test_readme_flags_sentence_mirrors_commands():
         for command in re.findall(r"`(\w+)`", commands):
             flags[command] = re.findall(r"`--(\w+)`", taken)
     assert flags == {name: list(reads) for name, (_, _, reads) in cli._COMMANDS.items()}
+
+
+def test_readme_heredoc_configs_run(tmp_path, capsys):
+    # each config README writes with a heredoc runs through the command that follows it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    runs = re.findall(
+        r"cat > (\S+) <<'EOF'\n(.*?)\nEOF\nspirallab (\w+) --config (\S+)\n", readme, re.DOTALL
+    )
+    assert [(name, command) for name, _, command, _ in runs] == [
+        ("verify.json", "verify"), ("trace.json", "trace"), ("search.json", "search")
+    ]
+    for name, text, command, path in runs:
+        assert path == name
+        doc = json.loads(text)
+        config = tmp_path / name
+        config.write_text(json.dumps({**doc, "out": str(tmp_path / doc["out"])}))
+        assert cli.main([command, "--config", str(config)]) == cli.EXIT_OK
+        assert (tmp_path / doc["out"]).stat().st_size > 0
 
 
 # ----------------------------------------------------------------------
