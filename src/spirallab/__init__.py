@@ -15,7 +15,6 @@ from .classes import (
     InvalidParams,
     UnknownName,
     alexander_forward,
-    encode_measure_spec,
     herglotz,
     member_from_measure,
     named,

@@ -73,9 +73,6 @@ class AtomicMeasure:
             raise InvalidParams("measure needs k >= 1 atoms with matching weights")
         check_atoms(np.array(angles), np.array(weights))
 
-    def to_json(self) -> list:
-        return [{"t": t, "w": w} for t, w in zip(self.angles, self.weights)]
-
 
 @dataclass(frozen=True)
 class ClassSpec:
@@ -122,17 +119,6 @@ class ClassSpec:
     def threshold(self) -> float:
         """The right-hand side alpha*cos(gamma) of the defining condition."""
         return self.alpha * math.cos(self.gamma)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "gamma": self.gamma, "alpha": self.alpha}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ClassSpec":
-        """Inverse of :meth:`to_json`; gamma and alpha default to 0, kind is required."""
-        gamma, alpha = doc.get("gamma", 0.0), doc.get("alpha", 0.0)
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (gamma, alpha)):
-            raise InvalidParams("gamma and alpha must be numbers")
-        return cls(doc.get("kind"), float(gamma), float(alpha))
 
 
 def _kernel_sums(angles: np.ndarray, weights: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -322,8 +308,3 @@ def random_measure(rng: np.random.Generator, k_atoms: int) -> AtomicMeasure:
     k = int(rng.integers(1, k_atoms + 1))
     w = rng.dirichlet(np.ones(k))
     return AtomicMeasure(tuple(rng.uniform(0.0, TWO_PI, k)), tuple(w / w.sum()))
-
-
-def encode_measure_spec(measure: AtomicMeasure, spec: ClassSpec) -> dict:
-    """JSON document for a measure/spec pair, as the CLI writes it."""
-    return {"atoms": measure.to_json(), **spec.to_json()}

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import is_dataclass
 from functools import cache
 from itertools import chain
 from typing import NamedTuple
@@ -19,10 +20,10 @@ import numpy as np
 
 from .classes import (
     MAX_ATOMS,
+    AtomicMeasure,
     ClassSpec,
     InvalidParams,
     UnknownName,
-    encode_measure_spec,
     member_from_measure,
     named,
     random_measure,
@@ -72,8 +73,8 @@ CSV_COLUMNS = (
 #: search builds members at order max(64, 2n), so n stays within the order ceiling.
 #: "coefficients" bounds trials x (built order + 1) of a run's one sampled suite: as members,
 #: 2**25 complex coefficients are 512 MiB.  verify and trace hold one member at a time, but
-#: their rows (about 420 B each) scale with it; sample holds every coefficient as a JSON
-#: [re, im] pair, about 500 B each (about 285 MiB for 64 trials at order 8192).
+#: their rows (about 420 B each) scale with it; sample holds its whole report, about 380 B
+#: per coefficient with its JSON text (about 226 MiB for 64 trials at order 8192).
 #: "budget" caps the objective evaluations of one search, which run one after another.
 _CEILINGS = {
     "order": 65536,
@@ -187,8 +188,11 @@ def _positive(doc: dict, key: str, default: int | None = None) -> int:
 def _class_spec(cfg: dict) -> ClassSpec:
     doc = _require(cfg, "spec", dict)
     _known(doc, "spec")
+    gamma, alpha = doc.get("gamma", 0.0), doc.get("alpha", 0.0)
+    if not all(type(v) in (int, float) for v in (gamma, alpha)):
+        raise ConfigError("field 'spec': gamma and alpha must be numbers")
     try:
-        return ClassSpec.from_json(doc)
+        return ClassSpec(doc.get("kind"), float(gamma), float(alpha))
     except InvalidParams as exc:
         raise ConfigError(f"field 'spec': {exc}") from None
 
@@ -284,15 +288,31 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
     return chain(functions, ((f"sample-{t:04d}", f, seed) for t, (_, f) in enumerate(members)))
 
 
+def _jsonable(obj):
+    """The JSON form of what json cannot encode itself, for every JSON report.
+
+    A complex number is [re, im], an AtomicMeasure its atoms [{"t", "w"}, ...] and any
+    other dataclass instance its fields.
+    """
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, AtomicMeasure):
+        return [{"t": t, "w": w} for t, w in zip(obj.angles, obj.weights)]
+    if is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _write(cfg: dict, doc) -> None:
     """Write doc to cfg's 'out' path, or to stdout without one: a str as it is, else as JSON."""
-    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if not isinstance(doc, str):
+        doc = json.dumps(doc, indent=2, sort_keys=True, default=_jsonable) + "\n"
     out = cfg.get("out")
     if out:
         with _open_out(out, "w") as fh:
-            fh.write(text)
+            fh.write(doc)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(doc)
 
 
 class _Block(NamedTuple):
@@ -362,7 +382,7 @@ def _cmd_verify(cfg: dict) -> int:
         raise ConfigError(f"unknown theorem id {theorem!r}")
     row = THEOREMS[theorem]
     if not row.admits(spec):
-        raise ConfigError(f"theorem {theorem!r} is not stated for the class {spec.to_json()}")
+        raise ConfigError(f"theorem {theorem!r} is not stated for the class {vars(spec)}")
     functional = FUNCTIONALS[row.functional]
     m = _require(cfg, "m", int) if row.functional == "robertson" else None
     ns = _n_range(cfg)
@@ -410,7 +430,7 @@ def _cmd_trace(cfg: dict) -> int:
         for n in ns:
             doc = {"function_id": fid, "seed": seed}
             try:
-                doc.update(proof_trace(f, spec.gamma, spec.alpha, n).to_json())
+                doc.update(vars(proof_trace(f, spec.gamma, spec.alpha, n)))
             except ChainInequalityViolation as exc:
                 doc.update({"n": n, "violation": str(exc)})
             docs.append(doc)
@@ -443,7 +463,10 @@ def _cmd_search(cfg: dict) -> int:
     # the bound is taken before the search, so an n it rejects streams nothing
     bound = None if problem.minimize else class_bound(spec, problem.functional, n, problem.m)
     result = search(problem, on_improve=stream)
-    doc = {**result.to_json(), "problem": problem.to_json()}
+    # the problem's fields, with the spec's in place of spec
+    fields = {**vars(problem), **vars(spec)}
+    del fields["spec"]
+    doc = {**vars(result), "best_measure": {"atoms": result.best_measure}, "problem": fields}
     violated = False
     if bound is not None:
         theorem, rhs = bound
@@ -461,12 +484,7 @@ def _cmd_sample(cfg: dict) -> int:
     seed = _seed(cfg)
     _check_coefficients(trials, order, order)
     docs = [
-        {
-            **encode_measure_spec(measure, spec),
-            "trial": t,
-            "seed": seed,
-            "coefficients": [[c.real, c.imag] for c in f.coeffs],
-        }
+        {"atoms": measure, **vars(spec), "trial": t, "seed": seed, "coefficients": list(f.coeffs)}
         for t, (measure, f) in enumerate(_suite(seed, spec, order, order, trials, k_atoms))
     ]
     _write(cfg, docs)

@@ -12,7 +12,7 @@ bound is a red-alert finding, reported in-band rather than raised.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,11 +55,6 @@ class SearchProblem:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    def to_json(self) -> dict:
-        """Every field, with the spec's fields in place of ``spec``."""
-        doc = asdict(self)
-        return {**doc.pop("spec"), **doc}
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -70,15 +65,6 @@ class SearchResult:
     history: tuple  # (evaluation count, incumbent value) at each improvement
     evaluations_used: int
     budget_exhausted: bool
-
-    def to_json(self) -> dict:
-        return {
-            "best_value": self.best_value,
-            "best_measure": {"atoms": self.best_measure.to_json()},
-            "history": [[e, v] for e, v in self.history],
-            "evaluations_used": self.evaluations_used,
-            "budget_exhausted": self.budget_exhausted,
-        }
 
 
 def _atoms_from_vector(x: np.ndarray, k: int) -> tuple:

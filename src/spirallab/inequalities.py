@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -321,13 +321,6 @@ class ProofTrace:
     milin_exponent: float
     beta_bound: float
     final_bound: float
-
-    def to_json(self) -> dict:
-        """Every field, with complex numbers as [real, imag] pairs."""
-        doc = asdict(self)
-        doc.update({key: [[v.real, v.imag] for v in doc[key]] for key in ("c", "C")})
-        doc["xi0"] = [self.xi0.real, self.xi0.imag]
-        return doc
 
 
 def recover_c(f: FunctionSeries, gamma: float, count: int) -> np.ndarray:

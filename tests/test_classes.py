@@ -11,12 +11,12 @@ from spirallab import (
     Series,
     UnknownName,
     alexander_forward,
-    encode_measure_spec,
     herglotz,
     member_from_measure,
     named,
     random_measure,
 )
+from spirallab.cli import EXIT_OK, _class_spec, main
 from spirallab.extremal import _atoms_from_vector
 from conftest import assert_series_close
 from oracles import alexander_inverse, fixed_measure, log_unit
@@ -318,16 +318,24 @@ def test_wrap_angle_never_returns_two_pi():
         assert 0.0 <= angles[0] < 2 * math.pi
 
 
-def test_measure_spec_json_round_trip():
-    m = fixed_measure(5, 3)
-    spec = ClassSpec("spirallike", gamma=-0.4, alpha=0.2)
-    doc = json.loads(json.dumps(encode_measure_spec(m, spec)))
-    atoms = doc["atoms"]
-    m2 = AtomicMeasure(tuple(a["t"] for a in atoms), tuple(a["w"] for a in atoms))
-    spec2 = ClassSpec.from_json(doc)
-    assert spec2 == spec
-    assert np.allclose(m2.angles, m.angles)
-    assert np.allclose(m2.weights, m.weights)
+def test_measure_spec_json_round_trip(tmp_path):
+    # each sample document's atoms and spec rebuild its member bit for bit
+    spec = {"kind": "convex_spirallike", "gamma": 0.4, "alpha": 0.3}
+    out = tmp_path / "sample.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"seed": 9, "order": 128, "trials": 20, "k_atoms": 16, "spec": spec, "out": str(out)}
+    ))
+    assert main(["sample", "--config", str(cfg)]) == EXIT_OK
+    docs = json.loads(out.read_text())
+    assert len(docs) == 20
+    for doc in docs:
+        atoms = doc["atoms"]
+        measure = AtomicMeasure(tuple(a["t"] for a in atoms), tuple(a["w"] for a in atoms))
+        read = _class_spec({"spec": {key: doc[key] for key in spec}})
+        assert read == ClassSpec("convex_spirallike", 0.4, 0.3)
+        f = member_from_measure(measure, read, 128)
+        assert [[c.real, c.imag] for c in f.coeffs] == doc["coefficients"]
 
 
 # ----------------------------------------------------------------------

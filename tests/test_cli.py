@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 import spirallab.cli as cli
-from spirallab import FunctionSeries, classes
+from spirallab import AtomicMeasure, ClassSpec, FunctionSeries, classes
 from spirallab.cli import CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _fmt, main
 from test_golden import CASES as GOLDEN
 
@@ -158,13 +158,18 @@ def test_verify_json_format(tmp_path):
 
 
 def test_malformed_config_exits_one(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text('{"spec": ')
+    (tmp_path / "bad.json").write_text('{"spec": ')
+    (tmp_path / "list.json").write_text("[]")
     out = tmp_path / "never.csv"
-    code = main(["verify", "--config", str(path), "--out", str(out)])
-    assert code == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
+    for name, message in [
+        ("bad.json", "bad.json:1:10: Expecting value"),
+        ("missing.json", "missing.json: No such file or directory"),
+        ("list.json", "config root must be a JSON object"),
+    ]:
+        code = main(["verify", "--config", str(tmp_path / name), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_missing_seed_for_sampled_exits_one(tmp_path, capsys):
@@ -322,6 +327,28 @@ def test_sample_command_deterministic(tmp_path):
     docs = json.loads(out1.read_text())
     assert len(docs) == 4
     assert all(len(d["coefficients"]) == 17 for d in docs)
+
+
+@pytest.mark.parametrize("command", ["verify", "trace"])
+def test_report_goes_to_stdout_without_out(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, _SAMPLED_MAIN)
+    out = tmp_path / "report"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    assert capsys.readouterr().out == ""
+    assert main([command, "--config", cfg]) == code
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_jsonable_encodes_dataclasses_and_complex_and_rejects_the_rest():
+    spec = ClassSpec("spirallike", 0.25, 0.5)
+    doc = {"spec": spec, "z": 1.5 - 2j, "measure": AtomicMeasure((0.5,), (1.0,))}
+    assert json.loads(json.dumps(doc, default=cli._jsonable)) == {
+        "spec": {"kind": "spirallike", "gamma": 0.25, "alpha": 0.5},
+        "z": [1.5, -2.0],
+        "measure": [{"t": 0.5, "w": 1.0}],
+    }
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json.dumps({1, 2}, default=cli._jsonable)
 
 
 def test_table_runs_without_config(tmp_path):
@@ -504,6 +531,12 @@ _OUTSIDE_SCHEMA = {
         "verify", {**_SAMPLED_MAIN, "spec": {"kind": "spirallike", "gamma": "x"}}
     ),
     "n_boolean": ("verify", {**_SAMPLED_MAIN, "n": True}),
+    "n_range_empty": ("verify", {**_SAMPLED_MAIN, "n": [5, 2]}),
+    "sampled_not_an_object": ("verify", {**_SAMPLED_MAIN, "functions": [{"sampled": 3}]}),
+    "name_not_a_string": ("verify", {**_SAMPLED_MAIN, "functions": [{"name": 3}]}),
+    "params_not_an_object": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"name": "koebe", "params": []}]}
+    ),
     "seed_boolean": ("verify", {**_SAMPLED_MAIN, "seed": True}),
     "named_param_not_number": (
         "verify", {**_SAMPLED_MAIN, "functions": [{"name": "l_phi", "params": {"phi": "x"}}]}

@@ -12,8 +12,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from spirallab.classes import ClassSpec, InvalidParams
-from spirallab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
+from spirallab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, ConfigError, _class_spec, main
 from spirallab.inequalities import THEOREMS
 
 NAN = float("nan")
@@ -126,8 +125,8 @@ def outside_its_class(doc: dict) -> bool:
     if not (isinstance(theorem, str) and theorem in THEOREMS and isinstance(spec, dict)):
         return False
     try:
-        return not THEOREMS[theorem].admits(ClassSpec.from_json(spec))
-    except InvalidParams:
+        return not THEOREMS[theorem].admits(_class_spec(doc))
+    except ConfigError:
         return False
 
 

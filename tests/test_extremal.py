@@ -31,13 +31,19 @@ def test_single_atom_starlike_reaches_one():
     assert result.best_value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_search_is_deterministic_bit_for_bit():
-    problem = SearchProblem(
-        ClassSpec("starlike"), n=4, k_atoms=2, budget=1200, restarts=3, seed=11
-    )
-    first = json.dumps(search(problem).to_json(), sort_keys=True)
-    second = json.dumps(search(problem).to_json(), sort_keys=True)
-    assert first == second
+def search_report(tmp_path, name, **doc):
+    """The report `search` writes for the config doc, as bytes."""
+    out = tmp_path / f"{name}.json"
+    cfg = tmp_path / f"{name}-cfg.json"
+    cfg.write_text(json.dumps({**doc, "out": str(out)}))
+    assert main(["search", "--config", str(cfg)]) == EXIT_OK
+    return out.read_bytes()
+
+
+def test_search_is_deterministic_bit_for_bit(tmp_path):
+    doc = {"spec": {"kind": "starlike"}, "n": 4, "k_atoms": 2, "budget": 1200, "restarts": 3,
+           "seed": 11}
+    assert search_report(tmp_path, "first", **doc) == search_report(tmp_path, "second", **doc)
 
 
 def test_history_is_monotone_and_finishes_at_best():
@@ -197,16 +203,25 @@ def test_certify_includes_incumbents(tmp_path):
     assert rows[0]["lhs"] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_result_serialization_shape():
-    problem = SearchProblem(ClassSpec("starlike"), n=3, k_atoms=1, budget=300, restarts=1, seed=0)
-    doc = search(problem).to_json()
+def test_result_serialization_shape(tmp_path):
+    doc = json.loads(search_report(
+        tmp_path, "shape", spec={"kind": "starlike"}, n=3, k_atoms=1, budget=300, restarts=1,
+        seed=0,
+    ))
     assert set(doc) == {
         "best_value",
         "best_measure",
         "history",
         "evaluations_used",
         "budget_exhausted",
+        "problem",
+        "bound",
     }
+    assert set(doc["problem"]) == {
+        "kind", "gamma", "alpha", "n", "functional", "m", "k_atoms", "budget", "restarts",
+        "seed", "minimize",
+    }
+    assert all(len(entry) == 2 for entry in doc["history"])
     atoms = doc["best_measure"]["atoms"]
     assert all(set(a) == {"t", "w"} for a in atoms)
     assert sum(a["w"] for a in atoms) == pytest.approx(1.0, abs=1e-12)

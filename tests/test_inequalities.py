@@ -15,6 +15,7 @@ from spirallab import (
     FunctionSeries,
     InvalidIndices,
     OrderTooLow,
+    ProofTrace,
     TOL_INEQ,
     bound_rhs,
     gamma_ratio,
@@ -507,11 +508,19 @@ def test_proof_trace_fails_on_nan():
         proof_trace(FunctionSeries(c), 0.0, -1.0, 8)
 
 
-def test_proof_trace_serializes():
-    trace = proof_trace(named("koebe", 20), 0.0, 0.0, 5)
-    doc = trace.to_json()
+def test_proof_trace_serializes(tmp_path):
+    out = tmp_path / "trace.json"
+    config = tmp_path / "trace-cfg.json"
+    config.write_text(json.dumps({
+        "spec": {"kind": "starlike"}, "order": 20, "n": 5, "functions": [{"name": "koebe"}],
+        "out": str(out),
+    }))
+    assert cli.main(["trace", "--config", str(config)]) == cli.EXIT_OK
+    [doc] = json.loads(out.read_text())
+    assert set(doc) == {"function_id", "seed"} | set(ProofTrace.__dataclass_fields__)
     assert doc["n"] == 5
-    assert len(doc["c"]) == 5
+    assert len(doc["c"]) == 5 and len(doc["C"]) == 5
+    assert all(len(v) == 2 for v in [*doc["c"], *doc["C"], doc["xi0"]])  # [re, im] pairs
     assert doc["final_bound"] == 1.0
 
 

@@ -1,5 +1,6 @@
 """Source conventions that no configured linter checks."""
 
+import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spirallab"
@@ -17,3 +18,23 @@ def test_no_source_line_is_longer_than_99_characters():
     ]
     assert sorted(SRC.glob("*.py")), "no package source found"
     assert long_lines == []
+
+
+def test_only_cli_knows_the_json_forms():
+    # configs are read and reports written in cli.py alone, so the library carries no JSON code
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(module.split(".")[0] == "json" for module in modules):
+                offenders.append(f"{path.name}:{node.lineno}: imports json")
+            if isinstance(node, ast.FunctionDef) and node.name in ("to_json", "from_json"):
+                offenders.append(f"{path.name}:{node.lineno}: defines {node.name}")
+    assert offenders == []
