@@ -11,6 +11,8 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
+from contextlib import nullcontext
 from dataclasses import is_dataclass
 from functools import cache
 from itertools import chain
@@ -69,36 +71,50 @@ CSV_COLUMNS = (
     "pass",
 )
 
-#: Ceilings on the integer sizes a config allocates from, checked by _positive;
-#: search builds members at order max(64, 2n), so n stays within the order ceiling.
-#: "coefficients" bounds trials x (built order + 1) of a run's one sampled suite: as members,
-#: 2**25 complex coefficients are 512 MiB.  verify and trace hold one member at a time, but
-#: their rows (about 420 B each) scale with it; sample holds its whole report, about 380 B
-#: per coefficient with its JSON text (about 226 MiB for 64 trials at order 8192).
-#: "budget" caps the objective evaluations of one search, which run one after another.
-_CEILINGS = {
-    "order": 65536,
-    "m": 2**20,
-    "n": 32768,
-    "trials": 100000,
-    "k_atoms": MAX_ATOMS,
-    "coefficients": 2**25,
-    "budget": 1_000_000,
-}
+#: Ceiling on trials x (built order + 1) of a run's one sampled suite: as members, 2**25 complex
+#: coefficients are 512 MiB.  verify and trace hold one member at a time, but their rows (about
+#: 420 B each) scale with it; sample holds its whole report as Python lists, about 42 B per
+#: coefficient (64 trials at order 8192 peaked at about 57 MiB), and streams its JSON text.
+_COEFFICIENTS = 2**25
 
-#: The fields each config object may hold; any other is a config error, never ignored.  The
-#: top level takes every field some command reads, so one config can serve several commands.
+#: A config field: its exact JSON types and, for an integer, its range lo..hi; holds names the
+#: config object that its value is, or that each item of its list is.
+_Field = namedtuple("_Field", "types lo hi holds", defaults=(-math.inf, math.inf, None))
+
+#: The size of a sampled suite: a `sampled` object's fields, and `sample`'s at the top level.
+_SUITE = {"trials": _Field((int,), 1, 100000), "k_atoms": _Field((int,), 1, MAX_ATOMS)}
+
+#: The config contract: the fields each config object may hold, any other being a config error,
+#: never ignored.  _check applies it to the whole config whichever command runs, so a config is
+#: valid for every command or for none.  The top level takes every field some command reads,
+#: so one config can serve several commands.
 _FIELDS = {
     "config": {
-        "seed", "order", "out", "format", "spec", "theorem", "n", "m", "functions",
-        "membership", "functional", "k_atoms", "budget", "restarts", "minimize", "trials",
+        "seed": _Field((int,), 0),
+        "order": _Field((int,), 1, 65536),
+        "out": _Field((str,)),  # a path: an int would be taken as a file descriptor
+        "format": _Field((str,)),
+        "spec": _Field((dict,), holds="spec"),
+        "theorem": _Field((str,)),
+        "n": _Field((int, list)),
+        "m": _Field((int, type(None))),
+        "functions": _Field((list,), holds="function entry"),
+        "membership": _Field((bool, dict), holds="membership object"),
+        "functional": _Field((str,)),
+        "budget": _Field((int,), 1, 1_000_000),  # one search's evaluations, run in turn
+        "restarts": _Field((int,), 1),
+        "minimize": _Field((bool,)),
+        **_SUITE,
     },
-    "spec": {"kind", "gamma", "alpha"},
-    "named entry": {"name", "params"},
-    "sampled entry": {"sampled"},
-    "sampled object": {"trials", "k_atoms"},
-    "membership object": {"radii", "m"},
+    "spec": {"kind": _Field((str,)), "gamma": _Field((int, float)), "alpha": _Field((int, float))},
+    "named entry": {"name": _Field((str,)), "params": _Field((dict,))},
+    "sampled entry": {"sampled": _Field((dict,), holds="sampled object")},
+    "sampled object": _SUITE,
+    "membership object": {"radii": _Field((list,)), "m": _Field((int,), 1, 2**20)},
 }
+
+#: search builds members at order max(64, 2n), so its n stays within half of this
+_ORDER_MAX = _FIELDS["config"]["order"].hi
 
 
 class ConfigError(ValueError):
@@ -125,28 +141,42 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
 
-def _known(doc: dict, what: str) -> None:
-    """Reject any field of doc outside the fields _FIELDS gives the object ``what``."""
-    unknown = sorted(set(doc) - _FIELDS[what])
-    if unknown:
-        raise ConfigError(f"unknown field {unknown[0]!r} in the {what}")
+def _check(doc: dict, what: str) -> None:
+    """Check the config object ``what`` in doc against _FIELDS: each field known, of an exact
+    type and, for an integer, within its range; then each config object it holds."""
+    if what == "function entry":  # which of 'name' and 'sampled' it holds says which it is
+        if type(doc) is not dict or ("name" in doc) == ("sampled" in doc):
+            raise ConfigError("a function entry is an object with one of 'name' and 'sampled'")
+        what = "sampled entry" if "sampled" in doc else "named entry"
+    fields = _FIELDS[what]
+    for key, value in doc.items():
+        if key not in fields:
+            raise ConfigError(f"unknown field {key!r} in the {what}")
+        types, lo, hi, holds = fields[key]
+        # exact types: JSON true/false load as bool, which isinstance counts as int
+        if type(value) not in types:
+            raise ConfigError(f"field '{key}' has the wrong type")
+        if type(value) is int and not lo <= value <= hi:
+            raise ConfigError(f"field '{key}' must lie in {lo}..{hi}")
+        if holds is not None and type(value) is not bool:  # membership true or false holds none
+            for item in value if type(value) is list else (value,):
+                _check(item, holds)
 
 
 def _merged(args: argparse.Namespace) -> dict:
     cfg = _load_config(args.config) if args.config else {}
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    _known(cfg, "config")
     for key in ("seed", "order", "out", "format"):
         override = getattr(args, key, None)
         if override is not None:
             cfg[key] = override
-    cfg["command"] = args.command
+    _check(cfg, "config")
     if cfg.get("format", "csv") not in ("csv", "json"):
         raise ConfigError("field 'format' must be 'csv' or 'json'")
-    out = _optional(cfg, "out", "")  # a path string; an int would be taken as a file descriptor
-    if out:
-        _open_out(out, "a").close()  # an unusable path fails before any work
+    if cfg.get("out"):
+        _open_out(cfg["out"], "a").close()  # an unusable path fails before any work
+    cfg["command"] = args.command
     return cfg
 
 
@@ -157,42 +187,16 @@ def _open_out(out: str, mode: str):
         raise ConfigError(f"field 'out': {out}: {exc.strerror}") from None
 
 
-def _require(cfg: dict, key: str, kind=None):
+def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"field '{key}' is required for command '{cfg['command']}'")
-    value = cfg[key]
-    # exact types: JSON true/false load as bool, which isinstance counts as int
-    if kind is not None and type(value) is not kind:
-        raise ConfigError(f"field '{key}' has the wrong type")
-    return value
-
-
-def _optional(doc: dict, key: str, default):
-    """doc[key], or default when absent; a value must have the default's exact type."""
-    value = doc.get(key, default)
-    if type(value) is not type(default):
-        raise ConfigError(f"field '{key}' has the wrong type")
-    return value
-
-
-def _positive(doc: dict, key: str, default: int | None = None) -> int:
-    """doc[key] as an integer >= 1 and within its ceiling; required when there is no default."""
-    value = _require(doc, key, int) if default is None else _optional(doc, key, default)
-    if value < 1:
-        raise ConfigError(f"field '{key}' must be >= 1")
-    if value > _CEILINGS.get(key, value):
-        raise ConfigError(f"field '{key}' must be <= {_CEILINGS[key]}")
-    return value
+    return cfg[key]
 
 
 def _class_spec(cfg: dict) -> ClassSpec:
-    doc = _require(cfg, "spec", dict)
-    _known(doc, "spec")
-    gamma, alpha = doc.get("gamma", 0.0), doc.get("alpha", 0.0)
-    if not all(type(v) in (int, float) for v in (gamma, alpha)):
-        raise ConfigError("field 'spec': gamma and alpha must be numbers")
+    doc = _require(cfg, "spec")
     try:
-        return ClassSpec(doc.get("kind"), float(gamma), float(alpha))
+        return ClassSpec(doc.get("kind"), float(doc.get("gamma", 0)), float(doc.get("alpha", 0)))
     except InvalidParams as exc:
         raise ConfigError(f"field 'spec': {exc}") from None
 
@@ -201,7 +205,7 @@ def _n_range(cfg: dict) -> range:
     raw = _require(cfg, "n")
     if type(raw) is int:
         return range(raw, raw + 1)
-    if type(raw) is list and len(raw) == 2 and all(type(v) is int for v in raw):
+    if len(raw) == 2 and all(type(v) is int for v in raw):
         lo, hi = raw
         if hi < lo:
             raise ConfigError("field 'n': empty range")
@@ -209,20 +213,12 @@ def _n_range(cfg: dict) -> range:
     raise ConfigError("field 'n' must be an integer or [lo, hi]")
 
 
-def _seed(cfg: dict) -> int:
-    seed = _require(cfg, "seed")
-    if type(seed) is not int or seed < 0:
-        raise ConfigError("field 'seed' must be a non-negative integer (no wall-clock defaults)")
-    return seed
-
-
 def _check_coefficients(trials: int, order: int, upto: int) -> None:
     """Reject trials members built through a_upto when they would pass the coefficient ceiling."""
     coefficients = trials * (min(max(upto, 1), order) + 1)
-    if coefficients > _CEILINGS["coefficients"]:
+    if coefficients > _COEFFICIENTS:
         raise ConfigError(
-            f"trials x (built order + 1) = {coefficients} coefficients must be"
-            f" <= {_CEILINGS['coefficients']}"
+            f"trials x (built order + 1) = {coefficients} coefficients must be <= {_COEFFICIENTS}"
         )
 
 
@@ -244,26 +240,16 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
     before any member is drawn.  The sampled members come last, built through a_upto one at
     a time as the iterator is read.
     """
-    entries = _require(cfg, "functions", list)
     named_entries = {}  # function id -> (name, params)
     trials = k_atoms = 0  # of the sampled entry; without one, no member is drawn
-    for entry in entries:
-        if not isinstance(entry, dict) or ("name" in entry) == ("sampled" in entry):
-            raise ConfigError("a function entry is an object with one of 'name' and 'sampled'")
+    for entry in _require(cfg, "functions"):
         if "sampled" in entry:
             if trials:
                 raise ConfigError("function id 'sample-0000' repeats")
-            _known(entry, "sampled entry")
-            if not isinstance(entry["sampled"], dict):
-                raise ConfigError("field 'sampled' must be an object")
-            _known(entry["sampled"], "sampled object")
-            trials = _positive(entry["sampled"], "trials", 1)
-            k_atoms = _positive(entry["sampled"], "k_atoms", 2)
+            trials = entry["sampled"].get("trials", 1)
+            k_atoms = entry["sampled"].get("k_atoms", 2)
             continue
-        _known(entry, "named entry")
         params = entry.get("params", {})
-        if not isinstance(entry["name"], str) or not isinstance(params, dict):
-            raise ConfigError("field 'name' must be a string and 'params' an object")
         # math.isfinite of an integer past the double range raises OverflowError
         if not all(type(v) in (int, float) and math.isfinite(v) for v in params.values()):
             raise ConfigError("function parameters must be finite numbers")
@@ -275,7 +261,7 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
             raise ConfigError(f"function id {tag!r} repeats")
         named_entries[tag] = (entry["name"], params)
     _check_coefficients(trials, order, upto)
-    seed = _seed(cfg) if trials else None
+    seed = _require(cfg, "seed") if trials else None
     functions = []
     for tag, (name, params) in named_entries.items():
         try:
@@ -304,15 +290,14 @@ def _jsonable(obj):
 
 
 def _write(cfg: dict, doc) -> None:
-    """Write doc to cfg's 'out' path, or to stdout without one: a str as it is, else as JSON."""
-    if not isinstance(doc, str):
-        doc = json.dumps(doc, indent=2, sort_keys=True, default=_jsonable) + "\n"
-    out = cfg.get("out")
-    if out:
-        with _open_out(out, "w") as fh:
+    """Write doc to cfg's 'out' path, or to stdout without one: a str as it is, else streamed
+    as JSON, so the whole text is never held (an encoder error leaves a partial report)."""
+    with _open_out(cfg["out"], "w") if cfg.get("out") else nullcontext(sys.stdout) as fh:
+        if isinstance(doc, str):
             fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+        else:
+            json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
+            fh.write("\n")
 
 
 class _Block(NamedTuple):
@@ -362,29 +347,28 @@ def _grid(cfg: dict) -> Grid | None:
     if block is False:
         return None
     block = {} if block is True else block
-    if not isinstance(block, dict):
-        raise ConfigError("field 'membership' must be true, false or an object")
-    _known(block, "membership object")
-    radii = _optional(block, "radii", list(Grid.radii))
+    radii = block.get("radii", Grid.radii)
     if not all(type(r) in (int, float) for r in radii):
         raise ConfigError("field 'radii' must be a list of numbers")
     try:
-        return Grid(tuple(radii), _positive(block, "m", Grid.m))
+        return Grid(tuple(radii), block.get("m", Grid.m))
     except ValueError as exc:
         raise ConfigError(f"field 'membership': {exc}") from None
 
 
 def _cmd_verify(cfg: dict) -> int:
-    order = _positive(cfg, "order", ORDER_DEFAULT)
+    order = cfg.get("order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
-    theorem = _require(cfg, "theorem", str)
+    theorem = _require(cfg, "theorem")
     if theorem not in THEOREMS:
         raise ConfigError(f"unknown theorem id {theorem!r}")
     row = THEOREMS[theorem]
     if not row.admits(spec):
         raise ConfigError(f"theorem {theorem!r} is not stated for the class {vars(spec)}")
     functional = FUNCTIONALS[row.functional]
-    m = _require(cfg, "m", int) if row.functional == "robertson" else None
+    m = cfg.get("m") if row.functional == "robertson" else None
+    if row.functional == "robertson" and m is None:
+        raise ConfigError(f"field 'm' is required for theorem {theorem!r}")
     ns = _n_range(cfg)
     grid = _grid(cfg)
     # membership reads every coefficient, the bounds none past a_{max n + 1}
@@ -421,7 +405,7 @@ def _cmd_verify(cfg: dict) -> int:
 
 
 def _cmd_trace(cfg: dict) -> int:
-    order = _positive(cfg, "order", ORDER_DEFAULT)
+    order = cfg.get("order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
     ns = _n_range(cfg)
     functions = _build_functions(cfg, spec, order, ns[-1] + 1)
@@ -441,19 +425,13 @@ def _cmd_trace(cfg: dict) -> int:
 
 def _cmd_search(cfg: dict) -> int:
     spec = _class_spec(cfg)
-    n = _positive(cfg, "n")
+    n = _require(cfg, "n")
+    if type(n) is not int or n > _ORDER_MAX // 2:
+        raise ConfigError(f"field 'n' must be an integer <= {_ORDER_MAX // 2}")
+    seed = _require(cfg, "seed")
+    given = ("functional", "m", "k_atoms", "budget", "restarts", "minimize")
     try:
-        problem = SearchProblem(
-            spec=spec,
-            n=n,
-            functional=_optional(cfg, "functional", SearchProblem.functional),
-            m=None if cfg.get("m") is None else _optional(cfg, "m", 0),
-            k_atoms=_optional(cfg, "k_atoms", SearchProblem.k_atoms),
-            budget=_positive(cfg, "budget", SearchProblem.budget),
-            restarts=_optional(cfg, "restarts", SearchProblem.restarts),
-            seed=_seed(cfg),
-            minimize=_optional(cfg, "minimize", SearchProblem.minimize),
-        )
+        problem = SearchProblem(spec, n, seed=seed, **{k: cfg[k] for k in given if k in cfg})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -477,11 +455,11 @@ def _cmd_search(cfg: dict) -> int:
 
 
 def _cmd_sample(cfg: dict) -> int:
-    order = _positive(cfg, "order", ORDER_DEFAULT)
+    order = cfg.get("order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
-    trials = _positive(cfg, "trials")
-    k_atoms = _positive(cfg, "k_atoms", 2)
-    seed = _seed(cfg)
+    trials = _require(cfg, "trials")
+    k_atoms = cfg.get("k_atoms", 2)
+    seed = _require(cfg, "seed")
     _check_coefficients(trials, order, order)
     docs = [
         {"atoms": measure, **vars(spec), "trial": t, "seed": seed, "coefficients": list(f.coeffs)}
@@ -496,8 +474,8 @@ def _cmd_table(cfg: dict) -> int:
     ns = _n_range(cfg) if "n" in cfg else range(2, 21)
     # built through a_{n+1}, the last coefficient a row reads; a row rejects an n below 2
     order = max(ns[-1] + 1, 1)
-    if order > _CEILINGS["order"]:
-        raise ConfigError(f"field 'n' must be <= {_CEILINGS['order'] - 1}")
+    if order > _ORDER_MAX:
+        raise ConfigError(f"field 'n' must be <= {_ORDER_MAX - 1}")
     koebe = named("koebe", order)
     chalf = named("c_half_extremal", order)
     cube = named("power_map", order, beta=3.0)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +353,19 @@ def test_jsonable_encodes_dataclasses_and_complex_and_rejects_the_rest():
     }
     with pytest.raises(TypeError, match="not JSON serializable"):
         json.dumps({1, 2}, default=cli._jsonable)
+
+
+def test_module_entry_point_writes_the_table(capsys):
+    # python -m spirallab.cli runs entry(), which exits with main's code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "spirallab.cli", "table"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert main(["table"]) == EXIT_OK
+    assert (run.returncode, run.stderr) == (EXIT_OK, b"")
+    assert run.stdout == capsys.readouterr().out.encode()
 
 
 def test_table_runs_without_config(tmp_path):
@@ -735,6 +752,26 @@ _OUTSIDE_SCHEMA = {
     "verify_n_range_past_order": ("verify", {**_SAMPLED_MAIN, "order": 64, "n": [2, 10**15]}),
     "trace_n_range_past_order": ("trace", {**_SAMPLED_MAIN, "order": 64, "n": [2, 10**15]}),
     "table_n_range_past_order_ceiling": ("table", {"n": [2, 10**15]}),
+    # a field, or a nested object, that the command does not read is checked all the same
+    "verify_budget_not_int": ("verify", {**_SAMPLED_MAIN, "budget": "x"}),
+    "verify_trials_negative": ("verify", {**_SAMPLED_MAIN, "trials": -5}),
+    "trace_minimize_string": ("trace", {**_SAMPLED_MAIN, "minimize": "no"}),
+    "search_order_past_ceiling": (
+        "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "order": 70000}
+    ),
+    "table_order_zero": ("table", {"order": 0}),
+    "table_seed_string": ("table", {"seed": "x"}),
+    "table_spec_gamma_string": ("table", {"spec": {"kind": "starlike", "gamma": "x"}}),
+    "trace_membership_m_zero": ("trace", {**_SAMPLED_MAIN, "membership": {"m": 0}}),
+    "search_sampled_trials_negative": (
+        "search",
+        {
+            "seed": 1,
+            "spec": {"kind": "starlike"},
+            "n": 4,
+            "functions": [{"sampled": {"trials": -1}}],
+        },
+    ),
 }
 
 

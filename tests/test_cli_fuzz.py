@@ -12,7 +12,9 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from spirallab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, ConfigError, _class_spec, main
+from spirallab.cli import (
+    EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, ConfigError, _check, _class_spec, main
+)
 from spirallab.inequalities import THEOREMS
 
 NAN = float("nan")
@@ -125,6 +127,7 @@ def outside_its_class(doc: dict) -> bool:
     if not (isinstance(theorem, str) and theorem in THEOREMS and isinstance(spec, dict)):
         return False
     try:
+        _check(spec, "spec")  # main checks the whole config before it reads the spec
         return not THEOREMS[theorem].admits(_class_spec(doc))
     except ConfigError:
         return False

@@ -198,6 +198,16 @@ def test_readme_flags_sentence_mirrors_commands():
     assert flags == {name: list(reads) for name, (_, _, reads) in cli._COMMANDS.items()}
 
 
+def test_readme_config_fields_mirror_the_schema():
+    # README's Config fields section names every top-level field, and its tables no other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"^### Config fields$(.*?)^#", readme, re.MULTILINE | re.DOTALL).group(1)
+    fields = set(cli._FIELDS["config"])
+    assert fields <= set(re.findall(r"`(\w+)`", section))
+    in_tables = set(re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE))
+    assert in_tables and in_tables <= fields
+
+
 def test_readme_heredoc_configs_run(tmp_path, capsys):
     # each config README writes with a heredoc runs through the command that follows it
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
