@@ -34,12 +34,12 @@ KINDS = ("spirallike", "convex_spirallike", "starlike", "convex", "c_half")
 CONVEX_KINDS = ("convex_spirallike", "convex", "c_half")
 
 
-class UnknownName(KeyError):
-    """No named function under this identifier."""
-
-
 class InvalidParams(ValueError):
-    """Construction parameters outside their valid range."""
+    """Input outside its valid range: the base of every input error the package raises."""
+
+
+class UnknownName(InvalidParams):
+    """No named function under this identifier."""
 
 
 def check_atoms(angles: np.ndarray, weights: np.ndarray) -> None:
@@ -277,7 +277,7 @@ _NAMED = {
 }
 
 
-def named(name: str, order: int = ORDER_DEFAULT, **params) -> FunctionSeries:
+def named(name: str, order: int = ORDER_DEFAULT, /, **params) -> FunctionSeries:
     """Named extremal function with closed-form coefficients.
 
     Available names: koebe; two_point(theta1, theta2); l_phi(phi);
@@ -286,7 +286,7 @@ def named(name: str, order: int = ORDER_DEFAULT, **params) -> FunctionSeries:
     try:
         build = _NAMED[name]
     except KeyError:
-        raise UnknownName(name) from None
+        raise UnknownName(f"unknown function name {name!r}") from None
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
             coeffs = build(order, **params)

@@ -25,7 +25,6 @@ from .classes import (
     AtomicMeasure,
     ClassSpec,
     InvalidParams,
-    UnknownName,
     member_from_measure,
     named,
     random_measure,
@@ -35,10 +34,8 @@ from .inequalities import (
     FUNCTIONALS,
     THEOREMS,
     ChainInequalityViolation,
-    DegenerateCosGamma,
-    InvalidIndices,
-    OrderTooLow,
     bound_rhs,
+    bound_row,
     class_bound,
     holds,
     proof_trace,
@@ -139,6 +136,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"{path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an int past 4300 digits, too deep
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _check(doc: dict, what: str) -> None:
@@ -185,6 +184,8 @@ def _open_out(out: str, mode: str):
         return open(out, mode)
     except OSError as exc:
         raise ConfigError(f"field 'out': {out}: {exc.strerror}") from None
+    except ValueError as exc:  # a null byte or a lone surrogate in the path
+        raise ConfigError(f"field 'out': {exc}") from None
 
 
 def _require(cfg: dict, key: str):
@@ -262,14 +263,8 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
         named_entries[tag] = (entry["name"], params)
     _check_coefficients(trials, order, upto)
     seed = _require(cfg, "seed") if trials else None
-    functions = []
-    for tag, (name, params) in named_entries.items():
-        try:
-            functions.append((tag, named(name, order, **params), None))
-        except UnknownName as exc:
-            raise ConfigError(f"unknown function name {exc}") from None
-        except ValueError as exc:  # InvalidParams, or coefficients that break a_1 = 1
-            raise ConfigError(str(exc)) from None
+    functions = [(tag, named(name, order, **params), None)
+                 for tag, (name, params) in named_entries.items()]
     members = _suite(seed, spec, order, upto, trials, k_atoms) if trials else ()
     return chain(functions, ((f"sample-{t:04d}", f, seed) for t, (_, f) in enumerate(members)))
 
@@ -350,10 +345,7 @@ def _grid(cfg: dict) -> Grid | None:
     radii = block.get("radii", Grid.radii)
     if not all(type(r) in (int, float) for r in radii):
         raise ConfigError("field 'radii' must be a list of numbers")
-    try:
-        return Grid(tuple(radii), block.get("m", Grid.m))
-    except ValueError as exc:
-        raise ConfigError(f"field 'membership': {exc}") from None
+    return Grid(tuple(radii), block.get("m", Grid.m))
 
 
 def _cmd_verify(cfg: dict) -> int:
@@ -394,6 +386,7 @@ def _cmd_verify(cfg: dict) -> int:
             if row.member is None:
                 rhs = class_rhs(n)
             else:
+                bound_row(theorem, n, m)  # the per-function rhs has the class-wide one's range
                 try:
                     rhs = row.member(f, spec, n)
                 except ChainInequalityViolation:
@@ -430,10 +423,7 @@ def _cmd_search(cfg: dict) -> int:
         raise ConfigError(f"field 'n' must be an integer <= {_ORDER_MAX // 2}")
     seed = _require(cfg, "seed")
     given = ("functional", "m", "k_atoms", "budget", "restarts", "minimize")
-    try:
-        problem = SearchProblem(spec, n, seed=seed, **{k: cfg[k] for k in given if k in cfg})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    problem = SearchProblem(spec, n, seed=seed, **{k: cfg[k] for k in given if k in cfg})
 
     def stream(evals: int, value: float):
         sys.stdout.write(json.dumps({"evaluations": evals, "incumbent": value}) + "\n")
@@ -539,9 +529,8 @@ def main(argv=None) -> int:
     try:
         cfg = _merged(args)
         return _COMMANDS[args.command][0](cfg)
-    except (ConfigError, OrderTooLow, InvalidIndices, InvalidParams, DegenerateCosGamma,
-            OverflowError) as exc:
-        # every one of these traces back to a config value outside its valid range;
+    except (ConfigError, InvalidParams, OverflowError) as exc:
+        # InvalidParams is the base of every input error the package raises;
         # OverflowError: float() of a JSON integer past the double range, such as a
         # 400-digit "gamma" in the spec, a radius or a named function's parameter
         print(f"config error: {exc}", file=sys.stderr)

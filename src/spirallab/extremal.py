@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import MAX_ATOMS, TWO_PI, AtomicMeasure, ClassSpec, check_atoms, member_builder
+from .classes import (
+    MAX_ATOMS, TWO_PI, AtomicMeasure, ClassSpec, InvalidParams, check_atoms, member_builder
+)
 from .inequalities import FUNCTIONALS, ON_COEFFICIENTS, check_indices
 from .series import ORDER_DEFAULT
 
@@ -44,16 +46,16 @@ class SearchProblem:
 
     def __post_init__(self):
         if self.functional not in FUNCTIONALS:
-            raise ValueError(f"unknown functional {self.functional!r}")
+            raise InvalidParams(f"unknown functional {self.functional!r}")
         check_indices(self.functional, self.n, self.m)
         if not 1 <= self.k_atoms <= MAX_ATOMS:
-            raise ValueError(f"k_atoms must lie in 1..{MAX_ATOMS}")
+            raise InvalidParams(f"k_atoms must lie in 1..{MAX_ATOMS}")
         if self.budget < 100 * self.k_atoms:
-            raise ValueError("budget must be at least 100 * k_atoms")
+            raise InvalidParams("budget must be at least 100 * k_atoms")
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise InvalidParams("restarts must be >= 1")
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise InvalidParams("n must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classes import ClassSpec, alexander_forward
+from .classes import ClassSpec, InvalidParams, alexander_forward
 from .series import FunctionSeries, Series
 
 #: Slack below -TOL_INEQ counts as a bound violation; see holds.
@@ -51,15 +51,15 @@ ON_COEFFICIENTS = {
 }
 
 
-class OrderTooLow(ValueError):
+class OrderTooLow(InvalidParams):
     """Requested coefficient index exceeds the truncation order."""
 
 
-class InvalidIndices(ValueError):
+class InvalidIndices(InvalidParams):
     """Index pair outside the theorem's valid range."""
 
 
-class DegenerateCosGamma(ValueError):
+class DegenerateCosGamma(InvalidParams):
     """cos(gamma) too small for the spiral normalization to make sense."""
 
 
@@ -168,12 +168,9 @@ THEOREMS = {
 }
 
 
-def bound_rhs(
-    theorem_id: str, n: int, m: int | None = None, *, alpha: float | None = None
-) -> float:
-    """Class-wide right-hand side of the theorem's THEOREMS row at index n (and m).
-
-    Every theorem needs n >= 2, and thm_robertson n > m >= 1 (check_indices).
+def bound_row(theorem_id: str, n: int, m: int | None = None) -> Theorem:
+    """The theorem's THEOREMS row, once n (and m) lie in the range of its bounds, class-wide
+    and per-function: every theorem needs n >= 2, and thm_robertson n > m >= 1 (check_indices).
     """
     row = THEOREMS.get(theorem_id)
     if row is None:
@@ -181,6 +178,14 @@ def bound_rhs(
     check_indices(row.functional, n, m)
     if n < 2:
         raise InvalidIndices(f"{theorem_id} bound needs n >= 2")
+    return row
+
+
+def bound_rhs(
+    theorem_id: str, n: int, m: int | None = None, *, alpha: float | None = None
+) -> float:
+    """Class-wide right-hand side of the theorem's bound_row at index n (and m)."""
+    row = bound_row(theorem_id, n, m)
     if row.member is not None and alpha != 0.0:
         raise InvalidIndices(f"{theorem_id} at alpha != 0 is per-function; see Theorem.member")
     return row.rhs(n, m, alpha)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classes import ClassSpec
+from .classes import ClassSpec, InvalidParams
 from .inequalities import holds
 from .series import DIV_FLOOR, FunctionSeries
 
@@ -47,9 +47,9 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         if not self.radii or any(not 0.0 < r <= 1.0 for r in self.radii):
-            raise ValueError("radii must lie in (0, 1]")
+            raise InvalidParams("field 'membership': radii must lie in (0, 1]")
         if self.m < 1:
-            raise ValueError("m must be >= 1")
+            raise InvalidParams("field 'membership': m must be >= 1")
 
     @cached_property
     def roots(self) -> np.ndarray:

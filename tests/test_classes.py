@@ -17,7 +17,9 @@ from spirallab import (
     random_measure,
 )
 from spirallab.cli import EXIT_OK, _class_spec, main
-from spirallab.extremal import _atoms_from_vector
+from spirallab.extremal import SearchProblem, _atoms_from_vector
+from spirallab.inequalities import DegenerateCosGamma, InvalidIndices, OrderTooLow
+from spirallab.membership import Grid
 from conftest import assert_series_close
 from oracles import alexander_inverse, fixed_measure, log_unit
 
@@ -272,6 +274,28 @@ def test_odd_sqrt_matches_series_engine():
     u = Series(-0.5 * log_unit(Series(c)).coeffs).exp_zero()  # (1-z^2)^{-1/2}, orders 0..order-1
     f = named("odd_sqrt", order)
     assert np.allclose(f.coeffs[1:], u.coeffs, atol=1e-12)
+
+
+@pytest.mark.parametrize("error", [UnknownName, OrderTooLow, InvalidIndices, DegenerateCosGamma])
+def test_every_input_error_is_invalid_params(error):
+    assert issubclass(error, InvalidParams) and issubclass(error, ValueError)
+
+
+def test_bad_search_problem_grid_and_name_raise_invalid_params():
+    with pytest.raises(InvalidParams, match="budget must be at least"):
+        SearchProblem(ClassSpec("starlike"), 4, budget=10)
+    with pytest.raises(InvalidParams, match="unknown functional"):
+        SearchProblem(ClassSpec("starlike"), 4, functional="nope")
+    with pytest.raises(InvalidParams, match="radii must lie in"):
+        Grid((1.5,))
+    with pytest.raises(InvalidParams, match="m must be >= 1"):
+        Grid(m=0)
+    with pytest.raises(UnknownName, match="^unknown function name 'nope'$") as info:
+        named("nope", 8)
+    assert not isinstance(info.value, KeyError)
+    # named's own arguments are positional, so params can only reach the builder
+    with pytest.raises(InvalidParams, match="koebe: "):
+        named("koebe", 8, order=3)
 
 
 def test_named_rejects_unknown_and_bad_params():

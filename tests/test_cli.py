@@ -164,15 +164,29 @@ def test_verify_json_format(tmp_path):
 def test_malformed_config_exits_one(tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"spec": ')
     (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "digits.json").write_text('{"seed": ' + "9" * 5000 + "}")
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    # a config that names its own out path takes no --out flag, which would replace it
+    (tmp_path / "out_null.json").write_text(json.dumps({"out": "a\0b"}))
+    (tmp_path / "out_surrogate.json").write_text(json.dumps({"out": "a\ud800b"}))
     out = tmp_path / "never.csv"
     for name, message in [
         ("bad.json", "bad.json:1:10: Expecting value"),
         ("missing.json", "missing.json: No such file or directory"),
         ("list.json", "config root must be a JSON object"),
+        ("not_utf8.json", "not_utf8.json: 'utf-8' codec can't decode byte 0xff"),
+        ("digits.json", "digits.json: Exceeds the limit (4300 digits)"),
+        ("deep.json", "deep.json: maximum recursion depth exceeded"),
+        ("out_null.json", "field 'out': embedded null byte"),
+        ("out_surrogate.json", "field 'out': "),
     ]:
-        code = main(["verify", "--config", str(tmp_path / name), "--out", str(out)])
+        flags = [] if name.startswith("out_") else ["--out", str(out)]
+        code = main(["verify", "--config", str(tmp_path / name), *flags])
         assert code == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # one line, no traceback
+        assert err.startswith("config error: ") and message in err and err.count("\n") == 1
         assert not out.exists()
 
 
@@ -758,6 +772,26 @@ _OUTSIDE_SCHEMA = {
     "trace_minimize_string": ("trace", {**_SAMPLED_MAIN, "minimize": "no"}),
     "search_order_past_ceiling": (
         "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "order": 70000}
+    ),
+    # a per-function rhs needs n >= 2 like every class-wide one
+    "thm_main_n_one": (
+        "verify", {**_SAMPLED_MAIN, "spec": {**_SAMPLED_MAIN["spec"], "alpha": 0.1}, "n": [1, 2]}
+    ),
+    "cor_convex_gamma_n_one": (
+        "verify",
+        {
+            **_SAMPLED_MAIN,
+            "spec": {"kind": "convex_spirallike", "gamma": 0.3, "alpha": 0.1},
+            "theorem": "cor_convex_gamma",
+            "n": [1, 2],
+        },
+    ),
+    # params that name named's own arguments
+    "params_order": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"name": "koebe", "params": {"order": 3}}]}
+    ),
+    "params_name": (
+        "verify", {**_SAMPLED_MAIN, "functions": [{"name": "koebe", "params": {"name": 1}}]}
     ),
     "table_order_zero": ("table", {"order": 0}),
     "table_seed_string": ("table", {"seed": "x"}),

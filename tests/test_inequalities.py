@@ -124,6 +124,15 @@ def test_bound_exponential_forms():
             bound_rhs(theorem, 5, alpha=0.5)
 
 
+@pytest.mark.parametrize("theorem", sorted(set(THEOREMS) - {"thm_robertson"}))
+def test_every_bound_row_needs_n_at_least_two(theorem):
+    # per-function rows too: trace may run the chain at n = 1, but no theorem bounds it there
+    # (thm_robertson's n > m >= 1 rules n = 1 out first)
+    assert inequalities.bound_row(theorem, 2) is THEOREMS[theorem]
+    with pytest.raises(InvalidIndices, match=f"^{theorem} bound needs n >= 2$"):
+        inequalities.bound_row(theorem, 1)
+
+
 def test_bound_invalid_indices():
     with pytest.raises(InvalidIndices):
         bound_rhs("thm_B", 1)

@@ -38,3 +38,21 @@ def test_only_cli_knows_the_json_forms():
             if isinstance(node, ast.FunctionDef) and node.name in ("to_json", "from_json"):
                 offenders.append(f"{path.name}:{node.lineno}: defines {node.name}")
     assert offenders == []
+
+
+def test_cli_turns_only_input_errors_into_config_errors():
+    # main catches the input errors alone, and only the file boundary catches ValueError (open()
+    # and json.load raise it for bad bytes), so a bug that raises one is a traceback, never a
+    # config error
+    caught = {}  # function name -> the exception names its except clauses catch
+    for func in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ExceptHandler):
+                    types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    caught.setdefault(func.name, set()).update(map(ast.unparse, types))
+    assert caught["main"] == {"SystemExit", "ConfigError", "InvalidParams", "OverflowError"}
+    assert sorted(name for name, types in caught.items() if "ValueError" in types) == [
+        "_load_config",
+        "_open_out",
+    ]
