@@ -121,9 +121,21 @@ class ClassSpec:
         return self.alpha * math.cos(self.gamma)
 
 
-def _kernel_sums(angles: np.ndarray, weights: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """2 sum_j w_j exp(-i n t_j) for each n in ``index``."""
-    return 2.0 * (weights @ np.exp(-1j * (angles[:, None] * index)))
+def _kernel_sums(
+    angles: np.ndarray, weights: np.ndarray, index: np.ndarray, width: int | None = None
+) -> np.ndarray:
+    """2 sum_j w_j exp(-i n t_j) for each n in ``index``, or for its first ``width`` only.
+
+    Past ``width`` the sums are 0, and the ones computed are bit for bit
+    those of the full call: the product w @ E keeps its shape and only
+    the exponentials past ``width`` are left out (as zero columns), since
+    BLAS rounds a column by its place in the call (OpenBLAS takes columns
+    in blocks of 4 and splits them across threads), so a narrower product
+    moves low bits.
+    """
+    kernels = np.zeros((angles.size, index.size), dtype=np.complex128)
+    kernels[:, :width] = np.exp(-1j * (angles[:, None] * index[:width]))
+    return 2.0 * (weights @ kernels)
 
 
 def herglotz(measure: AtomicMeasure, order: int = ORDER_DEFAULT) -> Series:
@@ -159,9 +171,8 @@ def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT, upto: int | None
     divisor = np.arange(1, width + 1) if spec.is_convex_kind else None
 
     def build(angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        # h keeps its full width even under upto: the product w @ E in
-        # _kernel_sums rounds a column differently when the matrix is narrower
-        h = _kernel_sums(angles, weights, index)
+        # h_0..h_{width-1} only, from a product of the full order's shape (see _kernel_sums)
+        h = _kernel_sums(angles, weights, index, width)
         s = np.zeros(width, dtype=np.complex128)
         s[1:] = factor * h[1:width] / n
         # exp coefficient k reads only coefficients 0..k of its argument

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import is_dataclass
 from functools import cache
@@ -70,8 +71,8 @@ CSV_COLUMNS = (
 
 #: Ceiling on trials x (built order + 1) of a run's one sampled suite: as members, 2**25 complex
 #: coefficients are 512 MiB.  verify and trace hold one member at a time, but their rows (about
-#: 420 B each) scale with it; sample holds its whole report as Python lists, about 42 B per
-#: coefficient (64 trials at order 8192 peaked at about 57 MiB), and streams its JSON text.
+#: 420 B each) scale with it; sample holds and writes one trial at a time (64 trials at order
+#: 8192 peaked at about 41 MiB, 57 MiB when it held them all).
 _COEFFICIENTS = 2**25
 
 #: A config field: its exact JSON types and, for an integer, its range lo..hi; holds names the
@@ -286,10 +287,21 @@ def _jsonable(obj):
 
 def _write(cfg: dict, doc) -> None:
     """Write doc to cfg's 'out' path, or to stdout without one: a str as it is, else streamed
-    as JSON, so the whole text is never held (an encoder error leaves a partial report)."""
+    as JSON, so the whole text is never held (an encoder error leaves a partial report).
+
+    An iterator is written as the JSON array of its items, in json.dump's bytes for the
+    list, one item at a time as it is made, so its items are never all held."""
     with _open_out(cfg["out"], "w") if cfg.get("out") else nullcontext(sys.stdout) as fh:
         if isinstance(doc, str):
             fh.write(doc)
+        elif isinstance(doc, Iterator):
+            sep = "[\n  "
+            for item in doc:
+                # an item sits one level deeper; no JSON string holds a raw newline
+                text = json.dumps(item, indent=2, sort_keys=True, default=_jsonable)
+                fh.write(sep + text.replace("\n", "\n  "))
+                sep = ",\n  "
+            fh.write("[]\n" if sep == "[\n  " else "\n]\n")
         else:
             json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
             fh.write("\n")
@@ -451,11 +463,9 @@ def _cmd_sample(cfg: dict) -> int:
     k_atoms = cfg.get("k_atoms", 2)
     seed = _require(cfg, "seed")
     _check_coefficients(trials, order, order)
-    docs = [
-        {"atoms": measure, **vars(spec), "trial": t, "seed": seed, "coefficients": list(f.coeffs)}
-        for t, (measure, f) in enumerate(_suite(seed, spec, order, order, trials, k_atoms))
-    ]
-    _write(cfg, docs)
+    suite = _suite(seed, spec, order, order, trials, k_atoms)
+    _write(cfg, ({"atoms": measure, **vars(spec), "trial": t, "seed": seed,
+                  "coefficients": f.coeffs.tolist()} for t, (measure, f) in enumerate(suite)))
     return EXIT_OK
 
 

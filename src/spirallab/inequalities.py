@@ -97,7 +97,7 @@ def one_sided_diff(f: FunctionSeries, n: int) -> float:
         raise InvalidIndices("successive difference needs n >= 1")
     if n + 1 > f.order:
         raise OrderTooLow(f"need order >= {n + 1}, have {f.order}")
-    return ON_COEFFICIENTS["one_sided_diff"](f.a, n)
+    return ON_COEFFICIENTS["one_sided_diff"](f.coeffs.item, n)
 
 
 def gamma_ratio(alpha: float, n: int) -> float:
@@ -380,8 +380,8 @@ def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofT
         n=n,
         gamma=gamma,
         alpha=alpha,
-        c=tuple(complex(v) for v in c),
-        C=tuple(complex(v) for v in big_c),
+        c=tuple(c.tolist()),
+        C=tuple(big_c.tolist()),
         M=M,
         max_angle=angle,
         xi0=xi0,

@@ -119,16 +119,17 @@ class Series:
     def eval_circle(self, r: float, m: int) -> np.ndarray:
         """Values at the uniform grid ``z_j = r exp(2 pi i j / m), j = 0..m-1``.
 
-        Computed exactly (up to rounding) by folding the scaled coefficients
-        modulo m and applying one inverse FFT, since the grid characters are
-        periodic in the coefficient index.
+        Computed exactly (up to rounding) by one inverse FFT of length m.
+        At most m scaled coefficients go in as they are, zero-padded inside
+        the FFT; more are first folded modulo m, since the grid characters
+        are periodic in the coefficient index.
         """
         scaled = self._c * (float(r) ** np.arange(self._c.size))
-        total = ((scaled.size + m - 1) // m) * m
-        buf = np.zeros(total, dtype=np.complex128)
-        buf[: scaled.size] = scaled
-        folded = buf.reshape(-1, m).sum(axis=0)
-        return m * np.fft.ifft(folded)
+        if scaled.size > m:
+            buf = np.zeros(-(-scaled.size // m) * m, dtype=np.complex128)
+            buf[: scaled.size] = scaled
+            scaled = buf.reshape(-1, m).sum(axis=0)
+        return m * np.fft.ifft(scaled, m)
 
 
 class FunctionSeries(Series):

@@ -76,6 +76,17 @@ def circle(r: float, m: int) -> np.ndarray:
     return r * np.exp(2j * np.pi * np.arange(m) / m)
 
 
+def eval_circle_folded(s: Series, r: float, m: int) -> np.ndarray:
+    """Values on the m-point circle of radius r by the fold that ``Series.eval_circle`` once
+    ran for every m: the scaled coefficients zero-padded to a multiple of m, summed modulo m,
+    then one inverse FFT of length m."""
+    scaled = s.coeffs * (float(r) ** np.arange(s.coeffs.size))
+    total = ((scaled.size + m - 1) // m) * m
+    buf = np.zeros(total, dtype=np.complex128)
+    buf[: scaled.size] = scaled
+    return m * np.fft.ifft(buf.reshape(-1, m).sum(axis=0))
+
+
 def horner(s: Series, z: complex) -> complex:
     """Value of the truncated polynomial at one point."""
     return complex(np.polyval(s.coeffs[::-1], z))

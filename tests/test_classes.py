@@ -16,6 +16,7 @@ from spirallab import (
     named,
     random_measure,
 )
+from spirallab.classes import MAX_ATOMS, member_builder
 from spirallab.cli import EXIT_OK, _class_spec, main
 from spirallab.extremal import SearchProblem, _atoms_from_vector
 from spirallab.inequalities import DegenerateCosGamma, InvalidIndices, OrderTooLow
@@ -166,14 +167,30 @@ def test_member_from_measure_convex_spirallike():
 )
 @pytest.mark.parametrize("order", [64, 256])
 def test_member_upto_is_a_bitwise_prefix_of_the_full_member(spec, order):
-    rng = np.random.default_rng(order)
-    for _ in range(4):
-        measure = random_measure(rng, 8)
+    # widths 1..40 take every remainder mod 4, the column block of OpenBLAS's product,
+    # at every atom count a sampled or searched measure may have
+    for k in range(1, MAX_ATOMS + 1):
+        measure = fixed_measure(order + k, k)
         full = member_from_measure(measure, spec, order).coeffs
-        for upto in (-1, 0, 1, 2, 7, 21, order, order + 1):
+        for upto in (-1, 0, *range(1, 41), order, order + 1):
             f = member_from_measure(measure, spec, order, upto=upto)
             assert f.order == min(max(upto, 1), order)
             assert np.array_equal(f.coeffs, full[: f.order + 1])
+        atoms = np.asarray(measure.angles), np.asarray(measure.weights)
+        for n in range(1, 41):  # the search objective's map at index n
+            assert np.array_equal(member_builder(spec, order, n + 1)(*atoms), full[: n + 2])
+
+
+def test_member_upto_is_a_bitwise_prefix_where_blas_splits_the_product():
+    # 16 atoms x 1024 columns is past OpenBLAS's threading threshold: on more than one
+    # thread the product's columns are split at ceil(width / 2), so a product narrowed to
+    # 4 * ceil(657 / 4) = 660 columns rounded columns 328..329 otherwise than the full one
+    spec = ClassSpec("spirallike", 0.4, 0.2)
+    measure = fixed_measure(5, MAX_ATOMS)
+    full = member_from_measure(measure, spec, 1024).coeffs
+    for upto in (322, 467, 657, 970):
+        f = member_from_measure(measure, spec, 1024, upto=upto)
+        assert np.array_equal(f.coeffs, full[: upto + 1])
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from spirallab import (
     random_measure,
 )
 from conftest import assert_series_close
-from oracles import div_sliced, exp_zero_sliced, horner, log_unit, mul
+from oracles import div_sliced, eval_circle_folded, exp_zero_sliced, horner, log_unit, mul
 
 TOL_ALGEBRA = 1e-9
 
@@ -301,6 +301,16 @@ def test_eval_circle_matches_eval_when_m_below_order():
     for j in range(m):
         z = 0.8 * np.exp(2j * np.pi * j / m)
         assert vals[j] == pytest.approx(horner(s, z), rel=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 30, 64, 100, 257])
+def test_eval_circle_is_bitwise_the_folded_form(size):
+    # m below, equal to and above the coefficient count, powers of two or not
+    rng = np.random.default_rng(size)
+    s = Series(rng.normal(size=size) + 1j * rng.normal(size=size))
+    for m in {1, 2, 3, max(size - 1, 1), size, size + 1, 2 * size + 3, 64, 1000, 1024}:
+        for r in (0.5, 0.99, 1.0):
+            assert np.array_equal(s.eval_circle(r, m), eval_circle_folded(s, r, m))
 
 
 # ----------------------------------------------------------------------
