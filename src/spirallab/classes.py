@@ -121,21 +121,15 @@ class ClassSpec:
         return self.alpha * math.cos(self.gamma)
 
 
-def _kernel_sums(
-    angles: np.ndarray, weights: np.ndarray, index: np.ndarray, width: int | None = None
-) -> np.ndarray:
-    """2 sum_j w_j exp(-i n t_j) for each n in ``index``, or for its first ``width`` only.
+def _kernel_sums(angles: np.ndarray, weights: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """2 sum_j w_j exp(-i n t_j) for each n in ``index``, adding the atoms in their order.
 
-    Past ``width`` the sums are 0, and the ones computed are bit for bit
-    those of the full call: the product w @ E keeps its shape and only
-    the exponentials past ``width`` are left out (as zero columns), since
-    BLAS rounds a column by its place in the call (OpenBLAS takes columns
-    in blocks of 4 and splits them across threads), so a narrower product
-    moves low bits.
+    No BLAS call: NumPy reduces axis 0 of a (k, m) array row by row when
+    m >= 2 (one column it sums pairwise), so each sum's bits depend only
+    on n and the atoms, not on the length of ``index`` or the thread count.
     """
-    kernels = np.zeros((angles.size, index.size), dtype=np.complex128)
-    kernels[:, :width] = np.exp(-1j * (angles[:, None] * index[:width]))
-    return 2.0 * (weights @ kernels)
+    kernels = np.exp(-1j * (angles[:, None] * index))
+    return 2.0 * (weights[:, None] * kernels).sum(axis=0)
 
 
 def herglotz(measure: AtomicMeasure, order: int = ORDER_DEFAULT) -> Series:
@@ -150,34 +144,31 @@ def herglotz(measure: AtomicMeasure, order: int = ORDER_DEFAULT) -> Series:
     return Series(h)
 
 
-def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT, upto: int | None = None):
+def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT):
     """Coefficient map of the members of one class, for many measures.
 
-    Returns ``build(angles, weights) -> a_0..a_width``, width =
-    min(max(upto, 1), order) (order when ``upto`` is None), for float
-    arrays of atoms that :func:`check_atoms` accepts; it does not check
-    them again.  The spiral parent's member follows the formula in
+    Returns ``build(angles, weights) -> a_0..a_order`` for float arrays of
+    atoms that :func:`check_atoms` accepts; it does not check them again.
+    The spiral parent's member follows the formula in
     :func:`member_from_measure`, and convex kinds divide a_n by n (the
-    inverse Alexander map).  What does not depend on the atoms is
-    computed once, here.
+    inverse Alexander map).  a_k reads only h_1..h_{k-1} (see _kernel_sums),
+    so the map at any order is a bitwise prefix of the map at every higher
+    one.  What does not depend on the atoms is computed once, here.
     """
     if order < 1:
         raise InvalidParams("order must be >= 1")
     parent = spec.spiral_parent()
     factor = np.exp(1j * parent.gamma) * math.cos(parent.gamma) * (1.0 - parent.alpha)
-    index = np.arange(order)
-    width = order if upto is None else min(max(upto, 1), order)
-    n = index[1:width]
-    divisor = np.arange(1, width + 1) if spec.is_convex_kind else None
+    index = np.arange(order)  # h_0 is never read, but gives order 2 two columns (_kernel_sums)
+    n = index[1:]
+    divisor = np.arange(1, order + 1) if spec.is_convex_kind else None
 
     def build(angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        # h_0..h_{width-1} only, from a product of the full order's shape (see _kernel_sums)
-        h = _kernel_sums(angles, weights, index, width)
-        s = np.zeros(width, dtype=np.complex128)
-        s[1:] = factor * h[1:width] / n
-        # exp coefficient k reads only coefficients 0..k of its argument
+        h = _kernel_sums(angles, weights, index)
+        s = np.zeros(order, dtype=np.complex128)
+        s[1:] = factor * h[1:] / n
         u = Series(s).exp_zero().coeffs
-        a = np.zeros(width + 1, dtype=np.complex128)
+        a = np.zeros(order + 1, dtype=np.complex128)
         a[1:] = u if divisor is None else u / divisor
         return a
 
@@ -185,11 +176,7 @@ def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT, upto: int | None
 
 
 def member_from_measure(
-    measure: AtomicMeasure,
-    spec: ClassSpec,
-    order: int = ORDER_DEFAULT,
-    *,
-    upto: int | None = None,
+    measure: AtomicMeasure, spec: ClassSpec, order: int = ORDER_DEFAULT
 ) -> FunctionSeries:
     """Member of a class driven by an atomic measure.
 
@@ -201,12 +188,11 @@ def member_from_measure(
     extremal.  Convex kinds take the inverse Alexander map a_n / n of
     their spiral parent's member.
 
-    ``upto`` (clamped to 1..order) stops the exponential at a_upto and
-    returns a member of that order, for callers that read no further;
-    its coefficients are bit-for-bit those of the order-``order`` member.
-    The coefficients come from :func:`member_builder`.
+    The coefficients come from :func:`member_builder`, so a member of
+    order k is, bit for bit, the first k + 1 coefficients of the same
+    member at any higher order: a caller builds only as far as it reads.
     """
-    build = member_builder(spec, order, upto)
+    build = member_builder(spec, order)
     return FunctionSeries(build(np.asarray(measure.angles), np.asarray(measure.weights)))
 
 

@@ -37,9 +37,9 @@ from .inequalities import (
     ChainInequalityViolation,
     bound_rhs,
     bound_row,
+    chain_trace,
     class_bound,
     holds,
-    proof_trace,
 )
 from .membership import (
     TOL_MEMBER,
@@ -111,7 +111,7 @@ _FIELDS = {
     "membership object": {"radii": _Field((list,)), "m": _Field((int,), 1, 2**20)},
 }
 
-#: search builds members at order max(64, 2n), so its n stays within half of this
+#: table and search build through a_{n+1}, so their n stays below this
 _ORDER_MAX = _FIELDS["config"]["order"].hi
 
 
@@ -215,32 +215,32 @@ def _n_range(cfg: dict) -> range:
     raise ConfigError("field 'n' must be an integer or [lo, hi]")
 
 
-def _check_coefficients(trials: int, order: int, upto: int) -> None:
-    """Reject trials members built through a_upto when they would pass the coefficient ceiling."""
-    coefficients = trials * (min(max(upto, 1), order) + 1)
+def _check_coefficients(trials: int, order: int) -> None:
+    """Reject trials members of this order when they would pass the coefficient ceiling."""
+    coefficients = trials * (order + 1)
     if coefficients > _COEFFICIENTS:
         raise ConfigError(
             f"trials x (built order + 1) = {coefficients} coefficients must be <= {_COEFFICIENTS}"
         )
 
 
-def _suite(seed: int, spec: ClassSpec, order: int, upto: int, trials: int, k_atoms: int):
-    """(measure, member through a_upto) per trial, drawn from one stream seeded by seed and
+def _suite(seed: int, spec: ClassSpec, order: int, trials: int, k_atoms: int):
+    """(measure, member of this order) per trial, drawn from one stream seeded by seed and
     built one at a time; building draws nothing, so the draws are those of drawing all first."""
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         measure = random_measure(rng, k_atoms)
-        yield measure, member_from_measure(measure, spec, order, upto=upto)
+        yield measure, member_from_measure(measure, spec, order)
 
 
-def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
+def _build_functions(cfg: dict, spec: ClassSpec, order: int, last: int):
     """An iterator of (function_id, FunctionSeries, seed-or-None), one per function named.
 
     One pass checks every entry first: ids must not repeat, so at most one entry is sampled
     (any two number their members from sample-0000), within the coefficient ceiling.  The
     named functions, closed forms built in full, come next, so a bad name or params fail
-    before any member is drawn.  The sampled members come last, built through a_upto one at
-    a time as the iterator is read.
+    before any member is drawn.  The sampled members come last, built through a_last (within
+    a_1..a_order), the last coefficient read, one at a time as the iterator is read.
     """
     named_entries = {}  # function id -> (name, params)
     trials = k_atoms = 0  # of the sampled entry; without one, no member is drawn
@@ -262,11 +262,12 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, upto: int):
         if tag in named_entries:
             raise ConfigError(f"function id {tag!r} repeats")
         named_entries[tag] = (entry["name"], params)
-    _check_coefficients(trials, order, upto)
+    built = min(max(last, 1), order)
+    _check_coefficients(trials, built)
     seed = _require(cfg, "seed") if trials else None
     functions = [(tag, named(name, order, **params), None)
                  for tag, (name, params) in named_entries.items()]
-    members = _suite(seed, spec, order, upto, trials, k_atoms) if trials else ()
+    members = _suite(seed, spec, built, trials, k_atoms) if trials else ()
     return chain(functions, ((f"sample-{t:04d}", f, seed) for t, (_, f) in enumerate(members)))
 
 
@@ -419,7 +420,7 @@ def _cmd_trace(cfg: dict) -> int:
         for n in ns:
             doc = {"function_id": fid, "seed": seed}
             try:
-                doc.update(vars(proof_trace(f, spec.gamma, spec.alpha, n)))
+                doc.update(vars(chain_trace(f, spec, n)))
             except ChainInequalityViolation as exc:
                 doc.update({"n": n, "violation": str(exc)})
             docs.append(doc)
@@ -431,8 +432,8 @@ def _cmd_trace(cfg: dict) -> int:
 def _cmd_search(cfg: dict) -> int:
     spec = _class_spec(cfg)
     n = _require(cfg, "n")
-    if type(n) is not int or n > _ORDER_MAX // 2:
-        raise ConfigError(f"field 'n' must be an integer <= {_ORDER_MAX // 2}")
+    if type(n) is not int or n >= _ORDER_MAX:
+        raise ConfigError(f"field 'n' must be an integer <= {_ORDER_MAX - 1}")
     seed = _require(cfg, "seed")
     given = ("functional", "m", "k_atoms", "budget", "restarts", "minimize")
     problem = SearchProblem(spec, n, seed=seed, **{k: cfg[k] for k in given if k in cfg})
@@ -462,8 +463,8 @@ def _cmd_sample(cfg: dict) -> int:
     trials = _require(cfg, "trials")
     k_atoms = cfg.get("k_atoms", 2)
     seed = _require(cfg, "seed")
-    _check_coefficients(trials, order, order)
-    suite = _suite(seed, spec, order, order, trials, k_atoms)
+    _check_coefficients(trials, order)
+    suite = _suite(seed, spec, order, trials, k_atoms)
     _write(cfg, ({"atoms": measure, **vars(spec), "trial": t, "seed": seed,
                   "coefficients": f.coeffs.tolist()} for t, (measure, f) in enumerate(suite)))
     return EXIT_OK

@@ -20,7 +20,6 @@ from .classes import (
     MAX_ATOMS, TWO_PI, AtomicMeasure, ClassSpec, InvalidParams, check_atoms, member_builder
 )
 from .inequalities import FUNCTIONALS, ON_COEFFICIENTS, check_indices
-from .series import ORDER_DEFAULT
 
 #: Per-restart convergence tolerance on the simplex objective spread.
 SPREAD_TOL = 1e-10
@@ -90,11 +89,11 @@ def _measure_from_vector(x: np.ndarray, k: int) -> AtomicMeasure:
     return AtomicMeasure(*_atoms_from_vector(x, k))
 
 
-def _objective(problem: SearchProblem, order: int):
+def _objective(problem: SearchProblem):
     n, m, k = problem.n, problem.m, problem.k_atoms
     functional = ON_COEFFICIENTS[problem.functional]
     # every functional reads at most a_{n+1}
-    build = member_builder(problem.spec, order, n + 1)
+    build = member_builder(problem.spec, n + 1)
 
     def value(x: np.ndarray) -> float:
         return functional(build(*_atoms_from_vector(x, k)).item, n, m)
@@ -160,8 +159,7 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
     called as (evaluation count, incumbent value) at each improvement,
     which is how the CLI streams progress.
     """
-    order = max(ORDER_DEFAULT, 2 * problem.n)
-    raw = _objective(problem, order)
+    raw = _objective(problem)
     sign = 1.0 if problem.minimize else -1.0
     k = problem.k_atoms
 

@@ -129,11 +129,6 @@ def _gamma_ratio_rhs(n: int, m: int | None, alpha: float | None) -> float:
     return gamma_ratio(alpha, n)
 
 
-def _chain_rhs(f: FunctionSeries, spec: ClassSpec, n: int) -> float:
-    """thm_main's per-function rhs: the final bound of a proof trace of f in spec."""
-    return proof_trace(f, spec.gamma, spec.alpha, n).final_bound
-
-
 #: Every theorem by id.  class_bound gives each class the first row that
 #: admits it and bounds the searched functional, so the row order fixes
 #: each class's theorem.
@@ -148,7 +143,7 @@ THEOREMS = {
         "one_sided_diff",
         lambda s: s.is_convex_kind and s.alpha >= 0.0,
         lambda n, m, a: 1.0 / (n + 1),
-        lambda f, spec, n: _chain_rhs(alexander_forward(f), spec, n) / (n + 1),
+        lambda f, spec, n: chain_trace(f, spec, n).final_bound / (n + 1),
     ),
     "thm_C": Theorem(
         "two_sided_diff", lambda s: s.kind == "starlike" and s.alpha < 0.0, _gamma_ratio_rhs
@@ -160,7 +155,10 @@ THEOREMS = {
         "two_sided_diff", lambda s: not s.is_convex_kind and s.alpha >= 0.0, lambda n, m, a: 1.0
     ),
     "thm_main": Theorem(
-        "two_sided_diff", lambda s: not s.is_convex_kind, lambda n, m, a: 1.0, _chain_rhs
+        "two_sided_diff",
+        lambda s: not s.is_convex_kind,
+        lambda n, m, a: 1.0,
+        lambda f, spec, n: chain_trace(f, spec, n).final_bound,
     ),
     "thm_robertson": Theorem(
         "robertson", lambda s: s.kind == "c_half", lambda n, m, a: (n - m) * (n + m + 1) / 2.0
@@ -389,6 +387,13 @@ def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofT
         beta_bound=beta,
         final_bound=final,
     )
+
+
+def chain_trace(f: FunctionSeries, spec: ClassSpec, n: int) -> ProofTrace:
+    """The proof trace behind f's per-function rows in spec at n: f's own, or for a convex
+    kind that of z f'(z), its spiral parent's member."""
+    g = alexander_forward(f) if spec.is_convex_kind else f
+    return proof_trace(g, spec.gamma, spec.alpha, n)
 
 
 def robertson_gap(f: FunctionSeries, n: int, m: int) -> float:

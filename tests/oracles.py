@@ -99,6 +99,20 @@ def alexander_inverse(g: FunctionSeries) -> FunctionSeries:
     return FunctionSeries(c)
 
 
+def herglotz_by_atom(measure: AtomicMeasure, order: int) -> np.ndarray:
+    """h_0 = 1 and h_n = 2 sum_j w_j exp(-i n t_j), n = 1..order, adding one atom at a time.
+
+    The same products added in the same order as ``herglotz``, so the two agree bit for bit.
+    """
+    n = np.arange(order + 1)
+    total = np.zeros(order + 1, dtype=np.complex128)
+    for t, w in zip(measure.angles, measure.weights):
+        total = total + w * np.exp(-1j * (t * n))
+    h = 2.0 * total
+    h[0] = 1.0
+    return h
+
+
 def fixed_measure(seed: int, k: int) -> AtomicMeasure:
     """k atoms from a generator of their own: angles uniform on [0, 2pi), then simplex weights."""
     rng = np.random.default_rng(seed)

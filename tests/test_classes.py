@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from spirallab import (
     Series,
     UnknownName,
     alexander_forward,
+    classes,
     herglotz,
     member_from_measure,
     named,
@@ -22,7 +27,7 @@ from spirallab.extremal import SearchProblem, _atoms_from_vector
 from spirallab.inequalities import DegenerateCosGamma, InvalidIndices, OrderTooLow
 from spirallab.membership import Grid
 from conftest import assert_series_close
-from oracles import alexander_inverse, fixed_measure, log_unit
+from oracles import alexander_inverse, fixed_measure, herglotz_by_atom, log_unit
 
 #: One atom at angle 0: the Koebe measure.
 KOEBE_ATOM = AtomicMeasure((0.0,), (1.0,))
@@ -89,6 +94,14 @@ def test_herglotz_two_opposite_atoms():
     expect = np.where(n % 2 == 0, 2.0, 0.0)
     expect[0] = 1.0
     assert np.allclose(h.coeffs, expect, atol=1e-14)
+
+
+def test_herglotz_adds_its_atoms_one_at_a_time():
+    # no BLAS product: each sum takes its atoms in their order, whatever the order of h
+    for k in range(1, MAX_ATOMS + 1):
+        measure = fixed_measure(k, k)
+        for order in (1, 2, 5, 64):
+            assert np.array_equal(herglotz(measure, order).coeffs, herglotz_by_atom(measure, order))
 
 
 def test_herglotz_constant_term_is_one():
@@ -167,30 +180,43 @@ def test_member_from_measure_convex_spirallike():
 )
 @pytest.mark.parametrize("order", [64, 256])
 def test_member_upto_is_a_bitwise_prefix_of_the_full_member(spec, order):
-    # widths 1..40 take every remainder mod 4, the column block of OpenBLAS's product,
+    # a member of each order 1..41 is the first coefficients of the order-`order` one: its
+    # Herglotz sums end at every remainder mod 4, the column block a BLAS product rounds by,
     # at every atom count a sampled or searched measure may have
     for k in range(1, MAX_ATOMS + 1):
         measure = fixed_measure(order + k, k)
         full = member_from_measure(measure, spec, order).coeffs
-        for upto in (-1, 0, *range(1, 41), order, order + 1):
-            f = member_from_measure(measure, spec, order, upto=upto)
-            assert f.order == min(max(upto, 1), order)
-            assert np.array_equal(f.coeffs, full[: f.order + 1])
         atoms = np.asarray(measure.angles), np.asarray(measure.weights)
-        for n in range(1, 41):  # the search objective's map at index n
-            assert np.array_equal(member_builder(spec, order, n + 1)(*atoms), full[: n + 2])
+        for short in range(1, 42):
+            assert np.array_equal(member_from_measure(measure, spec, short).coeffs,
+                                  full[: short + 1])
+            # the search objective's map at index n = short - 1
+            assert np.array_equal(member_builder(spec, short)(*atoms), full[: short + 1])
 
 
-def test_member_upto_is_a_bitwise_prefix_where_blas_splits_the_product():
-    # 16 atoms x 1024 columns is past OpenBLAS's threading threshold: on more than one
-    # thread the product's columns are split at ceil(width / 2), so a product narrowed to
-    # 4 * ceil(657 / 4) = 660 columns rounded columns 328..329 otherwise than the full one
-    spec = ClassSpec("spirallike", 0.4, 0.2)
-    measure = fixed_measure(5, MAX_ATOMS)
-    full = member_from_measure(measure, spec, 1024).coeffs
-    for upto in (322, 467, 657, 970):
-        f = member_from_measure(measure, spec, 1024, upto=upto)
-        assert np.array_equal(f.coeffs, full[: upto + 1])
+def test_sample_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 16 atoms x 1026 columns is past OpenBLAS's threading threshold, where a BLAS product
+    # splits its columns at ceil(1026 / T) on T threads and rounds some of them otherwise
+    config = tmp_path / "sample.json"
+    config.write_text(json.dumps({
+        "seed": 4, "order": 1026, "trials": 4, "k_atoms": 16,
+        "spec": {"kind": "spirallike", "gamma": 0.3, "alpha": 0.25},
+    }))
+    src = str(Path(classes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / f"sample-{threads}.json"
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        run = subprocess.run(
+            [sys.executable, "-m", "spirallab.cli", "sample", "--config", str(config),
+             "--out", str(out)],
+            capture_output=True, env=env, timeout=300,
+        )
+        assert (run.returncode, run.stderr) == (EXIT_OK, b"")
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 # ----------------------------------------------------------------------

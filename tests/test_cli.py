@@ -238,6 +238,28 @@ def test_trace_command(tmp_path):
         assert len(doc["c"]) == 6
 
 
+def test_trace_of_a_convex_kind_is_the_chain_behind_its_verify_rows(tmp_path):
+    # cor_convex_gamma's per-function rhs is the final bound of the trace of z f'(z) over
+    # n + 1, so trace replays that chain, not one run on the convex member f itself
+    config = {
+        "seed": 7,
+        "spec": {"kind": "convex_spirallike", "gamma": 0.3, "alpha": 0.2},
+        "n": [2, 10],
+        "functions": [{"sampled": {"trials": 5, "k_atoms": 4}}],
+        "theorem": "cor_convex_gamma",
+        "format": "json",
+    }
+    rows, traces = tmp_path / "rows.json", tmp_path / "traces.json"
+    cfg = write_config(tmp_path, config)
+    assert main(["verify", "--config", cfg, "--out", str(rows)]) == EXIT_OK
+    assert main(["trace", "--config", cfg, "--out", str(traces)]) == EXIT_OK
+    rhs = {(row["function_id"], row["n"]): row["rhs"] for row in json.loads(rows.read_text())}
+    docs = json.loads(traces.read_text())
+    assert len(docs) == len(rhs) == 45
+    for doc in docs:
+        assert doc["final_bound"] / (doc["n"] + 1) == rhs[doc["function_id"], doc["n"]]
+
+
 def test_search_command_streams_and_writes(tmp_path, capsys):
     out = tmp_path / "result.json"
     cfg = write_config(
@@ -657,7 +679,7 @@ _OUTSIDE_SCHEMA = {
     "membership_m_past_ceiling": (
         "verify", {**_SAMPLED_MAIN, "membership": {"radii": [0.5], "m": 2**20 + 1}}
     ),
-    "search_n_past_ceiling": ("search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 32769}),
+    "search_n_past_ceiling": ("search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 65536}),
     "search_budget_past_ceiling": (
         "search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 4, "budget": 1_000_001}
     ),

@@ -117,7 +117,7 @@ def test_exploratory_minimize_direction():
 )
 def test_objective_equals_the_functional_on_the_full_order_member(problem):
     order = max(ORDER_DEFAULT, 2 * problem.n)
-    objective = _objective(problem, order)
+    objective = _objective(problem)
     functional = FUNCTIONALS[problem.functional]
     k = problem.k_atoms
 

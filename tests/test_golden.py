@@ -47,7 +47,7 @@ CASES = {
             "format": "json",
         },
         EXIT_OK,
-        "afd35a898b7e7c49f10f4c58c99f7585b89d6d23380fb0780a8b911902bd6c7d",
+        "d4e275fbba24dade39317f5071db2d4b7714c17b0db52856f67bb7d7980495cf",
         EMPTY,
     ),
     # order 1024 pins exp_zero bits far past order 64, and the convex
@@ -65,7 +65,7 @@ CASES = {
             "membership": {"radii": [0.5, 0.9, 0.99], "m": 8192},
         },
         EXIT_VIOLATION,
-        "6a9f1ce138381dc722bfcc9d5861ea90f1e36be0be41f0e56e03c3b089d195da",
+        "2c2170660bcc0a0e8c78633c4a93bc1f142da7403f2cd0abadccf87e6387e8f3",
         EMPTY,
     ),
     "verify_highorder_membership_convex_spirallike": (
@@ -80,7 +80,7 @@ CASES = {
             "membership": {"radii": [0.5, 0.9, 0.99], "m": 8192},
         },
         EXIT_VIOLATION,
-        "376392d5956dc0421a033f5aa9dd12d0c13aa389691a22427a67559f106b4d75",
+        "a82db9e0784e2b6a0ad9487235070c6ee7390cc52f8df246eacd0d101bc47c79",
         EMPTY,
     ),
     "verify_thm_robertson": (
@@ -156,7 +156,7 @@ CASES = {
             "functions": [{"sampled": {"trials": 2, "k_atoms": 4}}],
         },
         EXIT_OK,
-        "3d3bb0063b03ec8736d2cc382d669b762ab22b9eb22d8c76c790f977b7b6c58d",
+        "fc9cdadfbb5b9ddc1144892a0a69d27c83a326da1e15bb2ae974d17c3f4fb70f",
         EMPTY,
     ),
     "search_two_sided": (
@@ -170,8 +170,8 @@ CASES = {
             "restarts": 2,
         },
         EXIT_OK,
-        "8166038dda4f17d306f800fbbb70d1c9ed6d04bb62c85b948ef46ffe4bef07bd",
-        "a657b913615c7d7aad6698aae1e5d98e29109a3ad5ef2d90ebfddb6ac752de1b",
+        "434d92f6f4fbbc04f4e48e7edb800e5f01cf99bb0ade1f1588aef480f0b35f21",
+        "3218eabc8ec086f94d1389ad08dc6f0a6c98251d68ab2ba8b7083a056b62510b",
     ),
     "search_one_sided_convex": (
         "search",
@@ -185,8 +185,8 @@ CASES = {
             "restarts": 2,
         },
         EXIT_OK,
-        "161b97166f8678861b23ef413ef55c4518b0698e47300f358c80d2257de5ddc4",
-        "9431e209cf9b42d866070dcf6df838fe8b6b500d5d9eab59b70b6b2d0cde590b",
+        "c975fda153f7435d0c30a2c3ad7ae85ff30a3faf39328ab07d1ef10eeeb915dd",
+        "308e0a2a263f7ce0a27df335f4d32f592e4f2efd2d6ecf42336a1d0a2d0228a1",
     ),
     "search_robertson": (
         "search",
@@ -201,8 +201,8 @@ CASES = {
             "restarts": 2,
         },
         EXIT_OK,
-        "321b1d6c28cbeea2c3eacfbe61de7c509e9730f87eed3548997fdc83344244a3",
-        "cc66ac9c3daa41955b4f72991a151360d8b55f4e3eeef83ff46187c109d0f60d",
+        "0ec823ea9394a2f03c153dcc4601b54c174b7eafa397779056d37c57e2253ba3",
+        "a5dec175e2d6848a62a0b562e98f76d8633e2d605bfebd23b2bf46c578aecd2e",
     ),
     "sample": (
         "sample",
@@ -214,7 +214,7 @@ CASES = {
             "spec": {"kind": "convex"},
         },
         EXIT_OK,
-        "29c6a8a53ad45676e60d13d06cd7c3a194169ebd303df856ae90521f2428aefe",
+        "a9a266e8d91c17a646344e9c20934b7db96c2fd6325ab665728146d7a2876ab6",
         EMPTY,
     ),
     "table": (
