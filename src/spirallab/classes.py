@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import ORDER_DEFAULT, FunctionSeries, Series
+from .series import ORDER_DEFAULT, FunctionSeries, Series, exp_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,14 +47,16 @@ def check_atoms(angles: np.ndarray, weights: np.ndarray) -> None:
 
     Every angle must lie in [0, 2pi) and every weight must be nonnegative
     (NaN does neither), and the weights must sum to 1 within WEIGHT_TOL.
+    Leading axes hold a batch of measures, each checked the same way; the
+    first whose weights do not sum to 1 is named.
     """
     if not (angles.min() >= 0.0 and angles.max() < TWO_PI):
         raise InvalidParams("atom angles must lie in [0, 2pi)")
     if not weights.min() >= 0.0:
         raise InvalidParams("atom weights must be nonnegative")
-    total = float(weights.sum())
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise InvalidParams(f"atom weights sum to {total!r}, not 1")
+    for total in np.add.reduce(weights.reshape(-1, weights.shape[-1]), 1).tolist():
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise InvalidParams(f"atom weights sum to {total!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -124,12 +126,13 @@ class ClassSpec:
 def _kernel_sums(angles: np.ndarray, weights: np.ndarray, index: np.ndarray) -> np.ndarray:
     """2 sum_j w_j exp(-i n t_j) for each n in ``index``, adding the atoms in their order.
 
-    No BLAS call: NumPy reduces axis 0 of a (k, m) array row by row when
-    m >= 2 (one column it sums pairwise), so each sum's bits depend only
-    on n and the atoms, not on the length of ``index`` or the thread count.
+    No BLAS call: NumPy reduces the atom axis of a (..., k, m) array row by
+    row when m >= 2 (one column it sums pairwise), so each sum's bits depend
+    only on n and the atoms, not on the length of ``index``, the batch or the
+    thread count.  Leading axes of ``angles`` and ``weights`` hold a batch.
     """
-    kernels = np.exp(-1j * (angles[:, None] * index))
-    return 2.0 * (weights[:, None] * kernels).sum(axis=0)
+    kernels = np.exp(-1j * (angles[..., None] * index))
+    return 2.0 * np.add.reduce(weights[..., None] * kernels, -2)
 
 
 def herglotz(measure: AtomicMeasure, order: int = ORDER_DEFAULT) -> Series:
@@ -144,32 +147,36 @@ def herglotz(measure: AtomicMeasure, order: int = ORDER_DEFAULT) -> Series:
     return Series(h)
 
 
-def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT):
+def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT, exp=exp_rows):
     """Coefficient map of the members of one class, for many measures.
 
     Returns ``build(angles, weights) -> a_0..a_order`` for float arrays of
     atoms that :func:`check_atoms` accepts; it does not check them again.
-    The spiral parent's member follows the formula in
-    :func:`member_from_measure`, and convex kinds divide a_n by n (the
-    inverse Alexander map).  a_k reads only h_1..h_{k-1} (see _kernel_sums),
-    so the map at any order is a bitwise prefix of the map at every higher
-    one.  What does not depend on the atoms is computed once, here.
+    Leading axes hold a batch: atoms of shape (..., k) give coefficients of
+    shape (..., order + 1), each row bit for bit the member of its atoms
+    alone.  The spiral parent's member follows the formula in
+    :func:`member_from_measure`, with ``exp`` mapping the log series to
+    its exponential (:func:`~spirallab.series.exp_rows` row by row), and
+    convex kinds divide a_n by n (the inverse Alexander map).  a_k reads
+    only h_1..h_{k-1} (see _kernel_sums), so the map at any order is a
+    bitwise prefix of the map at every higher one.  What does not depend
+    on the atoms is computed once, here.
     """
     if order < 1:
         raise InvalidParams("order must be >= 1")
     parent = spec.spiral_parent()
     factor = np.exp(1j * parent.gamma) * math.cos(parent.gamma) * (1.0 - parent.alpha)
     index = np.arange(order)  # h_0 is never read, but gives order 2 two columns (_kernel_sums)
-    n = index[1:]
+    n = np.maximum(index, 1)
     divisor = np.arange(1, order + 1) if spec.is_convex_kind else None
 
     def build(angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
         h = _kernel_sums(angles, weights, index)
-        s = np.zeros(order, dtype=np.complex128)
-        s[1:] = factor * h[1:] / n
-        u = Series(s).exp_zero().coeffs
-        a = np.zeros(order + 1, dtype=np.complex128)
-        a[1:] = u if divisor is None else u / divisor
+        s = factor * h / n
+        s[..., 0] = 0.0
+        u = exp(s)
+        a = np.zeros(h.shape[:-1] + (order + 1,), dtype=np.complex128)
+        a[..., 1:] = u if divisor is None else u / divisor
         return a
 
     return build
@@ -192,7 +199,8 @@ def member_from_measure(
     order k is, bit for bit, the first k + 1 coefficients of the same
     member at any higher order: a caller builds only as far as it reads.
     """
-    build = member_builder(spec, order)
+    # through Series.exp_zero, so a trace of the Series methods sees each member as one call
+    build = member_builder(spec, order, lambda s: Series(s).exp_zero().coeffs)
     return FunctionSeries(build(np.asarray(measure.angles), np.asarray(measure.weights)))
 
 

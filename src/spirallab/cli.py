@@ -99,7 +99,7 @@ _FIELDS = {
         "functions": _Field((list,), holds="function entry"),
         "membership": _Field((bool, dict), holds="membership object"),
         "functional": _Field((str,)),
-        "budget": _Field((int,), 1, 1_000_000),  # one search's evaluations, run in turn
+        "budget": _Field((int,), 1, 1_000_000),  # a cap on one search's evaluations
         "restarts": _Field((int,), 1),
         "minimize": _Field((bool,)),
         **_SUITE,

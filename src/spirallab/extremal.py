@@ -12,7 +12,10 @@ bound is a red-alert finding, reported in-band rather than raised.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -27,6 +30,10 @@ SPREAD_TOL = 1e-10
 #: Initial simplex edge lengths for angle and weight coordinates.
 _STEP_ANGLE = 0.5
 _STEP_WEIGHT = 0.25
+
+#: Most atom terms (live restarts x atoms x coefficients) in one round's batch, which
+#: caps how many restarts advance together and so the memory a batch takes.
+_ROUND_TERMS = 4096
 
 
 @dataclass(frozen=True)
@@ -69,18 +76,22 @@ class SearchResult:
 
 
 def _atoms_from_vector(x: np.ndarray, k: int) -> tuple:
-    """Checked (angles, weights) of a search vector: x[:k] wrapped mod 2pi, x[k:] squared.
+    """Checked (angles, weights) of search vectors: x[..., :k] wrapped mod 2pi, x[..., k:] squared.
 
     An angle wraps by Python's float ``%`` (``np.remainder``), and a result
     of exactly 2pi, which a tiny negative angle rounds to, folds to 0, so
     every angle lands in [0, 2pi).  The squared weights are normalized to
-    sum 1; all-zero weights fall back to uniform ones.
+    sum 1; all-zero weights fall back to uniform ones.  Leading axes of x
+    hold a batch of vectors, each mapped as it would be alone.
     """
-    angles = np.remainder(x[:k], TWO_PI)
+    angles = np.remainder(x[..., :k], TWO_PI)
     angles[angles >= TWO_PI] = 0.0
-    w = x[k:] ** 2
-    total = w.sum()
-    weights = np.full(k, 1.0 / k) if total <= 1e-300 else w / total
+    w = x[..., k:] ** 2
+    total = np.add.reduce(w, -1, keepdims=True)
+    tiny = total <= 1e-300
+    if np.count_nonzero(tiny):
+        w, total = np.where(tiny, 1.0, w), np.where(tiny, float(k), total)
+    weights = w / total
     check_atoms(angles, weights)
     return angles, weights
 
@@ -90,19 +101,27 @@ def _measure_from_vector(x: np.ndarray, k: int) -> AtomicMeasure:
 
 
 def _objective(problem: SearchProblem):
+    """The functional at a search vector, or the list of its values at each row of a batch."""
     n, m, k = problem.n, problem.m, problem.k_atoms
     functional = ON_COEFFICIENTS[problem.functional]
     # every functional reads at most a_{n+1}
     build = member_builder(problem.spec, n + 1)
 
-    def value(x: np.ndarray) -> float:
-        return functional(build(*_atoms_from_vector(x, k)).item, n, m)
+    def value(x: np.ndarray):
+        a = build(*_atoms_from_vector(x, k))
+        if a.ndim == 1:
+            return functional(a.item, n, m)
+        return [functional(row.item, n, m) for row in a]
 
     return value
 
 
-def _simplex_min(cost, x0: np.ndarray, steps: np.ndarray, max_evals: int):
-    """Simplex-reflection minimization of cost; returns whether the spread converged."""
+def _simplex_min(x0: np.ndarray, steps: np.ndarray, max_evals: int):
+    """Simplex-reflection minimization, as a generator of the points to evaluate.
+
+    Yields each point it needs and is sent back its cost; it evaluates at
+    most ``max_evals`` points and returns whether the spread converged.
+    """
     d = x0.size
     pts = np.vstack([x0] + [x0 + steps[i] * np.eye(d)[i] for i in range(d)])
     vals = np.empty(d + 1)
@@ -111,22 +130,22 @@ def _simplex_min(cost, x0: np.ndarray, steps: np.ndarray, max_evals: int):
         if evals >= max_evals:
             vals[i:] = np.inf
             break
-        vals[i] = cost(pts[i])
+        vals[i] = yield pts[i]
         evals += 1
     while evals < max_evals:
-        idx = np.argsort(vals, kind="stable")
+        idx = vals.argsort(kind="stable")
         pts, vals = pts[idx], vals[idx]
         if vals[-1] - vals[0] < SPREAD_TOL:
             return True
         centroid = np.add.reduce(pts[:-1], axis=0) / d
         xr = centroid + (centroid - pts[-1])
-        fr = cost(xr)
+        fr = yield xr
         evals += 1
+        if evals >= max_evals:
+            break
         if fr < vals[0]:
-            if evals >= max_evals:
-                break
             xe = centroid + 2.0 * (centroid - pts[-1])
-            fe = cost(xe)
+            fe = yield xe
             evals += 1
             if fe < fr:
                 pts[-1], vals[-1] = xe, fe
@@ -136,7 +155,7 @@ def _simplex_min(cost, x0: np.ndarray, steps: np.ndarray, max_evals: int):
             pts[-1], vals[-1] = xr, fr
         else:
             xc = centroid + 0.5 * (pts[-1] - centroid)
-            fc = cost(xc)
+            fc = yield xc
             evals += 1
             if fc < vals[-1]:
                 pts[-1], vals[-1] = xc, fc
@@ -145,58 +164,114 @@ def _simplex_min(cost, x0: np.ndarray, steps: np.ndarray, max_evals: int):
                     if evals >= max_evals:
                         break
                     pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
-                    vals[i] = cost(pts[i])
+                    vals[i] = yield pts[i]
                     evals += 1
     return False
+
+
+class _Restart:
+    """One restart's simplex, its pending point, and its record lows.
+
+    ``lows`` and ``low_evals`` hold the cost and the evaluation count
+    within the restart at each strict new low of the restart's own costs
+    that is not replayed yet, and ``best_x`` the point of its lowest cost:
+    an evaluation improves the whole search's incumbent only if it is such
+    a low, so these and the evaluation count are all the replay reads.
+    Typed arrays keep a low to 16 bytes.
+    """
+
+    def __init__(self, simplex):
+        self._simplex = simplex
+        self.point = next(simplex)
+        self.evals = 0
+        self.low, self.lows, self.low_evals = math.inf, array("d"), array("q")
+        self.best_x = None
+        self.converged = None  # True or False once the simplex has returned
+
+    def send(self, cost: float) -> bool:
+        """Record the pending point's cost and move on; returns whether the simplex is done."""
+        self.evals += 1
+        if cost < self.low:
+            self.low = cost
+            self.lows.append(cost)
+            self.low_evals.append(self.evals)
+            self.best_x = np.array(self.point)
+        try:
+            self.point = self._simplex.send(cost)
+        except StopIteration as stop:
+            self.converged = stop.value
+            return True
+        return False
 
 
 def search(problem: SearchProblem, on_improve=None) -> SearchResult:
     """Run the multi-start search; deterministic for a fixed seed.
 
-    The budget is the total evaluation count, split evenly across
-    restarts; a restart that hits its share before the simplex spread
-    converges marks the result budget_exhausted.  ``on_improve`` is
-    called as (evaluation count, incumbent value) at each improvement,
-    which is how the CLI streams progress.
+    The budget is the total evaluation count and a hard cap: each restart
+    may spend budget // restarts evaluations (at least 1), so only the
+    first min(restarts, budget) restarts run, and a restart that hits its
+    share before the simplex spread converges marks the result
+    budget_exhausted.  The restarts advance side by side: each round
+    evaluates the pending point of every live restart in one batch (a
+    lone live restart's point alone), and a restart starts, in restart
+    order, when a slot of the ``_ROUND_TERMS`` window frees.  Their costs
+    are replayed in restart order, so the result and every ``on_improve``
+    call are bit for bit those of running the restarts one after another.
+    ``on_improve`` is called as (evaluation count, incumbent value) at
+    each improvement, which is how the CLI streams progress; a restart's
+    improvements reach it once every earlier restart has finished.
     """
-    raw = _objective(problem)
+    objective = _objective(problem)
     sign = 1.0 if problem.minimize else -1.0
     k = problem.k_atoms
-
-    state = {
-        "evals": 0,
-        "best_cost": math.inf,
-        "best_x": None,
-        "history": [],
-    }
-
-    def cost(x: np.ndarray) -> float:
-        c = sign * raw(x)
-        state["evals"] += 1
-        if c < state["best_cost"]:
-            state["best_cost"] = c
-            state["best_x"] = np.array(x)
-            state["history"].append((state["evals"], sign * c))
-            if on_improve is not None:
-                on_improve(state["evals"], sign * c)
-        return c
-
     rng = np.random.default_rng(problem.seed)
     share = max(problem.budget // problem.restarts, 1)
     steps = np.concatenate([np.full(k, _STEP_ANGLE), np.full(k, _STEP_WEIGHT)])
-    exhausted = False
-    for _ in range(problem.restarts):
-        x0 = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, k), rng.uniform(0.3, 1.0, k)])
-        converged = _simplex_min(cost, x0, steps, min(share, problem.budget - state["evals"]))
-        exhausted = exhausted or not converged
-        if state["evals"] >= problem.budget:
-            break
-    best_measure = _measure_from_vector(state["best_x"], k)
+    starts = (  # drawn from rng in restart order, as each restart starts
+        np.concatenate([rng.uniform(0.0, 2.0 * np.pi, k), rng.uniform(0.3, 1.0, k)])
+        for _ in range(min(problem.restarts, problem.budget))
+    )
+    queue = deque()  # the restarts started and not yet replayed, in restart order
+
+    def start(count: int) -> list:
+        """The next ``count`` restarts, fewer once all have started."""
+        runs = [_Restart(_simplex_min(x0, steps, share)) for x0 in islice(starts, count)]
+        queue.extend(runs)
+        return runs
+
+    live = start(max(1, _ROUND_TERMS // (k * (problem.n + 1))))
+    best_cost, best_x, history, evals, exhausted = math.inf, None, [], 0, False
+    while live:
+        if len(live) == 1:
+            costs = [objective(live[0].point)]
+        else:
+            costs = objective(np.array([run.point for run in live]))
+        done = 0
+        for run, value in zip(live, costs):
+            done += run.send(sign * value)
+        if done:
+            live = [run for run in live if run.converged is None] + start(done)
+        # replay the record lows of each restart whose predecessors have all finished
+        while queue:
+            run = queue[0]
+            if run.lows:
+                for count, c in zip(run.low_evals, run.lows):
+                    if c < best_cost:
+                        best_cost, best_x = c, run.best_x
+                        history.append((evals + count, sign * c))
+                        if on_improve is not None:
+                            on_improve(evals + count, sign * c)
+                del run.lows[:], run.low_evals[:]
+            if run.converged is None:
+                break
+            queue.popleft()
+            evals += run.evals
+            exhausted = exhausted or not run.converged
+
     return SearchResult(
-        best_value=sign * state["best_cost"],
-        best_measure=best_measure,
-        history=tuple(state["history"]),
-        evaluations_used=state["evals"],
+        best_value=sign * best_cost,
+        best_measure=_measure_from_vector(best_x, k),
+        history=tuple(history),
+        evaluations_used=evals,
         budget_exhausted=exhausted,
     )
-

@@ -34,6 +34,34 @@ class NonzeroConstantTerm(ValueError):
     """exp_zero requires a series with constant term 0."""
 
 
+def _stacked_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Column-wise dot products of two (k, B) arrays: one cblas zdotu per column, as np.dot."""
+    return (x.T[:, None, :] @ y.T[:, :, None])[:, 0, 0]
+
+
+def exp_rows(c: np.ndarray) -> np.ndarray:
+    """Exponential of each series along the last axis of c, whose c[..., 0] must be 0.
+
+    Uses the convolution recurrence ``k b_k = sum_{j<=k} j a_j b_{k-j}``,
+    which costs O(N^2) and needs no root finding.  The b_j are kept
+    reversed, so each step dots two contiguous slices in the order
+    j = 1..k and no step copies a reversed view.  The loop runs on
+    transposed views, so one series (``np.dot``) and a stack of them (one
+    dot per series, :func:`_stacked_dot`) share it, and every row is bit
+    for bit the exponential of that series alone.
+    """
+    rows = c.reshape(-1, c.shape[-1]) if c.ndim > 2 else c
+    n = rows.shape[-1] - 1
+    ka = (np.arange(n + 1) * rows).T
+    rb = np.zeros(rows.shape, dtype=np.complex128)  # rb[..., n - j] = b_j
+    rb[..., n] = 1.0
+    b = rb.T
+    dot = np.dot if rows.ndim == 1 else _stacked_dot
+    for k in range(1, n + 1):
+        b[n - k] = dot(ka[1 : k + 1], b[n - k + 1 :]) / k
+    return rb[..., ::-1].reshape(c.shape)
+
+
 class Series:
     """A power series truncated at a fixed order: ``sum c_k z^k, k <= order``.
 
@@ -96,22 +124,10 @@ class Series:
         return Series(k * self._c[1:])
 
     def exp_zero(self) -> "Series":
-        """Exponential of a series with zero constant term.
-
-        Uses the convolution recurrence ``k b_k = sum_{j<=k} j a_j b_{k-j}``,
-        which costs O(N^2) and needs no root finding.  The b_j are kept
-        reversed, so each step dots two contiguous slices in the order
-        j = 1..k and no step copies a reversed view.
-        """
+        """Exponential of a series with zero constant term, by :func:`exp_rows`."""
         if abs(self._c[0]) > TOL_EXACT:
             raise NonzeroConstantTerm(f"constant term {self._c[0]:.3e} is not 0")
-        n = self.order
-        ka = np.arange(n + 1) * self._c
-        rb = np.zeros(n + 1, dtype=np.complex128)  # rb[n - j] = b_j
-        rb[n] = 1.0
-        for k in range(1, n + 1):
-            rb[n - k] = np.dot(ka[1 : k + 1], rb[n - k + 1 :]) / k
-        return Series(rb[::-1])
+        return Series(exp_rows(self._c))
 
     # ------------------------------------------------------------------
     # evaluation

@@ -8,7 +8,10 @@ import math
 
 import numpy as np
 
-from spirallab import AtomicMeasure, FunctionSeries, Series
+from spirallab import AtomicMeasure, FunctionSeries, SearchProblem, SearchResult, Series
+from spirallab.extremal import (
+    _STEP_ANGLE, _STEP_WEIGHT, SPREAD_TOL, _measure_from_vector, _objective
+)
 
 
 def mul(a: Series, b: Series) -> Series:
@@ -119,3 +122,99 @@ def fixed_measure(seed: int, k: int) -> AtomicMeasure:
     angles = rng.uniform(0.0, 2.0 * math.pi, k)
     weights = rng.dirichlet(np.ones(k))
     return AtomicMeasure(tuple(angles), tuple(weights / weights.sum()))
+
+
+def simplex_min(cost, x0: np.ndarray, steps: np.ndarray, max_evals: int) -> bool:
+    """Simplex-reflection minimization calling cost(x) at each point; returns whether it converged.
+
+    The loop ``extremal._simplex_min`` runs as a generator, written as a
+    plain function of at most max_evals calls of cost.
+    """
+    d = x0.size
+    pts = np.vstack([x0] + [x0 + steps[i] * np.eye(d)[i] for i in range(d)])
+    vals = np.empty(d + 1)
+    evals = 0
+    for i in range(d + 1):
+        if evals >= max_evals:
+            vals[i:] = np.inf
+            break
+        vals[i] = cost(pts[i])
+        evals += 1
+    while evals < max_evals:
+        idx = np.argsort(vals, kind="stable")
+        pts, vals = pts[idx], vals[idx]
+        if vals[-1] - vals[0] < SPREAD_TOL:
+            return True
+        centroid = np.add.reduce(pts[:-1], axis=0) / d
+        xr = centroid + (centroid - pts[-1])
+        fr = cost(xr)
+        evals += 1
+        if fr < vals[0]:
+            if evals >= max_evals:
+                break
+            xe = centroid + 2.0 * (centroid - pts[-1])
+            fe = cost(xe)
+            evals += 1
+            if fe < fr:
+                pts[-1], vals[-1] = xe, fe
+            else:
+                pts[-1], vals[-1] = xr, fr
+        elif fr < vals[-2]:
+            pts[-1], vals[-1] = xr, fr
+        else:
+            if evals >= max_evals:
+                break
+            xc = centroid + 0.5 * (pts[-1] - centroid)
+            fc = cost(xc)
+            evals += 1
+            if fc < vals[-1]:
+                pts[-1], vals[-1] = xc, fc
+            else:
+                for i in range(1, d + 1):
+                    if evals >= max_evals:
+                        break
+                    pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
+                    vals[i] = cost(pts[i])
+                    evals += 1
+    return False
+
+
+def search_in_turn(problem: SearchProblem, on_improve=None) -> SearchResult:
+    """The multi-start search with its restarts run one after another, each to the end.
+
+    Every point goes through the objective alone, and the incumbent is
+    updated at the evaluation that improves it, so this is the plain
+    reading of what ``extremal.search`` reports.
+    """
+    value = _objective(problem)
+    sign = 1.0 if problem.minimize else -1.0
+    k = problem.k_atoms
+    state = {"evals": 0, "best_cost": math.inf, "best_x": None, "history": []}
+
+    def cost(x):
+        c = sign * value(x)
+        state["evals"] += 1
+        if c < state["best_cost"]:
+            state["best_cost"], state["best_x"] = c, np.array(x)
+            state["history"].append((state["evals"], sign * c))
+            if on_improve is not None:
+                on_improve(state["evals"], sign * c)
+        return c
+
+    rng = np.random.default_rng(problem.seed)
+    share = max(problem.budget // problem.restarts, 1)
+    steps = np.concatenate([np.full(k, _STEP_ANGLE), np.full(k, _STEP_WEIGHT)])
+    exhausted = False
+    for _ in range(problem.restarts):
+        x0 = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, k), rng.uniform(0.3, 1.0, k)])
+        converged = simplex_min(cost, x0, steps, min(share, problem.budget - state["evals"]))
+        exhausted = exhausted or not converged
+        if state["evals"] >= problem.budget:
+            break
+    return SearchResult(
+        best_value=sign * state["best_cost"],
+        best_measure=_measure_from_vector(state["best_x"], k),
+        history=tuple(state["history"]),
+        evaluations_used=state["evals"],
+        budget_exhausted=exhausted,
+    )

@@ -194,6 +194,45 @@ def test_member_upto_is_a_bitwise_prefix_of_the_full_member(spec, order):
             assert np.array_equal(member_builder(spec, short)(*atoms), full[: short + 1])
 
 
+@pytest.mark.parametrize("kind", classes.KINDS)
+def test_member_builder_batch_rows_are_each_member_alone(kind):
+    spec = _class_spec({"spec": {"kind": kind, **({"alpha": -0.5} if kind == "c_half" else {})}})
+    build = member_builder(spec, 40)
+    for k in (1, 4, 8, 9, MAX_ATOMS):
+        measures = [fixed_measure(100 * k + i, k) for i in range(6)]
+        angles = np.array([m.angles for m in measures])
+        weights = np.array([m.weights for m in measures])
+        batch = build(angles, weights)
+        assert np.array_equal(build(angles.reshape(2, 3, k), weights.reshape(2, 3, k)),
+                              batch.reshape(2, 3, -1))
+        for m, row in zip(measures, batch):
+            assert np.array_equal(row, member_from_measure(m, spec, 40).coeffs)
+
+
+def test_check_atoms_checks_each_row_of_a_batch():
+    angles = np.array([[0.5, 1.0], [2.0, 3.0], [1.0, 6.0]])
+    weights = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
+    classes.check_atoms(angles, weights)
+    for bad in (-0.1, 2 * math.pi, np.nan):
+        rows = angles.copy()
+        rows[1, 1] = bad
+        with pytest.raises(InvalidParams, match=r"angles must lie in \[0, 2pi\)"):
+            classes.check_atoms(rows, weights)
+    for bad in (-0.1, np.nan):
+        rows = weights.copy()
+        rows[2, 1] = bad
+        with pytest.raises(InvalidParams, match="nonnegative"):
+            classes.check_atoms(angles, rows)
+    # the first row whose weights do not sum to 1 is named, as it is when checked alone
+    rows = weights.copy()
+    rows[1, 0], rows[2, 0] = 0.3, 0.875
+    with pytest.raises(InvalidParams) as alone:
+        classes.check_atoms(angles[1], rows[1])
+    with pytest.raises(InvalidParams) as batched:
+        classes.check_atoms(angles, rows)
+    assert str(batched.value) == str(alone.value) == "atom weights sum to 1.05, not 1"
+
+
 def test_sample_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # 16 atoms x 1026 columns is past OpenBLAS's threading threshold, where a BLAS product
     # splits its columns at ceil(1026 / T) on T threads and rounds some of them otherwise

@@ -9,6 +9,7 @@ from spirallab.cli import EXIT_OK, main
 from spirallab.extremal import _measure_from_vector, _objective
 from spirallab.inequalities import FUNCTIONALS, TOL_INEQ
 from spirallab.series import ORDER_DEFAULT
+from oracles import search_in_turn
 
 
 def test_problem_validation():
@@ -126,9 +127,13 @@ def test_objective_equals_the_functional_on_the_full_order_member(problem):
         return functional(full, problem.n, problem.m)
 
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        x = np.concatenate([rng.uniform(-np.pi, 3.0 * np.pi, k), rng.uniform(0.0, 1.0, k)])
-        assert objective(x) == full_order_value(x)
+    points = np.concatenate(
+        [rng.uniform(-np.pi, 3.0 * np.pi, (200, k)), rng.uniform(0.0, 1.0, (200, k))], axis=1
+    )
+    batch = objective(points)
+    assert len(batch) == len(points)
+    for x, value in zip(points, batch):
+        assert value == objective(x) == full_order_value(x)
 
     # all-zero weights (the uniform fallback); -1e-17 wraps to exactly 0.0
     for t in (-1e-17, 1e6, -1e6):
@@ -148,6 +153,70 @@ def test_objective_equals_the_functional_on_the_full_order_member(problem):
             x = np.concatenate([[bad], np.linspace(1.0, 5.0, k - 1), np.full(k, 0.5)])
             with pytest.raises(InvalidParams):
                 objective(x)
+            # one bad row, angle or weight, fails the whole batch
+            for column in (0, k):
+                rows = points[:5].copy()
+                rows[3, column] = bad
+                with pytest.raises(InvalidParams):
+                    objective(rows)
+
+
+def test_budget_is_a_hard_cap():
+    # the contraction after a reflection once ran past a restart's share: this search used 301
+    spec = ClassSpec("spirallike", 0.4, 0.2)
+    problem = SearchProblem(spec, 8, k_atoms=3, budget=300, restarts=2, seed=0)
+    assert search(problem).evaluations_used == 300
+    for seed in range(6):
+        for restarts in (1, 2, 3, 7):
+            problem = SearchProblem(spec, 5, k_atoms=2, budget=200 + 37 * seed, restarts=restarts,
+                                    seed=seed)
+            assert search(problem).evaluations_used <= problem.budget
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        pytest.param(SearchProblem(ClassSpec("spirallike", 0.4, 0.2), n=4, k_atoms=1, budget=600,
+                                   restarts=3, seed=1), id="spirallike-k1"),
+        pytest.param(SearchProblem(ClassSpec("convex_spirallike", -0.7, 0.5), n=5,
+                                   functional="one_sided_diff", k_atoms=16, budget=1700,
+                                   restarts=3, seed=2), id="convex_spirallike-k16"),
+        pytest.param(SearchProblem(ClassSpec("starlike", alpha=-0.5), n=5, m=2,
+                                   functional="robertson", k_atoms=2, budget=900, restarts=4,
+                                   seed=3, minimize=True), id="starlike-robertson-minimize"),
+        pytest.param(SearchProblem(ClassSpec("convex"), n=6, functional="one_sided_diff",
+                                   k_atoms=4, budget=4000, restarts=8, seed=4), id="convex"),
+        pytest.param(SearchProblem(ClassSpec("c_half", alpha=-0.5), n=5, m=2,
+                                   functional="robertson", k_atoms=2, budget=1000, restarts=2,
+                                   seed=9), id="c_half-robertson"),
+        pytest.param(SearchProblem(ClassSpec("c_half", alpha=-0.5), n=3,
+                                   functional="one_sided_diff", k_atoms=3, budget=1200,
+                                   restarts=5, seed=5, minimize=True), id="c_half-minimize"),
+        pytest.param(SearchProblem(ClassSpec("starlike"), n=3, k_atoms=1, budget=100,
+                                   restarts=130, seed=6), id="budget-below-restarts"),
+        pytest.param(SearchProblem(ClassSpec("spirallike", 0.4, 0.2), n=8, k_atoms=3, budget=300,
+                                   restarts=2, seed=0), id="share-exhausted"),
+    ],
+)
+def test_search_equals_the_restarts_run_in_turn(problem):
+    seen, expected = [], []
+    result = search(problem, on_improve=lambda e, v: seen.append((e, v)))
+    assert result == search_in_turn(problem, on_improve=lambda e, v: expected.append((e, v)))
+    assert seen == expected and tuple(seen) == result.history
+    assert result.evaluations_used <= problem.budget
+
+
+@pytest.mark.parametrize("terms", [1, 3 * 4 * 7])
+def test_search_with_fewer_live_restarts_than_restarts(monkeypatch, terms):
+    # one live restart at a time, then three, each later restart starting as a slot frees
+    problem = SearchProblem(ClassSpec("convex"), n=6, functional="one_sided_diff", k_atoms=4,
+                            budget=4000, restarts=8, seed=7919)
+    expected = []
+    reference = search_in_turn(problem, on_improve=lambda e, v: expected.append((e, v)))
+    monkeypatch.setattr("spirallab.extremal._ROUND_TERMS", terms)
+    seen = []
+    assert search(problem, on_improve=lambda e, v: seen.append((e, v))) == reference
+    assert seen == expected
 
 
 def test_on_improve_stream_matches_history():

@@ -14,6 +14,7 @@ from spirallab import (
     member_from_measure,
     random_measure,
 )
+from spirallab.series import exp_rows
 from conftest import assert_series_close
 from oracles import div_sliced, eval_circle_folded, exp_zero_sliced, horner, log_unit, mul
 
@@ -216,6 +217,19 @@ def test_exp_zero_is_bitwise_the_slicing_recurrence(order):
     tail = random_complex(rng, order) / np.arange(1, order + 1)
     s = Series(np.concatenate([[0.0], tail]))
     assert np.array_equal(s.exp_zero().coeffs, exp_zero_sliced(s).coeffs)
+
+
+@pytest.mark.parametrize("order", [*range(1, 65), 1024])
+def test_batched_exp_rows_are_bitwise_exp_zero_row_by_row(order):
+    # a stack of series takes one cblas zdotu per row and step, as np.dot does for one
+    rng = np.random.default_rng(order)
+    tails = random_complex(rng, (16, order)) / np.arange(1, order + 1)
+    rows = np.concatenate([np.zeros((16, 1)), tails], axis=1)
+    expected = [Series(row).exp_zero().coeffs for row in rows]
+    for batch in range(1, 17):
+        got = exp_rows(rows[:batch])
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+    assert np.array_equal(exp_rows(rows[:6].reshape(2, 3, -1)).reshape(6, -1), exp_rows(rows[:6]))
 
 
 @pytest.mark.parametrize("order", BITWISE_ORDERS)
