@@ -54,7 +54,7 @@ def check_atoms(angles: np.ndarray, weights: np.ndarray) -> None:
         raise InvalidParams("atom angles must lie in [0, 2pi)")
     if not weights.min() >= 0.0:
         raise InvalidParams("atom weights must be nonnegative")
-    for total in np.add.reduce(weights.reshape(-1, weights.shape[-1]), 1).tolist():
+    for total in np.add.reduce(weights, -1, keepdims=True).ravel().tolist():
         if abs(total - 1.0) > WEIGHT_TOL:
             raise InvalidParams(f"atom weights sum to {total!r}, not 1")
 
@@ -147,7 +147,7 @@ def herglotz(measure: AtomicMeasure, order: int = ORDER_DEFAULT) -> Series:
     return Series(h)
 
 
-def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT, exp=exp_rows):
+def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT):
     """Coefficient map of the members of one class, for many measures.
 
     Returns ``build(angles, weights) -> a_0..a_order`` for float arrays of
@@ -155,9 +155,10 @@ def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT, exp=exp_rows):
     Leading axes hold a batch: atoms of shape (..., k) give coefficients of
     shape (..., order + 1), each row bit for bit the member of its atoms
     alone.  The spiral parent's member follows the formula in
-    :func:`member_from_measure`, with ``exp`` mapping the log series to
-    its exponential (:func:`~spirallab.series.exp_rows` row by row), and
-    convex kinds divide a_n by n (the inverse Alexander map).  a_k reads
+    :func:`member_from_measure`: one member's log series goes through
+    :meth:`Series.exp_zero`, a batch's through
+    :func:`~spirallab.series.exp_rows`, which gives each row the same bits.
+    Convex kinds divide a_n by n (the inverse Alexander map).  a_k reads
     only h_1..h_{k-1} (see _kernel_sums), so the map at any order is a
     bitwise prefix of the map at every higher one.  What does not depend
     on the atoms is computed once, here.
@@ -174,7 +175,7 @@ def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT, exp=exp_rows):
         h = _kernel_sums(angles, weights, index)
         s = factor * h / n
         s[..., 0] = 0.0
-        u = exp(s)
+        u = exp_rows(s) if s.ndim > 1 else Series(s).exp_zero().coeffs
         a = np.zeros(h.shape[:-1] + (order + 1,), dtype=np.complex128)
         a[..., 1:] = u if divisor is None else u / divisor
         return a
@@ -199,8 +200,7 @@ def member_from_measure(
     order k is, bit for bit, the first k + 1 coefficients of the same
     member at any higher order: a caller builds only as far as it reads.
     """
-    # through Series.exp_zero, so a trace of the Series methods sees each member as one call
-    build = member_builder(spec, order, lambda s: Series(s).exp_zero().coeffs)
+    build = member_builder(spec, order)
     return FunctionSeries(build(np.asarray(measure.angles), np.asarray(measure.weights)))
 
 

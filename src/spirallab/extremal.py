@@ -31,9 +31,14 @@ SPREAD_TOL = 1e-10
 _STEP_ANGLE = 0.5
 _STEP_WEIGHT = 0.25
 
-#: Most atom terms (live restarts x atoms x coefficients) in one round's batch, which
-#: caps how many restarts advance together and so the memory a batch takes.
-_ROUND_TERMS = 4096
+#: Most atom terms (live restarts x atoms x coefficients) in one round's batch.  Only a
+#: memory bound: a round's kernel arrays take 16 bytes a term, so each stays within 1 MiB.
+_ROUND_TERMS = 2**16
+
+#: Fewest live restarts evaluated as one batch; with fewer, each runs to its end alone.
+#: A stacked recurrence step costs about three single-series steps, so smaller batches
+#: lose at large n what they save in per-call overhead (BENCH_lockstep_search.json).
+_MIN_BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,8 @@ def _atoms_from_vector(x: np.ndarray, k: int) -> tuple:
     angles[angles >= TWO_PI] = 0.0
     w = x[..., k:] ** 2
     total = np.add.reduce(w, -1, keepdims=True)
-    tiny = total <= 1e-300
-    if np.count_nonzero(tiny):
+    if min(total.flat) <= 1e-300:
+        tiny = total <= 1e-300
         w, total = np.where(tiny, 1.0, w), np.where(tiny, float(k), total)
     weights = w / total
     check_atoms(angles, weights)
@@ -212,11 +217,12 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
     first min(restarts, budget) restarts run, and a restart that hits its
     share before the simplex spread converges marks the result
     budget_exhausted.  The restarts advance side by side: each round
-    evaluates the pending point of every live restart in one batch (a
-    lone live restart's point alone), and a restart starts, in restart
-    order, when a slot of the ``_ROUND_TERMS`` window frees.  Their costs
-    are replayed in restart order, so the result and every ``on_improve``
-    call are bit for bit those of running the restarts one after another.
+    evaluates the pending point of every live restart in one batch while
+    at least ``_MIN_BATCH`` are live; with fewer, the first live restart
+    runs to its end alone.  A restart starts, in restart order, when a
+    slot of the ``_ROUND_TERMS`` window frees.  Their costs are replayed
+    in restart order, so the result and every ``on_improve`` call are
+    bit for bit those of running the restarts one after another.
     ``on_improve`` is called as (evaluation count, incumbent value) at
     each improvement, which is how the CLI streams progress; a restart's
     improvements reach it once every earlier restart has finished.
@@ -242,13 +248,14 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
     live = start(max(1, _ROUND_TERMS // (k * (problem.n + 1))))
     best_cost, best_x, history, evals, exhausted = math.inf, None, [], 0, False
     while live:
-        if len(live) == 1:
-            costs = [objective(live[0].point)]
+        if len(live) < _MIN_BATCH:  # too few to batch: the first runs to its end alone
+            run = live[0]
+            while not run.send(sign * objective(run.point)):
+                pass
+            done = 1
         else:
             costs = objective(np.array([run.point for run in live]))
-        done = 0
-        for run, value in zip(live, costs):
-            done += run.send(sign * value)
+            done = sum([run.send(sign * value) for run, value in zip(live, costs)])
         if done:
             live = [run for run in live if run.converged is None] + start(done)
         # replay the record lows of each restart whose predecessors have all finished

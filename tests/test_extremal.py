@@ -177,17 +177,17 @@ def test_budget_is_a_hard_cap():
     "problem",
     [
         pytest.param(SearchProblem(ClassSpec("spirallike", 0.4, 0.2), n=4, k_atoms=1, budget=600,
-                                   restarts=3, seed=1), id="spirallike-k1"),
+                                   restarts=4, seed=1), id="spirallike-k1"),
         pytest.param(SearchProblem(ClassSpec("convex_spirallike", -0.7, 0.5), n=5,
                                    functional="one_sided_diff", k_atoms=16, budget=1700,
-                                   restarts=3, seed=2), id="convex_spirallike-k16"),
+                                   restarts=4, seed=2), id="convex_spirallike-k16"),
         pytest.param(SearchProblem(ClassSpec("starlike", alpha=-0.5), n=5, m=2,
                                    functional="robertson", k_atoms=2, budget=900, restarts=4,
                                    seed=3, minimize=True), id="starlike-robertson-minimize"),
         pytest.param(SearchProblem(ClassSpec("convex"), n=6, functional="one_sided_diff",
                                    k_atoms=4, budget=4000, restarts=8, seed=4), id="convex"),
         pytest.param(SearchProblem(ClassSpec("c_half", alpha=-0.5), n=5, m=2,
-                                   functional="robertson", k_atoms=2, budget=1000, restarts=2,
+                                   functional="robertson", k_atoms=2, budget=1000, restarts=4,
                                    seed=9), id="c_half-robertson"),
         pytest.param(SearchProblem(ClassSpec("c_half", alpha=-0.5), n=3,
                                    functional="one_sided_diff", k_atoms=3, budget=1200,
@@ -206,14 +206,16 @@ def test_search_equals_the_restarts_run_in_turn(problem):
     assert result.evaluations_used <= problem.budget
 
 
-@pytest.mark.parametrize("terms", [1, 3 * 4 * 7])
-def test_search_with_fewer_live_restarts_than_restarts(monkeypatch, terms):
-    # one live restart at a time, then three, each later restart starting as a slot frees
+@pytest.mark.parametrize("terms, min_batch", [(1, 4), (5 * 4 * 7, 4), (3 * 4 * 7, 2)])
+def test_search_with_fewer_live_restarts_than_restarts(monkeypatch, terms, min_batch):
+    # one live restart at a time, then five or three, each later restart starting as a slot
+    # frees; once fewer than min_batch are live, the first runs to its end alone
     problem = SearchProblem(ClassSpec("convex"), n=6, functional="one_sided_diff", k_atoms=4,
                             budget=4000, restarts=8, seed=7919)
     expected = []
     reference = search_in_turn(problem, on_improve=lambda e, v: expected.append((e, v)))
     monkeypatch.setattr("spirallab.extremal._ROUND_TERMS", terms)
+    monkeypatch.setattr("spirallab.extremal._MIN_BATCH", min_batch)
     seen = []
     assert search(problem, on_improve=lambda e, v: seen.append((e, v))) == reference
     assert seen == expected
