@@ -54,7 +54,8 @@ def check_atoms(angles: np.ndarray, weights: np.ndarray) -> None:
         raise InvalidParams("atom angles must lie in [0, 2pi)")
     if not weights.min() >= 0.0:
         raise InvalidParams("atom weights must be nonnegative")
-    for total in np.add.reduce(weights, -1, keepdims=True).ravel().tolist():
+    totals = np.add.reduce(weights, -1)  # a scalar for one measure
+    for total in [float(totals)] if weights.ndim == 1 else totals.ravel().tolist():
         if abs(total - 1.0) > WEIGHT_TOL:
             raise InvalidParams(f"atom weights sum to {total!r}, not 1")
 

@@ -92,11 +92,15 @@ def _atoms_from_vector(x: np.ndarray, k: int) -> tuple:
     angles = np.remainder(x[..., :k], TWO_PI)
     angles[angles >= TWO_PI] = 0.0
     w = x[..., k:] ** 2
-    total = np.add.reduce(w, -1, keepdims=True)
-    if min(total.flat) <= 1e-300:
-        tiny = total <= 1e-300
-        w, total = np.where(tiny, 1.0, w), np.where(tiny, float(k), total)
-    weights = w / total
+    if x.ndim == 1:  # a scalar total, cheaper for the points a search evaluates alone
+        total = w.sum()
+        weights = np.full(k, 1.0 / k) if total <= 1e-300 else w / total
+    else:
+        total = np.add.reduce(w, -1, keepdims=True)
+        if min(total.flat) <= 1e-300:
+            tiny = total <= 1e-300
+            w, total = np.where(tiny, 1.0, w), np.where(tiny, float(k), total)
+        weights = w / total
     check_atoms(angles, weights)
     return angles, weights
 

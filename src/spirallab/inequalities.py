@@ -209,19 +209,21 @@ def _newton_peak(d, k, k2, ik, theta: float, value: float, h: float):
     Re psi' = -sum k Im(e_k) and Re psi'' = -sum k^2 Re(e_k) with
     e_k = d_k e^{ik t}; ``k2`` and ``ik`` hold k^2 and ik.  Steps stay within
     h of theta.  The sample is kept when refinement does not beat it,
-    which covers a start whose curvature is >= 0.
+    which covers a start whose curvature is >= 0.  The step arithmetic runs
+    on Python floats and each sum is one ``ndarray.dot``, the cblas call that
+    ``@`` makes, so the bits are those of numpy scalars at less dispatch.
     """
-    t = theta
+    t, lo, hi = theta, theta - h, theta + h
     for _ in range(20):
         e = d * np.exp(ik * t)
-        curve = e.real @ k2
+        curve = float(e.real.dot(k2))
         if curve <= 0.0:
             break
-        step = (e.imag @ k) / curve
-        t = min(max(t - step, theta - h), theta + h)
+        step = float(e.imag.dot(k)) / curve
+        t = min(max(t - step, lo), hi)
         if abs(step) < 1e-15:
             break
-    refined = float((d @ np.exp(ik * t)).real)
+    refined = d.dot(np.exp(ik * t)).real.item()
     return (refined, t) if refined > value else (value, theta)
 
 
@@ -256,15 +258,16 @@ def psi_max(c, n: int, gamma: float):
     m = 16 * (n + 1)
     half = np.zeros(m // 2 + 1, dtype=np.complex128)
     half[1 : n + 1] = d
-    vals = (m / 2) * np.fft.irfft(half, m)
+    vals = np.fft.irfft(half, m)
+    vals *= m / 2
     h = 2.0 * np.pi / m
     k2, ik = k * k, 1j * k
-    j = int(np.argmax(vals))
-    best, theta = _newton_peak(d, k, k2, ik, j * h, float(vals[j]), h)
-    reach = h * h / 8.0 * float(k2 @ np.abs(d))
-    for i in np.flatnonzero(vals > best - reach):
+    j = int(vals.argmax())
+    best, theta = _newton_peak(d, k, k2, ik, j * h, vals.item(j), h)
+    reach = h * h / 8.0 * float(k2.dot(np.abs(d)))
+    for i in (vals > best - reach).nonzero()[0].tolist():
         if i != j:
-            value, angle = _newton_peak(d, k, k2, ik, i * h, float(vals[i]), h)
+            value, angle = _newton_peak(d, k, k2, ik, i * h, vals.item(i), h)
             if value > best:
                 best, theta = value, angle
     return best, theta % (2.0 * np.pi)
@@ -338,9 +341,9 @@ def recover_c(f: FunctionSeries, gamma: float, count: int) -> np.ndarray:
     if count > f.order - 1:
         raise OrderTooLow(f"need order >= {count + 1}, have {f.order}")
     # Quotient coefficient k reads only coefficients 0..k of each operand.
-    u = Series(f.coeffs[1 : count + 2])
-    q = u.derivative().div(u)
-    return np.asarray(q.coeffs[:count]) / (np.exp(1j * gamma) * cos_g)
+    u = f.coeffs[1 : count + 2]
+    q = Series(np.arange(1, count + 1) * u[1:]).div(Series(u))  # u'/u
+    return q.coeffs[:count] / (np.exp(1j * gamma) * cos_g)
 
 
 def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofTrace:
@@ -358,7 +361,7 @@ def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofT
     xi0 = complex(np.exp(-1j * angle))
     k = np.arange(1, n + 1)
     big_c = np.exp(1j * gamma) * math.cos(gamma) * c
-    exponent = float(np.sum(np.abs(big_c - xi0**k) ** 2 / k - 1.0 / k))
+    exponent = float((np.square(np.abs(big_c - xi0**k)) / k - 1.0 / k).sum())
     beta = abs(f.a(n + 1) - xi0 * f.a(n))
     final = _exp(-M * alpha * math.cos(gamma))
     if not abs(abs(xi0) - 1.0) <= 1e-12:

@@ -34,9 +34,23 @@ class NonzeroConstantTerm(ValueError):
     """exp_zero requires a series with constant term 0."""
 
 
+#: Longest BLAS dot a recurrence step calls.  OpenBLAS sums a ``zdotu`` of at
+#: most 10,000 elements on one thread and splits a longer one across threads,
+#: which rounds otherwise, so a longer sum is cut into dots of this length.
+DOT_MAX = 10_000
+
+
 def _stacked_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Column-wise dot products of two (k, B) arrays: one cblas zdotu per column, as np.dot."""
     return (x.T[:, None, :] @ y.T[:, :, None])[:, 0, 0]
+
+
+def _long_dot(dot, x: np.ndarray, y: np.ndarray):
+    """dot(x, y) as dots of at most DOT_MAX elements each, added in order from the first."""
+    total = dot(x[:DOT_MAX], y[:DOT_MAX])
+    for i in range(DOT_MAX, len(x), DOT_MAX):
+        total = total + dot(x[i : i + DOT_MAX], y[i : i + DOT_MAX])
+    return total
 
 
 def exp_rows(c: np.ndarray) -> np.ndarray:
@@ -46,9 +60,11 @@ def exp_rows(c: np.ndarray) -> np.ndarray:
     which costs O(N^2) and needs no root finding.  The b_j are kept
     reversed, so each step dots two contiguous slices in the order
     j = 1..k and no step copies a reversed view.  The loop runs on
-    transposed views, so one series (``np.dot``) and a stack of them (one
-    dot per series, :func:`_stacked_dot`) share it, and every row is bit
-    for bit the exponential of that series alone.
+    transposed views, so one series (``ndarray.dot``) and a stack of them
+    (one dot per series, :func:`_stacked_dot`) share it, and every row is
+    bit for bit the exponential of that series alone.  A step past
+    DOT_MAX terms adds its dots by :func:`_long_dot`, so no coefficient
+    depends on the BLAS thread count.
     """
     rows = c.reshape(-1, c.shape[-1]) if c.ndim > 2 else c
     n = rows.shape[-1] - 1
@@ -56,9 +72,11 @@ def exp_rows(c: np.ndarray) -> np.ndarray:
     rb = np.zeros(rows.shape, dtype=np.complex128)  # rb[..., n - j] = b_j
     rb[..., n] = 1.0
     b = rb.T
-    dot = np.dot if rows.ndim == 1 else _stacked_dot
-    for k in range(1, n + 1):
+    dot = np.ndarray.dot if rows.ndim == 1 else _stacked_dot
+    for k in range(1, min(n, DOT_MAX) + 1):
         b[n - k] = dot(ka[1 : k + 1], b[n - k + 1 :]) / k
+    for k in range(DOT_MAX + 1, n + 1):
+        b[n - k] = _long_dot(dot, ka[1 : k + 1], b[n - k + 1 :]) / k
     return rb[..., ::-1].reshape(c.shape)
 
 
@@ -106,11 +124,13 @@ class Series:
                 f"|denominator constant term| = {abs(b[0]):.3e} <= {DIV_FLOOR:g}"
             )
         n = min(self.order, other.order)
-        a = self._c
+        a, b0, b1 = self._c, b[0], b[1:]
         rq = np.zeros(n + 1, dtype=np.complex128)  # rq[n - j] = q_j
-        rq[n] = a[0] / b[0]
-        for k in range(1, n + 1):
-            rq[n - k] = (a[k] - np.dot(b[1 : k + 1], rq[n - k + 1 :])) / b[0]
+        rq[n] = a[0] / b0
+        for k in range(1, min(n, DOT_MAX) + 1):
+            rq[n - k] = (a[k] - b1[:k].dot(rq[n - k + 1 :])) / b0
+        for k in range(DOT_MAX + 1, n + 1):
+            rq[n - k] = (a[k] - _long_dot(np.ndarray.dot, b1[:k], rq[n - k + 1 :])) / b0
         return Series(rq[::-1])
 
     # ------------------------------------------------------------------
@@ -145,7 +165,9 @@ class Series:
             buf = np.zeros(-(-scaled.size // m) * m, dtype=np.complex128)
             buf[: scaled.size] = scaled
             scaled = buf.reshape(-1, m).sum(axis=0)
-        return m * np.fft.ifft(scaled, m)
+        values = np.fft.ifft(scaled, m)
+        values *= m
+        return values
 
 
 class FunctionSeries(Series):

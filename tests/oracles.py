@@ -33,33 +33,87 @@ def log_unit(b: Series) -> Series:
     return Series(a)
 
 
-def exp_zero_sliced(s: Series) -> Series:
+def _dot(x: np.ndarray, y: np.ndarray, chunk: int | None) -> complex:
+    """np.dot(x, y); with chunk, the dots of its chunk-long pieces added first to last."""
+    if chunk is None:
+        return np.dot(x, y)
+    pieces = [np.dot(x[i : i + chunk], y[i : i + chunk]) for i in range(0, len(x), chunk)]
+    return sum(pieces[1:], pieces[0])
+
+
+def exp_zero_sliced(s: Series, chunk: int | None = None) -> Series:
     """exp of a zero-constant series by k b_k = sum_{j<=k} j a_j b_{k-j}, reading b reversed by slicing.
 
     The same products summed in the same order as ``Series.exp_zero``,
     which keeps b in a reversed buffer instead, so the two agree bit for bit.
+    With chunk, each sum adds dots of at most chunk terms, as the package
+    does past ``series.DOT_MAX`` terms.
     """
     n = s.order
     ka = np.arange(n + 1) * s.coeffs
     b = np.zeros(n + 1, dtype=np.complex128)
     b[0] = 1.0
     for k in range(1, n + 1):
-        b[k] = np.dot(ka[1 : k + 1], b[k - 1 :: -1][:k]) / k
+        b[k] = _dot(ka[1 : k + 1], b[k - 1 :: -1][:k], chunk) / k
     return Series(b)
 
 
-def div_sliced(a: Series, b: Series) -> Series:
+def div_sliced(a: Series, b: Series, chunk: int | None = None) -> Series:
     """Quotient by q_k = (a_k - sum_{1<=j<=k} b_j q_{k-j}) / b_0, reading q reversed by slicing.
 
-    Bit for bit what ``Series.div`` computes from its reversed buffer.
+    Bit for bit what ``Series.div`` computes from its reversed buffer; chunk
+    as in :func:`exp_zero_sliced`.
     """
     n = min(a.order, b.order)
     ac, bc = a.coeffs, b.coeffs
     q = np.zeros(n + 1, dtype=np.complex128)
     q[0] = ac[0] / bc[0]
     for k in range(1, n + 1):
-        q[k] = (ac[k] - np.dot(bc[1 : k + 1], q[k - 1 :: -1][:k])) / bc[0]
+        q[k] = (ac[k] - _dot(bc[1 : k + 1], q[k - 1 :: -1][:k], chunk)) / bc[0]
     return Series(q)
+
+
+def _newton_peak_reference(d, k, k2, ik, theta, value, h):
+    """Newton steps on Re sum d_k e^{ik t} from the sample (theta, value), on numpy scalars."""
+    t = theta
+    for _ in range(20):
+        e = d * np.exp(ik * t)
+        curve = e.real @ k2
+        if curve <= 0.0:
+            break
+        step = (e.imag @ k) / curve
+        t = min(max(t - step, theta - h), theta + h)
+        if abs(step) < 1e-15:
+            break
+    refined = float((d @ np.exp(ik * t)).real)
+    return (refined, t) if refined > value else (value, theta)
+
+
+def psi_max_reference(c, n: int, gamma: float):
+    """(M, angle) of ``psi_max`` as first written: numpy scalars, ``np.argmax`` and ``@``.
+
+    The same grid, curvature screen and Newton steps on the same cblas
+    calls, so ``psi_max``, which runs its steps on Python floats, must
+    agree with it bit for bit.
+    """
+    c = np.asarray(c, dtype=np.complex128)
+    k = np.arange(1.0, n + 1)
+    d = np.exp(1j * gamma) * c[:n] / k
+    m = 16 * (n + 1)
+    half = np.zeros(m // 2 + 1, dtype=np.complex128)
+    half[1 : n + 1] = d
+    vals = (m / 2) * np.fft.irfft(half, m)
+    h = 2.0 * np.pi / m
+    k2, ik = k * k, 1j * k
+    j = int(np.argmax(vals))
+    best, theta = _newton_peak_reference(d, k, k2, ik, j * h, float(vals[j]), h)
+    reach = h * h / 8.0 * float(k2 @ np.abs(d))
+    for i in np.flatnonzero(vals > best - reach):
+        if i != j:
+            value, angle = _newton_peak_reference(d, k, k2, ik, i * h, float(vals[i]), h)
+            if value > best:
+                best, theta = value, angle
+    return best, theta % (2.0 * np.pi)
 
 
 def gamma_ratios(alpha: float, n: int) -> list:

@@ -235,27 +235,30 @@ def test_check_atoms_checks_each_row_of_a_batch():
 
 def test_sample_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # 16 atoms x 1026 columns is past OpenBLAS's threading threshold, where a BLAS product
-    # splits its columns at ceil(1026 / T) on T threads and rounds some of them otherwise
-    config = tmp_path / "sample.json"
-    config.write_text(json.dumps({
-        "seed": 4, "order": 1026, "trials": 4, "k_atoms": 16,
-        "spec": {"kind": "spirallike", "gamma": 0.3, "alpha": 0.25},
-    }))
+    # splits its columns at ceil(1026 / T) on T threads and rounds some of them otherwise;
+    # at order 12000 the exponential recurrence sums up to 11999 terms, past the 10,000
+    # elements up to which OpenBLAS runs a dot on one thread
     src = str(Path(classes.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    reports = []
-    for threads in ("1", "2", "3"):
-        out = tmp_path / f"sample-{threads}.json"
-        env = {**os.environ, "PYTHONPATH": path,
-               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        run = subprocess.run(
-            [sys.executable, "-m", "spirallab.cli", "sample", "--config", str(config),
-             "--out", str(out)],
-            capture_output=True, env=env, timeout=300,
-        )
-        assert (run.returncode, run.stderr) == (EXIT_OK, b"")
-        reports.append(out.read_bytes())
-    assert reports[1] == reports[0] and reports[2] == reports[0]
+    spec = {"kind": "spirallike", "gamma": 0.3, "alpha": 0.25}
+    for order, trials in ((1026, 4), (12000, 1)):
+        config = tmp_path / "sample.json"
+        config.write_text(json.dumps({
+            "seed": 4, "order": order, "trials": trials, "k_atoms": 16, "spec": spec,
+        }))
+        reports = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"sample-{threads}.json"
+            env = {**os.environ, "PYTHONPATH": path,
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            run = subprocess.run(
+                [sys.executable, "-m", "spirallab.cli", "sample", "--config", str(config),
+                 "--out", str(out)],
+                capture_output=True, env=env, timeout=300,
+            )
+            assert (run.returncode, run.stderr) == (EXIT_OK, b"")
+            reports.append(out.read_bytes())
+        assert reports[1] == reports[0] and reports[2] == reports[0], order
 
 
 # ----------------------------------------------------------------------

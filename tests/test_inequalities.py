@@ -33,7 +33,7 @@ from spirallab import (
 )
 from spirallab import cli, inequalities
 from spirallab.inequalities import THEOREMS, class_bound, holds
-from oracles import alexander_inverse, fixed_measure, gamma_ratios
+from oracles import alexander_inverse, fixed_measure, gamma_ratios, psi_max_reference
 
 
 def harmonic(n):
@@ -314,6 +314,29 @@ def test_psi_max_takes_the_larger_of_near_tied_basins():
     half = np.zeros(size // 2 + 1, dtype=np.complex128)
     half[1 : n + 1] = c / np.arange(1, n + 1)
     assert M >= (size / 2) * np.fft.irfft(half, size).max() - 1e-12
+
+
+def test_psi_max_is_bitwise_the_reference():
+    # psi_max runs its Newton steps on Python floats through ndarray.dot; the reference
+    # keeps numpy scalars and @, and (M, angle) must agree bit for bit, also where the
+    # curvature screen refines several basins (equal atoms spaced evenly)
+    rng = np.random.default_rng(24)
+    cases = []
+    for draw in range(600):
+        n = int(rng.integers(1, 65))
+        k = int(rng.integers(1, 9))
+        if draw % 3 == 2:
+            start = rng.uniform(0, 2 * np.pi)
+            weights, angles = np.full(k, 1.0 / k), start + 2 * np.pi * np.arange(k) / k
+        else:
+            weights, angles = rng.dirichlet(np.ones(k)), rng.uniform(0, 2 * np.pi, k)
+        cases.append((measure_c(weights, angles, n), n, float(rng.uniform(-1.2, 1.2))))
+    tied = measure_c([1 / 3 + 1e-7, 1 / 3 - 1e-7, 1 / 3], 0.1 + 2 * np.pi * np.arange(3) / 3, 10)
+    cases.append((tied, 10, 0.0))
+    for c, n, gamma in cases:
+        M, angle = psi_max(c, n, gamma)
+        M_ref, angle_ref = psi_max_reference(c, n, gamma)
+        assert (M.hex(), float(angle).hex()) == (M_ref.hex(), float(angle_ref).hex()), (n, gamma)
 
 
 def test_psi_max_guards():

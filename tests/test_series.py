@@ -14,6 +14,7 @@ from spirallab import (
     member_from_measure,
     random_measure,
 )
+from spirallab import series
 from spirallab.series import exp_rows
 from conftest import assert_series_close
 from oracles import div_sliced, eval_circle_folded, exp_zero_sliced, horner, log_unit, mul
@@ -240,6 +241,21 @@ def test_div_is_bitwise_the_slicing_recurrence(order):
     tail = random_complex(rng, order) / np.arange(2, order + 2) ** 2
     b = Series(np.concatenate([[2.0 * np.exp(1j * rng.uniform(0, 2 * np.pi))], tail]))
     assert np.array_equal(a.div(b).coeffs, div_sliced(a, b).coeffs)
+
+
+@pytest.mark.parametrize("order", [8, 9, 17, 40])
+def test_recurrence_sums_past_dot_max_add_their_dots_in_order(monkeypatch, order):
+    # OpenBLAS splits a dot longer than 10,000 elements across threads, so a longer sum is
+    # cut into dots of DOT_MAX terms added first to last; DOT_MAX = 8 shows it at small order
+    monkeypatch.setattr(series, "DOT_MAX", 8)
+    rng = np.random.default_rng(order)
+    tails = random_complex(rng, (3, order)) / np.arange(1, order + 1)
+    rows = np.concatenate([np.zeros((3, 1)), tails], axis=1)
+    expected = [exp_zero_sliced(Series(row), chunk=8).coeffs for row in rows]
+    assert all(np.array_equal(Series(r).exp_zero().coeffs, e) for r, e in zip(rows, expected))
+    assert all(np.array_equal(g, e) for g, e in zip(exp_rows(rows), expected))
+    a, b = Series(random_complex(rng, order + 1)), Series(expected[0])
+    assert np.array_equal(a.div(b).coeffs, div_sliced(a, b, chunk=8).coeffs)
 
 
 def test_member_series_at_order_4096_are_bitwise_the_slicing_recurrences():

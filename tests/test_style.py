@@ -56,3 +56,29 @@ def test_cli_turns_only_input_errors_into_config_errors():
         "_load_config",
         "_open_out",
     ]
+
+
+#: numpy's module-level products, each a Python-level dispatch before its BLAS call.
+_NUMPY_PRODUCTS = {"dot", "vdot", "inner", "matmul"}
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_no_numpy_product_function_is_called_in_a_loop():
+    # a recurrence step calls its dot as the ndarray method, which reaches the same cblas
+    # routine without np.dot's dispatch (a step at order 256: 1.38 against 1.84 us)
+    offenders = set()
+    for path in sorted(SRC.glob("*.py")):
+        for loop in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(loop, _LOOPS):
+                continue
+            for node in ast.walk(loop):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")
+                    and node.func.attr in _NUMPY_PRODUCTS
+                ):
+                    offenders.add(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
+    assert sorted(offenders) == []
