@@ -2,6 +2,9 @@
 
 Each check evaluates the defining real-part expression of a class on a
 polar grid and reports the worst margin (expression minus threshold).
+Every expression is Re(e^{-i gamma} z g'/g) for one series g: f for the
+spirallike kinds, z f' for the convex ones (1 + z f''/f' = z g'/g),
+from one circle evaluation of g and one of z g' per radius.
 A nonnegative margin corroborates membership at grid resolution; this is
 a falsification tool, not a proof, and every report states its grid.
 
@@ -17,11 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .classes import ClassSpec, InvalidParams
+from .classes import ClassSpec, InvalidParams, alexander_forward
 from .inequalities import holds
 from .series import DIV_FLOOR, FunctionSeries
 
@@ -51,17 +53,6 @@ class Grid:
         if self.m < 1:
             raise InvalidParams("field 'membership': m must be >= 1")
 
-    @cached_property
-    def roots(self) -> np.ndarray:
-        """Read-only m-th roots of unity exp(2 pi i j / m); circle r is r * roots.
-
-        Built once per grid, on first use, and shared by every check and
-        radius on it; not a field, so equality and hash ignore it.
-        """
-        w = np.exp(2j * np.pi * np.arange(self.m) / self.m)
-        w.setflags(write=False)
-        return w
-
 
 @dataclass(frozen=True)
 class MembershipReport:
@@ -84,70 +75,67 @@ class MembershipReport:
         return holds(-self.margin, TOL_MEMBER)
 
 
-def check_spirallike(f: FunctionSeries, spec: ClassSpec, grid: Grid = Grid()) -> MembershipReport:
-    """Margin of Re(e^{-i gamma} z f'(z)/f(z)) - alpha cos(gamma) over the grid."""
-    fp = f.derivative()
+def _point(r: float, j, m: int) -> complex:
+    """Grid point j of circle r, r exp(2 pi i j / m), with the bits of the whole circle's."""
+    return complex(r * np.exp(2j * np.pi * np.int64(j) / m))
+
+
+def _quotients(g: FunctionSeries, grid: Grid, error: type, name: str):
+    """(r, z g'(z)/g(z) on circle r) for each radius, by one eval_circle of g and one of z g'.
+
+    z g' has coefficients k g_k, the Alexander transform of g.  A g at or
+    below DIV_FLOOR * r on the circle raises error, naming name as what vanishes.
+    """
+    zg = alexander_forward(g)
+    for r in grid.radii:
+        vg = g.eval_circle(r, grid.m)
+        j = np.argmin(np.abs(vg))
+        if abs(vg[j]) <= DIV_FLOOR * r:
+            raise error(f"{name} vanishes near z = {_point(r, j, grid.m):.6g}")
+        yield r, zg.eval_circle(r, grid.m) / vg
+
+
+def _margin(g: FunctionSeries, spec: ClassSpec, grid: Grid, error: type, name: str):
+    """Report of min Re(e^{-i gamma} z g'/g) - alpha cos(gamma) over the grid."""
     best = math.inf
     worst = 0j
     thresh = spec.threshold()
     e = np.exp(-1j * spec.gamma)
-    for r in grid.radii:
-        z = r * grid.roots
-        vf = f.eval_circle(r, grid.m)
-        if np.min(np.abs(vf)) <= DIV_FLOOR * r:
-            j = int(np.argmin(np.abs(vf)))
-            raise ZeroOnGrid(f"f vanishes near z = {z[j]:.6g}")
-        vfp = fp.eval_circle(r, grid.m)
-        vals = np.real(e * z * vfp / vf) - thresh
-        j = int(np.argmin(vals))
+    for r, q in _quotients(g, grid, error, name):
+        vals = np.real(e * q) - thresh
+        j = np.argmin(vals)
         if vals[j] < best:
             best = float(vals[j])
-            worst = complex(z[j])
+            worst = _point(r, j, grid.m)
     return MembershipReport(best, grid, worst)
+
+
+def check_spirallike(f: FunctionSeries, spec: ClassSpec, grid: Grid = Grid()) -> MembershipReport:
+    """Margin of Re(e^{-i gamma} z f'(z)/f(z)) - alpha cos(gamma) over the grid."""
+    return _margin(f, spec, grid, ZeroOnGrid, "f")
 
 
 def check_convex(f: FunctionSeries, spec: ClassSpec, grid: Grid = Grid()) -> MembershipReport:
-    """Margin of Re(e^{-i gamma}(1 + z f''(z)/f'(z))) - alpha cos(gamma)."""
-    fp = f.derivative()
-    fpp = fp.derivative()
-    best = math.inf
-    worst = 0j
-    thresh = spec.threshold()
-    e = np.exp(-1j * spec.gamma)
-    for r in grid.radii:
-        z = r * grid.roots
-        vfp = fp.eval_circle(r, grid.m)
-        if np.min(np.abs(vfp)) <= DIV_FLOOR:
-            j = int(np.argmin(np.abs(vfp)))
-            raise CriticalPointOnGrid(f"f' vanishes near z = {z[j]:.6g}")
-        vfpp = fpp.eval_circle(r, grid.m)
-        vals = np.real(e * (1.0 + z * vfpp / vfp)) - thresh
-        j = int(np.argmin(vals))
-        if vals[j] < best:
-            best = float(vals[j])
-            worst = complex(z[j])
-    return MembershipReport(best, grid, worst)
+    """Margin of Re(e^{-i gamma}(1 + z f''(z)/f'(z))) - alpha cos(gamma).
+
+    1 + z f''/f' is z g'/g for g = z f', so this is the spirallike margin of g.
+    """
+    return _margin(alexander_forward(f), spec, grid, CriticalPointOnGrid, "f'")
 
 
 def check_kaplan(f: FunctionSeries, r: float = 0.99, m: int = 4096) -> MembershipReport:
     """Close-to-convexity margin on one circle.
 
     Computes min over windows theta1 < theta2 <= theta1 + 2pi of the
-    trapezoid integral of Re(1 + z f''/f') d theta, plus pi.  Windows
-    longer than a period only add full turns of the positive mean, so
-    the window cap loses nothing.  The minimum is found in O(m) from
-    prefix sums over a doubled grid.
+    trapezoid integral of Re(1 + z f''/f') d theta, plus pi; the
+    integrand is Re z g'/g for g = z f'.  Windows longer than a period
+    only add full turns of the positive mean, so the window cap loses
+    nothing.  The minimum is found in O(m) from prefix sums over a
+    doubled grid.
     """
-    fp = f.derivative()
-    fpp = fp.derivative()
     grid = Grid((r,), m)
-    z = r * grid.roots
-    vfp = fp.eval_circle(r, m)
-    if np.min(np.abs(vfp)) <= DIV_FLOOR:
-        j = int(np.argmin(np.abs(vfp)))
-        raise CriticalPointOnGrid(f"f' vanishes near z = {z[j]:.6g}")
-    vfpp = fpp.eval_circle(r, m)
-    g = np.real(1.0 + z * vfpp / vfp)
+    _, q = next(_quotients(alexander_forward(f), grid, CriticalPointOnGrid, "f'"))
+    g = np.real(q)
 
     h = 2.0 * np.pi / m
     g2 = np.concatenate([g, g, g[:1]])

@@ -2,12 +2,11 @@
 
 A :class:`Series` is a dense, immutable vector of complex Taylor
 coefficients ``c_0..c_N`` for a fixed truncation order ``N``.  Members
-are built by ``exp_zero`` of their log series; ``div`` and
-``derivative`` recover the coefficients c_k and feed the membership
-expressions; ``eval_circle`` samples a series on a circle for the
-membership grid.  A quotient truncates to the smaller operand order,
-so loss of degrees is always explicit and a result is never silently
-extended.
+are built by ``exp_zero`` of their log series; ``div`` recovers the
+coefficients c_k of the derivation chain; ``eval_circle`` samples a
+series on a circle for the membership grid.  A quotient truncates to
+the smaller operand order, so loss of degrees is always explicit and a
+result is never silently extended.
 """
 
 from __future__ import annotations
@@ -134,14 +133,7 @@ class Series:
         return Series(rq[::-1])
 
     # ------------------------------------------------------------------
-    # calculus and transcendental maps
-
-    def derivative(self) -> "Series":
-        """Termwise derivative; the order drops by one."""
-        if self.order == 0:
-            return Series([0.0])
-        k = np.arange(1, self.order + 1)
-        return Series(k * self._c[1:])
+    # transcendental map
 
     def exp_zero(self) -> "Series":
         """Exponential of a series with zero constant term, by :func:`exp_rows`."""

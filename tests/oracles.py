@@ -144,6 +144,24 @@ def eval_circle_folded(s: Series, r: float, m: int) -> np.ndarray:
     return m * np.fft.ifft(buf.reshape(-1, m).sum(axis=0))
 
 
+def spiral_margin_exact(measure: AtomicMeasure, spec, grid) -> float:
+    """Minimum over the grid of the margin of the measure's member, from the measure alone.
+
+    The spiral member of the measure has Re(e^{-i gamma} z f'/f) - alpha cos(gamma)
+    = (1 - alpha) cos(gamma) Re h, where Re h = sum_j w_j (1 - r^2) / |1 - e^{-i t_j} z|^2
+    is the Poisson sum of the atoms.  A convex member's margin is its spiral
+    parent's, the Alexander transform z f' being that parent's member.
+    """
+    parent = spec.spiral_parent()
+    tilt = np.exp(-1j * np.asarray(measure.angles))[:, None]
+    weights = np.asarray(measure.weights)[:, None]
+    low = math.inf
+    for r in grid.radii:
+        poisson = weights * (1.0 - r * r) / np.abs(1.0 - tilt * circle(r, grid.m)) ** 2
+        low = min(low, float(poisson.sum(axis=0).min()))
+    return (1.0 - parent.alpha) * math.cos(parent.gamma) * low
+
+
 def horner(s: Series, z: complex) -> complex:
     """Value of the truncated polynomial at one point."""
     return complex(np.polyval(s.coeffs[::-1], z))

@@ -47,7 +47,7 @@ CASES = {
             "format": "json",
         },
         EXIT_OK,
-        "d4e275fbba24dade39317f5071db2d4b7714c17b0db52856f67bb7d7980495cf",
+        "43fd093e21abe9ce7b0c8638edf55256ac1c66748db5bba32687776cf47ae7d3",
         EMPTY,
     ),
     # order 1024 pins exp_zero bits far past order 64, and the convex
@@ -65,7 +65,7 @@ CASES = {
             "membership": {"radii": [0.5, 0.9, 0.99], "m": 8192},
         },
         EXIT_VIOLATION,
-        "2c2170660bcc0a0e8c78633c4a93bc1f142da7403f2cd0abadccf87e6387e8f3",
+        "8dc645402e9aca9ddc1bd6575cfb29054759e8ee2682da3645b4feb2f78b1994",
         EMPTY,
     ),
     "verify_highorder_membership_convex_spirallike": (
@@ -80,7 +80,7 @@ CASES = {
             "membership": {"radii": [0.5, 0.9, 0.99], "m": 8192},
         },
         EXIT_VIOLATION,
-        "a82db9e0784e2b6a0ad9487235070c6ee7390cc52f8df246eacd0d101bc47c79",
+        "93aa0cc3ee1d2f6fd05b0813b392758914c7eac9ee03880294470c2456fb9c10",
         EMPTY,
     ),
     "verify_thm_robertson": (

@@ -13,7 +13,9 @@ from spirallab import (
     MembershipReport,
     TOL_INEQ,
     TOL_MEMBER,
+    Series,
     ZeroOnGrid,
+    alexander_forward,
     check_convex,
     check_kaplan,
     check_spirallike,
@@ -21,7 +23,7 @@ from spirallab import (
     named,
 )
 from spirallab.cli import EXIT_OK, EXIT_VIOLATION, _Block, _write_blocks
-from oracles import circle, fixed_measure
+from oracles import circle, fixed_measure, spiral_margin_exact
 
 # Truncated polynomials only track their function out to a radius set by
 # the order: near-linear coefficient growth needs N^2 r^N small, so the
@@ -137,36 +139,71 @@ def test_sampled_members_pass_on_ladder():
         assert report.margin >= -TOL_MEMBER, (trial, report.margin)
 
 
-def test_grid_roots_are_built_once_read_only_and_bitwise_the_per_call_circle(monkeypatch):
+def derivatives(f):
+    """f' and f'' of a truncated series, termwise from its coefficients."""
+    k = np.arange(f.order + 1)
+    return Series(k[1:] * f.coeffs[1:]), Series(k[2:] * (k[2:] - 1) * f.coeffs[2:])
+
+
+def brute_force_values(f, spec, r, m):
+    """The defining expression minus its threshold at the points of oracles.circle(r, m)."""
+    z = circle(r, m)
+    fp, fpp = derivatives(f)
+    vf, vfp, vfpp = (np.polyval(s.coeffs[::-1], z) for s in (f, fp, fpp))
+    q = 1.0 + z * vfpp / vfp if spec.is_convex_kind else z * vfp / vf
+    return z, np.real(np.exp(-1j * spec.gamma) * q) - spec.threshold()
+
+
+@pytest.mark.parametrize("kind", ["spirallike", "convex_spirallike"])
+def test_worst_point_is_the_brute_force_minimum_on_the_circle(kind):
     grid = Grid((0.5, 0.9), 600)  # m not a power of 2, so the division by m rounds
-    spiral = ClassSpec("spirallike", gamma=0.3, alpha=0.25)
-    convex = ClassSpec("convex_spirallike", gamma=0.3, alpha=0.25)
-    f = member_from_measure(fixed_measure(7, 4), spiral, 256)
-    g = member_from_measure(fixed_measure(7, 4), convex, 256)
-
-    def reports():
-        return [
-            check_spirallike(f, spiral, grid),
-            check_convex(g, convex, grid),
-            check_kaplan(g, r=0.9, m=600),
-        ]
-
-    got = reports()
-    roots = grid.roots
-    check_spirallike(f, spiral, grid)
-    assert grid.roots is roots
-    with pytest.raises(ValueError):
-        roots[0] = 0.0
+    spec = ClassSpec(kind, gamma=0.3, alpha=0.25)
+    check = check_convex if spec.is_convex_kind else check_spirallike
+    for seed in (7, 8, 9):
+        f = member_from_measure(fixed_measure(seed, 4), spec, 256)
+        report = check(f, spec, grid)
+        best, worst = math.inf, None
+        for r in grid.radii:
+            z, vals = brute_force_values(f, spec, r, grid.m)
+            j = int(np.argmin(vals))
+            if vals[j] < best:
+                best, worst = vals[j], z[j]
+        # the very grid point, bit for bit, and its value up to the two evaluations' rounding
+        assert report.worst_point == worst
+        assert report.margin == pytest.approx(best, abs=1e-12)
     twin = Grid((0.5, 0.9), 600)
     assert grid == twin and hash(grid) == hash(twin)
 
-    # the reference builds each circle afresh on every call and radius
-    monkeypatch.setattr(Grid, "roots", property(lambda self: circle(1.0, self.m)))
-    want = reports()
-    for a, b in zip(got, want):
-        assert a.margin == b.margin and a.worst_point == b.worst_point
-    for r in grid.radii:
-        assert np.array_equal(r * roots, circle(r, grid.m))
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ClassSpec("convex_spirallike", gamma=0.3, alpha=0.25),
+        ClassSpec("convex", alpha=0.5),
+        ClassSpec("c_half", alpha=-0.5),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_convex_check_is_the_spiral_check_of_the_alexander_transform(spec):
+    grid = Grid((0.5, 0.9, 0.99), 1000)
+    for seed in (1, 2):
+        f = member_from_measure(fixed_measure(seed, 3), spec, 512)
+        convex = check_convex(f, spec, grid)
+        spiral = check_spirallike(alexander_forward(f), spec.spiral_parent(), grid)
+        assert convex.margin == spiral.margin
+        assert convex.worst_point == spiral.worst_point
+
+
+@pytest.mark.parametrize("kind", ["spirallike", "convex_spirallike"])
+def test_margin_matches_the_exact_margin_of_the_measure(kind):
+    # order 4096 leaves a truncation tail far below the bound at r = 0.99
+    spec = ClassSpec(kind, gamma=0.3, alpha=0.25)
+    check = check_convex if spec.is_convex_kind else check_spirallike
+    grid = Grid((0.5, 0.9, 0.99), 65536)
+    for seed in (4, 7919):
+        measure = fixed_measure(seed, 4)
+        report = check(member_from_measure(measure, spec, ORDER_LADDER), spec, grid)
+        assert abs(report.margin - spiral_margin_exact(measure, spec, grid)) <= 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -205,8 +242,7 @@ def test_kaplan_matches_brute_force_window_minimum():
     r, m = 0.8, 64
     report = check_kaplan(f, r=r, m=m)
 
-    fp = f.derivative()
-    fpp = fp.derivative()
+    fp, fpp = derivatives(f)
     z = r * np.exp(2j * np.pi * np.arange(m) / m)
     g = np.real(1.0 + z * fpp.eval_circle(r, m) / fp.eval_circle(r, m))
     h = 2 * np.pi / m
@@ -226,8 +262,7 @@ def test_kaplan_holds_for_sampled_c_half_members():
     for seed in (1, 2, 3, 4, 5):
         measure = fixed_measure(seed, 4)
         f = member_from_measure(measure, ClassSpec("c_half", alpha=-0.5), 1024)
-        fp = f.derivative()
-        fpp = fp.derivative()
+        fp, fpp = derivatives(f)
         r, m = 0.9, 2048
         z = r * np.exp(2j * np.pi * np.arange(m) / m)
         g = np.real(1.0 + z * fpp.eval_circle(r, m) / fp.eval_circle(r, m))
