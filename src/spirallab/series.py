@@ -4,12 +4,14 @@ A :class:`Series` is a dense, immutable vector of complex Taylor
 coefficients ``c_0..c_N`` for a fixed truncation order ``N``.  Members
 are built by ``exp_zero`` of their log series; ``div`` recovers the
 coefficients c_k of the derivation chain; ``eval_circle`` samples a
-series on a circle for the membership grid.  A quotient truncates to
-the smaller operand order, so loss of degrees is always explicit and a
-result is never silently extended.
+series on a membership circle by short FFTs on its sub-circles.  A
+quotient truncates to the smaller operand order, so loss of degrees is
+always explicit and a result is never silently extended.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -147,19 +149,30 @@ class Series:
     def eval_circle(self, r: float, m: int) -> np.ndarray:
         """Values at the uniform grid ``z_j = r exp(2 pi i j / m), j = 0..m-1``.
 
-        Computed exactly (up to rounding) by one inverse FFT of length m.
-        At most m scaled coefficients go in as they are, zero-padded inside
-        the FFT; more are first folded modulo m, since the grid characters
-        are periodic in the coefficient index.
+        Computed exactly (up to rounding) by P inverse FFTs of length L = m / P,
+        P the largest power of two dividing m with L >= N + 1 (else 1), one per
+        sub-circle j = a + P b: f(z_j) = sum_k (s_k w^{ak}) exp(2 pi i b k / L) for
+        s_k = c_k r^k and w = exp(2 pi i / m).  More than L coefficients (P = 1) are
+        first folded modulo L, since the grid characters are periodic in k.
         """
-        scaled = self._c * (float(r) ** np.arange(self._c.size))
-        if scaled.size > m:
-            buf = np.zeros(-(-scaled.size // m) * m, dtype=np.complex128)
-            buf[: scaled.size] = scaled
-            scaled = buf.reshape(-1, m).sum(axis=0)
-        values = np.fft.ifft(scaled, m)
-        values *= m
-        return values
+        twiddles = _twiddles(m, self._c.size)
+        width, p = twiddles.shape
+        blocks = np.zeros(-(-self._c.size // width) * width, dtype=np.complex128)
+        blocks[: self._c.size] = self._c * (float(r) ** np.arange(self._c.size))
+        buf = np.zeros((m // p, p), dtype=np.complex128)  # row b, column a: point a + P b
+        buf[:width] = twiddles * blocks.reshape(-1, width).sum(axis=0)[:, None]
+        return np.fft.ifft(buf, axis=0, norm="forward").reshape(m)
+
+
+@functools.lru_cache(maxsize=8)
+def _twiddles(m: int, size: int) -> np.ndarray:
+    """Read-only (min(size, m / P), P) table w^{ak} = exp(2 pi i a k / m) of ``eval_circle``."""
+    p = m & -m
+    while p > 1 and m // p < size:
+        p //= 2
+    table = np.exp(2j * np.pi * np.outer(np.arange(min(size, m // p)), np.arange(p)) / m)
+    table.setflags(write=False)
+    return table
 
 
 class FunctionSeries(Series):

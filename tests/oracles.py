@@ -144,6 +144,30 @@ def eval_circle_folded(s: Series, r: float, m: int) -> np.ndarray:
     return m * np.fft.ifft(buf.reshape(-1, m).sum(axis=0))
 
 
+def eval_circle_subcircles(s: Series, r: float, m: int) -> np.ndarray:
+    """Values on the m-point circle of radius r by one 1-D inverse FFT per sub-circle.
+
+    P is the largest power of two dividing m with L = m / P at least the
+    coefficient count (else 1).  Sub-circle a holds the grid points
+    j = a + P b, b < L: the scaled coefficients, folded modulo L, times
+    exp(2 pi i a k / m), built afresh for each a, go through an unscaled
+    inverse FFT of length L.
+    """
+    scaled = s.coeffs * (float(r) ** np.arange(s.coeffs.size))
+    p = m & -m
+    while p > 1 and m // p < scaled.size:
+        p //= 2
+    length = m // p
+    buf = np.zeros(((scaled.size + length - 1) // length) * length, dtype=np.complex128)
+    buf[: scaled.size] = scaled
+    folded = buf.reshape(-1, length).sum(axis=0)
+    values = np.empty(m, dtype=np.complex128)
+    for a in range(p):
+        twiddle = np.exp(2j * np.pi * (a * np.arange(length)) / m)
+        values[a::p] = np.fft.ifft(twiddle * folded, norm="forward")
+    return values
+
+
 def spiral_margin_exact(measure: AtomicMeasure, spec, grid) -> float:
     """Minimum over the grid of the margin of the measure's member, from the measure alone.
 

@@ -47,7 +47,7 @@ CASES = {
             "format": "json",
         },
         EXIT_OK,
-        "43fd093e21abe9ce7b0c8638edf55256ac1c66748db5bba32687776cf47ae7d3",
+        "b1dda58e686dc8d1f7dcb08d3a8d6e15098e103f2f7e34e4285aec9de9c55bb7",
         EMPTY,
     ),
     # order 1024 pins exp_zero bits far past order 64, and the convex
@@ -65,7 +65,7 @@ CASES = {
             "membership": {"radii": [0.5, 0.9, 0.99], "m": 8192},
         },
         EXIT_VIOLATION,
-        "8dc645402e9aca9ddc1bd6575cfb29054759e8ee2682da3645b4feb2f78b1994",
+        "5c055624637defca340a8763dde9ebfe1329cfe34a9cc9460a263569751f91ae",
         EMPTY,
     ),
     "verify_highorder_membership_convex_spirallike": (
@@ -80,7 +80,7 @@ CASES = {
             "membership": {"radii": [0.5, 0.9, 0.99], "m": 8192},
         },
         EXIT_VIOLATION,
-        "93aa0cc3ee1d2f6fd05b0813b392758914c7eac9ee03880294470c2456fb9c10",
+        "56cc8fb908c6067532e040bbf3972328830c4f96a43535f65e7f4a4171dc1514",
         EMPTY,
     ),
     "verify_thm_robertson": (

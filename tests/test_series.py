@@ -17,7 +17,15 @@ from spirallab import (
 from spirallab import series
 from spirallab.series import exp_rows
 from conftest import assert_series_close
-from oracles import div_sliced, eval_circle_folded, exp_zero_sliced, horner, log_unit, mul
+from oracles import (
+    div_sliced,
+    eval_circle_folded,
+    eval_circle_subcircles,
+    exp_zero_sliced,
+    horner,
+    log_unit,
+    mul,
+)
 
 TOL_ALGEBRA = 1e-9
 
@@ -313,14 +321,61 @@ def test_eval_circle_matches_eval_when_m_below_order():
         assert vals[j] == pytest.approx(horner(s, z), rel=1e-12)
 
 
-@pytest.mark.parametrize("size", [1, 2, 7, 30, 64, 100, 257])
-def test_eval_circle_is_bitwise_the_folded_form(size):
-    # m below, equal to and above the coefficient count, powers of two or not
+def _circle_ms(size):
+    # m below, equal to and above the coefficient count, powers of two or not, and 16 * size,
+    # whose sub-circles have the odd length size
+    ms = {1, 2, 3, max(size - 1, 1), size, size + 1, 2 * size + 3, 64, 1000, 1024, 4096}
+    return ms | {16 * size}
+
+
+def _random_series(size):
     rng = np.random.default_rng(size)
-    s = Series(rng.normal(size=size) + 1j * rng.normal(size=size))
-    for m in {1, 2, 3, max(size - 1, 1), size, size + 1, 2 * size + 3, 64, 1000, 1024}:
+    return Series(rng.normal(size=size) + 1j * rng.normal(size=size))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 30, 64, 100, 257])
+def test_eval_circle_is_bitwise_one_inverse_fft_per_subcircle(size):
+    s = _random_series(size)
+    for m in _circle_ms(size):
         for r in (0.5, 0.99, 1.0):
-            assert np.array_equal(s.eval_circle(r, m), eval_circle_folded(s, r, m))
+            assert np.array_equal(s.eval_circle(r, m), eval_circle_subcircles(s, r, m))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 30, 64, 100, 257])
+def test_eval_circle_is_within_rounding_of_the_folded_form(size):
+    s = _random_series(size)
+    for m in _circle_ms(size):
+        for r in (0.5, 0.99, 1.0):
+            folded = eval_circle_folded(s, r, m)
+            err = np.max(np.abs(s.eval_circle(r, m) - folded))
+            assert err <= 1e-14 * np.max(np.abs(folded))
+
+
+def test_eval_circle_at_the_high_order_membership_shape():
+    # order 4096 on m = 65536: eight sub-circles of length 8192
+    s = _random_series(4097)
+    assert series._twiddles(65536, 4097).shape == (4097, 8)
+    for r in (0.5, 0.99):
+        values = s.eval_circle(r, 65536)
+        assert np.array_equal(values, eval_circle_subcircles(s, r, 65536))
+        folded = eval_circle_folded(s, r, 65536)
+        assert np.max(np.abs(values - folded)) <= 1e-14 * np.max(np.abs(folded))
+
+
+def test_twiddle_table_is_built_once_per_m_and_size_and_read_only():
+    series._twiddles.cache_clear()
+    for r in (0.5, 0.9, 0.99):
+        _random_series(100).eval_circle(r, 4096)
+    Series(np.ones(100)).eval_circle(0.5, 4096)
+    info = series._twiddles.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    table = series._twiddles(4096, 100)
+    assert table.shape == (100, 32) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+    for m in (1, 7, 1000, 1024, 4096, 65536):
+        for size in (1, 100, 257, 4097):
+            assert series._twiddles(m, size).nbytes <= 16 * m
 
 
 # ----------------------------------------------------------------------
