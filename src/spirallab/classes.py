@@ -153,9 +153,9 @@ def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT):
 
     Returns ``build(angles, weights) -> a_0..a_order`` for float arrays of
     atoms that :func:`check_atoms` accepts; it does not check them again.
-    Leading axes hold a batch: atoms of shape (..., k) give coefficients of
-    shape (..., order + 1), each row bit for bit the member of its atoms
-    alone.  The spiral parent's member follows the formula in
+    A batch is atoms of shape (B, k), giving coefficients of shape
+    (B, order + 1), each row bit for bit the member of its atoms alone.
+    The spiral parent's member follows the formula in
     :func:`member_from_measure`: one member's log series goes through
     :meth:`Series.exp_zero`, a batch's through
     :func:`~spirallab.series.exp_rows`, which gives each row the same bits.

@@ -35,7 +35,7 @@ _STEP_WEIGHT = 0.25
 #: memory bound: a round's kernel arrays take 16 bytes a term, so each stays within 1 MiB.
 _ROUND_TERMS = 2**16
 
-#: Fewest live restarts evaluated as one batch; with fewer, each runs to its end alone.
+#: Fewest live restarts evaluated as one batch; with fewer, each point is evaluated alone.
 #: A stacked recurrence step costs about three single-series steps, so smaller batches
 #: lose at large n what they save in per-call overhead (BENCH_lockstep_search.json).
 _MIN_BATCH = 4
@@ -86,27 +86,19 @@ def _atoms_from_vector(x: np.ndarray, k: int) -> tuple:
     An angle wraps by Python's float ``%`` (``np.remainder``), and a result
     of exactly 2pi, which a tiny negative angle rounds to, folds to 0, so
     every angle lands in [0, 2pi).  The squared weights are normalized to
-    sum 1; all-zero weights fall back to uniform ones.  Leading axes of x
+    sum 1; all-zero weights fall back to uniform ones.  The rows of a 2-D x
     hold a batch of vectors, each mapped as it would be alone.
     """
     angles = np.remainder(x[..., :k], TWO_PI)
     angles[angles >= TWO_PI] = 0.0
     w = x[..., k:] ** 2
-    if x.ndim == 1:  # a scalar total, cheaper for the points a search evaluates alone
-        total = w.sum()
-        weights = np.full(k, 1.0 / k) if total <= 1e-300 else w / total
-    else:
-        total = np.add.reduce(w, -1, keepdims=True)
-        if min(total.flat) <= 1e-300:
-            tiny = total <= 1e-300
-            w, total = np.where(tiny, 1.0, w), np.where(tiny, float(k), total)
-        weights = w / total
+    total = np.add.reduce(w, -1, keepdims=True)
+    if min(total.flat) <= 1e-300:
+        tiny = total <= 1e-300
+        w, total = np.where(tiny, 1.0, w), np.where(tiny, float(k), total)
+    weights = w / total
     check_atoms(angles, weights)
     return angles, weights
-
-
-def _measure_from_vector(x: np.ndarray, k: int) -> AtomicMeasure:
-    return AtomicMeasure(*_atoms_from_vector(x, k))
 
 
 def _objective(problem: SearchProblem):
@@ -125,23 +117,18 @@ def _objective(problem: SearchProblem):
     return value
 
 
-def _simplex_min(x0: np.ndarray, steps: np.ndarray, max_evals: int):
+def _simplex_min(x0: np.ndarray, steps: np.ndarray):
     """Simplex-reflection minimization, as a generator of the points to evaluate.
 
-    Yields each point it needs and is sent back its cost; it evaluates at
-    most ``max_evals`` points and returns whether the spread converged.
+    Yields each point it needs and is sent back its cost; it returns True
+    once the spread converges.  It sets no cap: its caller stops sending.
     """
     d = x0.size
     pts = np.vstack([x0] + [x0 + steps[i] * np.eye(d)[i] for i in range(d)])
     vals = np.empty(d + 1)
-    evals = 0
     for i in range(d + 1):
-        if evals >= max_evals:
-            vals[i:] = np.inf
-            break
         vals[i] = yield pts[i]
-        evals += 1
-    while evals < max_evals:
+    while True:
         idx = vals.argsort(kind="stable")
         pts, vals = pts[idx], vals[idx]
         if vals[-1] - vals[0] < SPREAD_TOL:
@@ -149,13 +136,9 @@ def _simplex_min(x0: np.ndarray, steps: np.ndarray, max_evals: int):
         centroid = np.add.reduce(pts[:-1], axis=0) / d
         xr = centroid + (centroid - pts[-1])
         fr = yield xr
-        evals += 1
-        if evals >= max_evals:
-            break
         if fr < vals[0]:
             xe = centroid + 2.0 * (centroid - pts[-1])
             fe = yield xe
-            evals += 1
             if fe < fr:
                 pts[-1], vals[-1] = xe, fe
             else:
@@ -165,17 +148,12 @@ def _simplex_min(x0: np.ndarray, steps: np.ndarray, max_evals: int):
         else:
             xc = centroid + 0.5 * (pts[-1] - centroid)
             fc = yield xc
-            evals += 1
             if fc < vals[-1]:
                 pts[-1], vals[-1] = xc, fc
             else:
                 for i in range(1, d + 1):
-                    if evals >= max_evals:
-                        break
                     pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
                     vals[i] = yield pts[i]
-                    evals += 1
-    return False
 
 
 class _Restart:
@@ -186,25 +164,30 @@ class _Restart:
     that is not replayed yet, and ``best_x`` the point of its lowest cost:
     an evaluation improves the whole search's incumbent only if it is such
     a low, so these and the evaluation count are all the replay reads.
-    Typed arrays keep a low to 16 bytes.
+    Typed arrays keep a low to 16 bytes.  The restart stops at its
+    ``share``-th cost, which the simplex is not sent, unless the simplex
+    has returned before.
     """
 
-    def __init__(self, simplex):
-        self._simplex = simplex
+    def __init__(self, simplex, share: int):
+        self._simplex, self._share = simplex, share
         self.point = next(simplex)
         self.evals = 0
         self.low, self.lows, self.low_evals = math.inf, array("d"), array("q")
         self.best_x = None
-        self.converged = None  # True or False once the simplex has returned
+        self.converged = None  # True once the simplex has returned, False at the share
 
     def send(self, cost: float) -> bool:
-        """Record the pending point's cost and move on; returns whether the simplex is done."""
+        """Record the pending point's cost and move on; returns whether the restart is done."""
         self.evals += 1
         if cost < self.low:
             self.low = cost
             self.lows.append(cost)
             self.low_evals.append(self.evals)
             self.best_x = np.array(self.point)
+        if self.evals == self._share:
+            self.converged = False
+            return True
         try:
             self.point = self._simplex.send(cost)
         except StopIteration as stop:
@@ -221,12 +204,12 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
     first min(restarts, budget) restarts run, and a restart that hits its
     share before the simplex spread converges marks the result
     budget_exhausted.  The restarts advance side by side: each round
-    evaluates the pending point of every live restart in one batch while
-    at least ``_MIN_BATCH`` are live; with fewer, the first live restart
-    runs to its end alone.  A restart starts, in restart order, when a
-    slot of the ``_ROUND_TERMS`` window frees.  Their costs are replayed
-    in restart order, so the result and every ``on_improve`` call are
-    bit for bit those of running the restarts one after another.
+    evaluates the pending point of every live restart, in one batch while
+    at least ``_MIN_BATCH`` are live and each point alone while fewer are.
+    A restart starts, in restart order, when a slot of the ``_ROUND_TERMS``
+    window frees.  Their costs are replayed in restart order, so the
+    result and every ``on_improve`` call are bit for bit those of running
+    the restarts one after another.
     ``on_improve`` is called as (evaluation count, incumbent value) at
     each improvement, which is how the CLI streams progress; a restart's
     improvements reach it once every earlier restart has finished.
@@ -245,21 +228,16 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
 
     def start(count: int) -> list:
         """The next ``count`` restarts, fewer once all have started."""
-        runs = [_Restart(_simplex_min(x0, steps, share)) for x0 in islice(starts, count)]
+        runs = [_Restart(_simplex_min(x0, steps), share) for x0 in islice(starts, count)]
         queue.extend(runs)
         return runs
 
     live = start(max(1, _ROUND_TERMS // (k * (problem.n + 1))))
     best_cost, best_x, history, evals, exhausted = math.inf, None, [], 0, False
     while live:
-        if len(live) < _MIN_BATCH:  # too few to batch: the first runs to its end alone
-            run = live[0]
-            while not run.send(sign * objective(run.point)):
-                pass
-            done = 1
-        else:
-            costs = objective(np.array([run.point for run in live]))
-            done = sum([run.send(sign * value) for run, value in zip(live, costs)])
+        points = [run.point for run in live]
+        costs = objective(np.array(points)) if len(live) >= _MIN_BATCH else map(objective, points)
+        done = sum([run.send(sign * value) for run, value in zip(live, costs)])
         if done:
             live = [run for run in live if run.converged is None] + start(done)
         # replay the record lows of each restart whose predecessors have all finished
@@ -281,7 +259,7 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
 
     return SearchResult(
         best_value=sign * best_cost,
-        best_measure=_measure_from_vector(best_x, k),
+        best_measure=AtomicMeasure(*_atoms_from_vector(best_x, k)),
         history=tuple(history),
         evaluations_used=evals,
         budget_exhausted=exhausted,

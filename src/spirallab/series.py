@@ -55,7 +55,7 @@ def _long_dot(dot, x: np.ndarray, y: np.ndarray):
 
 
 def exp_rows(c: np.ndarray) -> np.ndarray:
-    """Exponential of each series along the last axis of c, whose c[..., 0] must be 0.
+    """Exponential of one series c, or of each row of a 2-D c; c[..., 0] must be 0.
 
     Uses the convolution recurrence ``k b_k = sum_{j<=k} j a_j b_{k-j}``,
     which costs O(N^2) and needs no root finding.  The b_j are kept
@@ -67,18 +67,17 @@ def exp_rows(c: np.ndarray) -> np.ndarray:
     DOT_MAX terms adds its dots by :func:`_long_dot`, so no coefficient
     depends on the BLAS thread count.
     """
-    rows = c.reshape(-1, c.shape[-1]) if c.ndim > 2 else c
-    n = rows.shape[-1] - 1
-    ka = (np.arange(n + 1) * rows).T
-    rb = np.zeros(rows.shape, dtype=np.complex128)  # rb[..., n - j] = b_j
+    n = c.shape[-1] - 1
+    ka = (np.arange(n + 1) * c).T
+    rb = np.zeros(c.shape, dtype=np.complex128)  # rb[..., n - j] = b_j
     rb[..., n] = 1.0
     b = rb.T
-    dot = np.ndarray.dot if rows.ndim == 1 else _stacked_dot
+    dot = np.ndarray.dot if c.ndim == 1 else _stacked_dot
     for k in range(1, min(n, DOT_MAX) + 1):
         b[n - k] = dot(ka[1 : k + 1], b[n - k + 1 :]) / k
     for k in range(DOT_MAX + 1, n + 1):
         b[n - k] = _long_dot(dot, ka[1 : k + 1], b[n - k + 1 :]) / k
-    return rb[..., ::-1].reshape(c.shape)
+    return rb[..., ::-1]
 
 
 class Series:
@@ -161,7 +160,7 @@ class Series:
         blocks[: self._c.size] = self._c * (float(r) ** np.arange(self._c.size))
         buf = np.zeros((m // p, p), dtype=np.complex128)  # row b, column a: point a + P b
         buf[:width] = twiddles * blocks.reshape(-1, width).sum(axis=0)[:, None]
-        return np.fft.ifft(buf, axis=0, norm="forward").reshape(m)
+        return np.fft.ifft(buf, axis=0, norm="forward", out=buf).reshape(m)
 
 
 @functools.lru_cache(maxsize=8)

@@ -10,7 +10,7 @@ import numpy as np
 
 from spirallab import AtomicMeasure, FunctionSeries, SearchProblem, SearchResult, Series
 from spirallab.extremal import (
-    _STEP_ANGLE, _STEP_WEIGHT, SPREAD_TOL, _measure_from_vector, _objective
+    _STEP_ANGLE, _STEP_WEIGHT, SPREAD_TOL, _atoms_from_vector, _objective
 )
 
 
@@ -224,7 +224,8 @@ def simplex_min(cost, x0: np.ndarray, steps: np.ndarray, max_evals: int) -> bool
     """Simplex-reflection minimization calling cost(x) at each point; returns whether it converged.
 
     The loop ``extremal._simplex_min`` runs as a generator, written as a
-    plain function of at most max_evals calls of cost.
+    plain function of at most max_evals calls of cost that checks its own
+    cap; the package caps each restart in ``extremal._Restart`` instead.
     """
     d = x0.size
     pts = np.vstack([x0] + [x0 + steps[i] * np.eye(d)[i] for i in range(d)])
@@ -309,7 +310,7 @@ def search_in_turn(problem: SearchProblem, on_improve=None) -> SearchResult:
             break
     return SearchResult(
         best_value=sign * state["best_cost"],
-        best_measure=_measure_from_vector(state["best_x"], k),
+        best_measure=AtomicMeasure(*_atoms_from_vector(state["best_x"], k)),
         history=tuple(state["history"]),
         evaluations_used=state["evals"],
         budget_exhausted=exhausted,

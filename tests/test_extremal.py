@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from spirallab import ClassSpec, SearchProblem, SearchResult, member_from_measure, search
+from spirallab import (
+    AtomicMeasure, ClassSpec, SearchProblem, SearchResult, member_from_measure, search
+)
 from spirallab.classes import InvalidParams
 from spirallab.cli import EXIT_OK, main
-from spirallab.extremal import _measure_from_vector, _objective
+from spirallab.extremal import _atoms_from_vector, _objective
 from spirallab.inequalities import FUNCTIONALS, TOL_INEQ
 from spirallab.series import ORDER_DEFAULT
 from oracles import search_in_turn
@@ -123,7 +125,7 @@ def test_objective_equals_the_functional_on_the_full_order_member(problem):
     k = problem.k_atoms
 
     def full_order_value(x):
-        full = member_from_measure(_measure_from_vector(x, k), problem.spec, order)
+        full = member_from_measure(AtomicMeasure(*_atoms_from_vector(x, k)), problem.spec, order)
         return functional(full, problem.n, problem.m)
 
     rng = np.random.default_rng(17)
@@ -141,7 +143,8 @@ def test_objective_equals_the_functional_on_the_full_order_member(problem):
         for weights in (np.zeros(k), np.linspace(1.0, 0.25, k)):
             x = np.concatenate([angles, weights])
             assert objective(x) == full_order_value(x)
-    assert _measure_from_vector(np.array([-1e-17] * k + [1.0] * k), k).angles[0] == 0.0
+    x = np.array([-1e-17] * k + [1.0] * k)
+    assert AtomicMeasure(*_atoms_from_vector(x, k)).angles[0] == 0.0
 
     with np.errstate(all="ignore"):
         # the square of a weight of 1e200 overflows and the normalized weights are NaN
@@ -209,7 +212,7 @@ def test_search_equals_the_restarts_run_in_turn(problem):
 @pytest.mark.parametrize("terms, min_batch", [(1, 4), (5 * 4 * 7, 4), (3 * 4 * 7, 2)])
 def test_search_with_fewer_live_restarts_than_restarts(monkeypatch, terms, min_batch):
     # one live restart at a time, then five or three, each later restart starting as a slot
-    # frees; once fewer than min_batch are live, the first runs to its end alone
+    # frees; a round of fewer than min_batch live restarts evaluates each point alone
     problem = SearchProblem(ClassSpec("convex"), n=6, functional="one_sided_diff", k_atoms=4,
                             budget=4000, restarts=8, seed=7919)
     expected = []
@@ -219,6 +222,26 @@ def test_search_with_fewer_live_restarts_than_restarts(monkeypatch, terms, min_b
     seen = []
     assert search(problem, on_improve=lambda e, v: seen.append((e, v))) == reference
     assert seen == expected
+
+
+@pytest.mark.parametrize("live", [None, 3])
+@pytest.mark.parametrize("k", [2, 3])
+def test_search_stops_each_restart_at_a_small_share(monkeypatch, k, live):
+    # a share of s evaluations stops every restart inside its initial fill (s <= 2k + 1) or at
+    # a reflection, expansion, contraction or shrink point after it; with live = 3 each round
+    # evaluates its points alone, else all restarts go in one batch
+    n = 4
+    if live is not None:
+        monkeypatch.setattr("spirallab.extremal._ROUND_TERMS", live * k * (n + 1))
+    for s in range(1, 3 * (2 * k + 1) + 1):
+        restarts = max(4, -(-100 * k // s))  # budget = restarts * s >= 100 * k
+        problem = SearchProblem(ClassSpec("spirallike", 0.4, 0.2), n=n, k_atoms=k,
+                                budget=restarts * s, restarts=restarts, seed=s)
+        seen, expected = [], []
+        result = search(problem, on_improve=lambda e, v: seen.append((e, v)))
+        assert result == search_in_turn(problem, on_improve=lambda e, v: expected.append((e, v)))
+        assert seen == expected and tuple(seen) == result.history
+        assert result.evaluations_used == problem.budget and result.budget_exhausted
 
 
 def test_on_improve_stream_matches_history():
