@@ -87,7 +87,10 @@ def _atoms_from_vector(x: np.ndarray, k: int) -> tuple:
     of exactly 2pi, which a tiny negative angle rounds to, folds to 0, so
     every angle lands in [0, 2pi).  The squared weights are normalized to
     sum 1; all-zero weights fall back to uniform ones.  The rows of a 2-D x
-    hold a batch of vectors, each mapped as it would be alone.
+    hold a batch of vectors, each mapped as it would be alone.  Only a
+    non-finite coordinate (a NaN angle) or overflowing squares (NaN or zero
+    weights) can fail :func:`check_atoms`, and only they make the angle and
+    total sums NaN or inf, so only then does it run, to raise.
     """
     angles = np.remainder(x[..., :k], TWO_PI)
     angles[angles >= TWO_PI] = 0.0
@@ -97,7 +100,8 @@ def _atoms_from_vector(x: np.ndarray, k: int) -> tuple:
         tiny = total <= 1e-300
         w, total = np.where(tiny, 1.0, w), np.where(tiny, float(k), total)
     weights = w / total
-    check_atoms(angles, weights)
+    if not angles.sum() + total.sum() < math.inf:
+        check_atoms(angles, weights)
     return angles, weights
 
 

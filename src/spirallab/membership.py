@@ -19,6 +19,7 @@ accept any order and report what the polynomial does.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ from .series import DIV_FLOOR, FunctionSeries
 
 #: A report passes when holds(-margin, TOL_MEMBER): margin >= -(TOL_MEMBER + TOL_INEQ).
 TOL_MEMBER = 1e-7
+
+
+_local = threading.local()  # per thread, so concurrent checks never share a buffer
 
 
 class ZeroOnGrid(ArithmeticError):
@@ -80,19 +84,30 @@ def _point(r: float, j, m: int) -> complex:
     return complex(r * np.exp(2j * np.pi * np.int64(j) / m))
 
 
+def _buffers(m: int) -> tuple:
+    """This thread's two complex and one real m-point work buffers, made again when m changes."""
+    bufs = getattr(_local, "bufs", None)
+    if bufs is None or bufs[2].size != m:
+        bufs = _local.bufs = (np.empty(m, np.complex128), np.empty(m, np.complex128), np.empty(m))
+    return bufs
+
+
 def _quotients(g: FunctionSeries, grid: Grid, error: type, name: str):
     """(r, z g'(z)/g(z) on circle r) for each radius, by one eval_circle of g and one of z g'.
 
     z g' has coefficients k g_k, the Alexander transform of g.  A g at or
     below DIV_FLOOR * r on the circle raises error, naming name as what vanishes.
+    The quotient is this thread's work buffer, rewritten at the next radius.
     """
     zg = alexander_forward(g)
+    vg, q, mag = _buffers(grid.m)
     for r in grid.radii:
-        vg = g.eval_circle(r, grid.m)
-        j = np.argmin(np.abs(vg))
+        g.eval_circle(r, grid.m, out=vg)
+        j = np.argmin(np.abs(vg, out=mag))
         if abs(vg[j]) <= DIV_FLOOR * r:
             raise error(f"{name} vanishes near z = {_point(r, j, grid.m):.6g}")
-        yield r, zg.eval_circle(r, grid.m) / vg
+        zg.eval_circle(r, grid.m, out=q)
+        yield r, np.divide(q, vg, out=q)
 
 
 def _margin(g: FunctionSeries, spec: ClassSpec, grid: Grid, error: type, name: str):
@@ -101,9 +116,9 @@ def _margin(g: FunctionSeries, spec: ClassSpec, grid: Grid, error: type, name: s
     worst = 0j
     thresh = spec.threshold()
     e = np.exp(-1j * spec.gamma)
+    vals = _buffers(grid.m)[2]
     for r, q in _quotients(g, grid, error, name):
-        vals = np.real(e * q) - thresh
-        j = np.argmin(vals)
+        j = np.argmin(np.subtract(np.multiply(e, q, out=q).real, thresh, out=vals))
         if vals[j] < best:
             best = float(vals[j])
             worst = _point(r, j, grid.m)

@@ -12,6 +12,7 @@ always explicit and a result is never silently extended.
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
@@ -54,30 +55,65 @@ def _long_dot(dot, x: np.ndarray, y: np.ndarray):
     return total
 
 
+#: Most exp_rows plans (input shapes) one thread keeps; the oldest goes first.
+PLANS_PER_THREAD = 4
+
+_local = threading.local()
+
+
+def _plan(shape: tuple):
+    """This thread's (arange, ka, rb, b, dot, steps) for exp_rows of a c of this shape.
+
+    ka receives arange * c laid out as c, and rb[..., n - j] = b_j.  Step k <=
+    DOT_MAX is (k, n - k, x, y): b[n - k] = dot(x, y) / k, dot being ndarray.dot
+    for one series and, for a stack, the (B, 1, k) @ (B, k, 1) matmul of
+    :func:`_stacked_dot` (b a (n + 1, B, 1, 1) view of rb's columns).
+    """
+    plans = _local.__dict__.setdefault("plans", {})
+    key = (shape, DOT_MAX)  # a plan holds the views of the steps up to DOT_MAX
+    plan = plans.get(key)
+    if plan is None:
+        if len(plans) >= PLANS_PER_THREAD:
+            del plans[next(iter(plans))]
+        n = shape[-1] - 1
+        ka = np.empty(shape, dtype=np.complex128)
+        rb = np.empty(shape, dtype=np.complex128)
+        ks = range(1, min(n, DOT_MAX) + 1)
+        if len(shape) == 1:
+            b, dot = rb, np.ndarray.dot
+            steps = [(k, n - k, ka[1 : k + 1], rb[n - k + 1 :]) for k in ks]
+        else:
+            b, dot = rb.T[:, :, None, None], np.matmul
+            steps = [(k, n - k, ka[:, None, 1 : k + 1], rb[:, n - k + 1 :, None]) for k in ks]
+        plan = plans[key] = (np.arange(n + 1), ka, rb, b, dot, steps)
+    return plan
+
+
 def exp_rows(c: np.ndarray) -> np.ndarray:
     """Exponential of one series c, or of each row of a 2-D c; c[..., 0] must be 0.
 
     Uses the convolution recurrence ``k b_k = sum_{j<=k} j a_j b_{k-j}``,
     which costs O(N^2) and needs no root finding.  The b_j are kept
     reversed, so each step dots two contiguous slices in the order
-    j = 1..k and no step copies a reversed view.  The loop runs on
-    transposed views, so one series (``ndarray.dot``) and a stack of them
-    (one dot per series, :func:`_stacked_dot`) share it, and every row is
-    bit for bit the exponential of that series alone.  A step past
+    j = 1..k and no step copies a reversed view.  The slices are made once
+    per thread and shape (:func:`_plan`), so a step is one dot, one
+    division and one store.  A stack takes one dot per series, and every
+    row is bit for bit the exponential of that series alone.  A step past
     DOT_MAX terms adds its dots by :func:`_long_dot`, so no coefficient
-    depends on the BLAS thread count.
+    depends on the BLAS thread count.  Returns a new C-order array.
     """
-    n = c.shape[-1] - 1
-    ka = (np.arange(n + 1) * c).T
-    rb = np.zeros(c.shape, dtype=np.complex128)  # rb[..., n - j] = b_j
+    ar, ka, rb, b, dot, steps = _plan(c.shape)
+    np.multiply(ar, c, out=ka)
+    n = ar.size - 1
     rb[..., n] = 1.0
-    b = rb.T
-    dot = np.ndarray.dot if c.ndim == 1 else _stacked_dot
-    for k in range(1, min(n, DOT_MAX) + 1):
-        b[n - k] = dot(ka[1 : k + 1], b[n - k + 1 :]) / k
-    for k in range(DOT_MAX + 1, n + 1):
-        b[n - k] = _long_dot(dot, ka[1 : k + 1], b[n - k + 1 :]) / k
-    return rb[..., ::-1]
+    for k, i, x, y in steps:
+        b[i] = dot(x, y) / k
+    if n > DOT_MAX:
+        kat, bt = ka.T, rb.T
+        long_dot = np.ndarray.dot if c.ndim == 1 else _stacked_dot
+        for k in range(DOT_MAX + 1, n + 1):
+            bt[n - k] = _long_dot(long_dot, kat[1 : k + 1], bt[n - k + 1 :]) / k
+    return rb[..., ::-1].copy()
 
 
 class Series:
@@ -145,21 +181,28 @@ class Series:
     # ------------------------------------------------------------------
     # evaluation
 
-    def eval_circle(self, r: float, m: int) -> np.ndarray:
+    def eval_circle(self, r: float, m: int, out: np.ndarray | None = None) -> np.ndarray:
         """Values at the uniform grid ``z_j = r exp(2 pi i j / m), j = 0..m-1``.
 
         Computed exactly (up to rounding) by P inverse FFTs of length L = m / P,
         P the largest power of two dividing m with L >= N + 1 (else 1), one per
         sub-circle j = a + P b: f(z_j) = sum_k (s_k w^{ak}) exp(2 pi i b k / L) for
         s_k = c_k r^k and w = exp(2 pi i / m).  More than L coefficients (P = 1) are
-        first folded modulo L, since the grid characters are periodic in k.
+        first folded modulo L, since the grid characters are periodic in k.  With
+        out, a C-contiguous complex array of m elements, the values are written
+        there and the result is a view of it.
         """
         twiddles = _twiddles(m, self._c.size)
         width, p = twiddles.shape
-        blocks = np.zeros(-(-self._c.size // width) * width, dtype=np.complex128)
-        blocks[: self._c.size] = self._c * (float(r) ** np.arange(self._c.size))
-        buf = np.zeros((m // p, p), dtype=np.complex128)  # row b, column a: point a + P b
-        buf[:width] = twiddles * blocks.reshape(-1, width).sum(axis=0)[:, None]
+        scaled = self._c * (float(r) ** np.arange(self._c.size))
+        if width < scaled.size:
+            blocks = np.zeros(-(-scaled.size // width) * width, dtype=np.complex128)
+            blocks[: scaled.size] = scaled
+            scaled = blocks.reshape(-1, width).sum(axis=0)
+        buf = np.empty(m, dtype=np.complex128) if out is None else out
+        buf = buf.reshape(m // p, p)  # a view, row b, column a: point a + P b
+        np.multiply(twiddles, scaled[:, None], out=buf[:width])
+        buf[width:] = 0.0
         return np.fft.ifft(buf, axis=0, norm="forward", out=buf).reshape(m)
 
 

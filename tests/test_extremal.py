@@ -6,7 +6,7 @@ import pytest
 from spirallab import (
     AtomicMeasure, ClassSpec, SearchProblem, SearchResult, member_from_measure, search
 )
-from spirallab.classes import InvalidParams
+from spirallab.classes import InvalidParams, check_atoms
 from spirallab.cli import EXIT_OK, main
 from spirallab.extremal import _atoms_from_vector, _objective
 from spirallab.inequalities import FUNCTIONALS, TOL_INEQ
@@ -162,6 +162,27 @@ def test_objective_equals_the_functional_on_the_full_order_member(problem):
                 rows[3, column] = bad
                 with pytest.raises(InvalidParams):
                     objective(rows)
+
+
+def test_vector_map_returns_only_atoms_that_check_atoms_accepts():
+    # the map runs check_atoms only when its angle and weight-total sums are NaN or inf, so
+    # every vector it maps without raising must give atoms the full check accepts
+    k = 3
+    values = [0.0, 1e-170, 0.5, -3.0, 1e154, 1.3e154, 1e200, np.inf, -np.inf, np.nan]
+    rows = np.random.default_rng(5).choice(values, size=(2000, 2 * k))
+    rejected = 0
+    with np.errstate(all="ignore"):
+        for x in [*rows, *rows.reshape(-1, 8, 2 * k)]:
+            try:
+                angles, weights = _atoms_from_vector(x, k)
+            except InvalidParams:
+                rejected += 1
+                continue
+            check_atoms(angles, weights)
+        # squares that are each finite but overflow their sum give all-zero weights
+        with pytest.raises(InvalidParams, match="sum to 0.0, not 1"):
+            _atoms_from_vector(np.array([1.0, 2.0, 1.3e154, 1.3e154]), 2)
+    assert 0 < rejected < 2250
 
 
 def test_budget_is_a_hard_cap():

@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from spirallab import (
     check_spirallike,
     member_from_measure,
     named,
+    random_measure,
 )
 from spirallab.cli import EXIT_OK, EXIT_VIOLATION, _Block, _write_blocks
 from oracles import circle, fixed_measure, spiral_margin_exact
@@ -269,3 +273,47 @@ def test_kaplan_holds_for_sampled_c_half_members():
         assert np.min(g) > -0.5 - 1e-9
         report = check_kaplan(f, r=r, m=m)
         assert report.margin > 0
+
+
+# ----------------------------------------------------------------------
+# per-thread work buffers
+
+
+@pytest.mark.parametrize("ms", [(16384,), (64, 16384, 64)])
+def test_checks_in_two_threads_match_the_serial_run(ms):
+    # members are built and checked in the threads, so both the recurrence plans and the
+    # grid buffers are in use on two threads at once; a buffer shared between them fails this
+    spec = ClassSpec("spirallike", gamma=0.3, alpha=0.25)
+    measures = [random_measure(np.random.default_rng(seed), 4) for seed in range(8)]
+
+    def check(i):
+        f = member_from_measure(measures[i], spec, 1024)
+        report = check_spirallike(f, spec, Grid((0.5, 0.9, 0.99), ms[i % len(ms)]))
+        convex = check_convex(f, spec, Grid((0.9,), ms[(i + 1) % len(ms)]))
+        return [(r.margin, r.worst_point) for r in (report, convex)]
+
+    serial = [check(i) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-recurrence and mid-grid
+    try:
+        for _ in range(3):
+            with ThreadPoolExecutor(2) as pool:
+                assert list(pool.map(check, range(8), timeout=120)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_high_order_check_allocates_no_grid_sized_arrays():
+    # the grid work runs in this thread's buffers: after a warm-up one check's traced peak
+    # is the coefficient-sized temporaries, not the 1 MiB arrays of a 65,536-point circle
+    spec = ClassSpec("spirallike", gamma=0.3, alpha=0.25)
+    f = member_from_measure(random_measure(np.random.default_rng(4), 4), spec, 4096)
+    grid = Grid((0.5, 0.9, 0.99), 65536)
+    check_spirallike(f, spec, grid)
+    tracemalloc.start()
+    try:
+        check_spirallike(f, spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak

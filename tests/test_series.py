@@ -244,6 +244,33 @@ def test_recurrence_sums_past_dot_max_add_their_dots_in_order(monkeypatch, order
     assert np.array_equal(a.div(b).coeffs, div_sliced(a, b, chunk=8).coeffs)
 
 
+def test_exp_rows_plans_keep_every_bit_as_shapes_come_and_go():
+    # more shapes than a thread keeps plans for, twice round: built, evicted and rebuilt
+    rng = np.random.default_rng(29)
+    shapes = [(9,), (3, 9), (40,), (5, 40), (1, 9), (9,), (300,), (2, 300)]
+    assert len(set(shapes)) > series.PLANS_PER_THREAD
+    for shape in shapes * 2:
+        c = random_complex(rng, shape) / np.arange(1, shape[-1] + 1)
+        c[..., 0] = 0.0
+        got = exp_rows(c)
+        assert got.shape == shape and got.flags.c_contiguous
+        for row, g in zip(c.reshape(-1, shape[-1]), got.reshape(-1, shape[-1])):
+            assert np.array_equal(g, exp_zero_sliced(Series(row)).coeffs)
+
+
+def test_exp_rows_returns_an_array_no_later_call_writes():
+    rng = np.random.default_rng(30)
+    for shape in [(64,), (4, 64)]:
+        c = random_complex(rng, shape) / np.arange(1, 65)
+        c[..., 0] = 0.0
+        first = exp_rows(c)
+        kept = first.copy()
+        second = exp_rows(2.0 * c)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(second, kept)
+
+
 def test_member_series_at_order_4096_are_bitwise_the_slicing_recurrences():
     s = Series(member_log_series(4095))
     u = exp_zero_sliced(s)
@@ -359,6 +386,18 @@ def test_eval_circle_at_the_high_order_membership_shape():
         assert np.array_equal(values, eval_circle_subcircles(s, r, 65536))
         folded = eval_circle_folded(s, r, 65536)
         assert np.max(np.abs(values - folded)) <= 1e-14 * np.max(np.abs(folded))
+
+
+@pytest.mark.parametrize("size, m", [(30, 16), (100, 100), (257, 4096), (4097, 65536)])
+def test_eval_circle_into_a_buffer_is_bitwise_the_same(size, m):
+    # P = 1 with 30 coefficients folded modulo 16, and with one block of 100; then P > 1
+    s = _random_series(size)
+    for r in (0.5, 0.99):
+        buf = np.full(m, np.nan, dtype=np.complex128)
+        got = s.eval_circle(r, m, out=buf)
+        assert np.shares_memory(got, buf) and np.array_equal(got, buf)
+        assert np.array_equal(got, s.eval_circle(r, m))
+        assert np.array_equal(got, eval_circle_subcircles(s, r, m))
 
 
 def test_twiddle_table_is_built_once_per_m_and_size_and_read_only():
