@@ -42,21 +42,23 @@ class NonzeroConstantTerm(ValueError):
 DOT_MAX = 10_000
 
 
+def _stack_views(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(B, 1, k) and (B, k, 1) views of two (B, k) arrays; their matmul is one zdotu per row."""
+    return x[:, None, :], y[:, :, None]
+
+
 def _stacked_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Column-wise dot products of two (k, B) arrays: one cblas zdotu per column, as np.dot."""
-    return (x.T[:, None, :] @ y.T[:, :, None])[:, 0, 0]
+    """Row-wise dot products of two (B, k) arrays, as a (B, 1, 1) array, each as np.dot."""
+    return np.matmul(*_stack_views(x, y))
 
 
 def _long_dot(dot, x: np.ndarray, y: np.ndarray):
-    """dot(x, y) as dots of at most DOT_MAX elements each, added in order from the first."""
-    total = dot(x[:DOT_MAX], y[:DOT_MAX])
-    for i in range(DOT_MAX, len(x), DOT_MAX):
-        total = total + dot(x[i : i + DOT_MAX], y[i : i + DOT_MAX])
+    """dot(x, y) over the last axis as dots of at most DOT_MAX elements, added in order."""
+    total = dot(x[..., :DOT_MAX], y[..., :DOT_MAX])
+    for i in range(DOT_MAX, x.shape[-1], DOT_MAX):
+        total = total + dot(x[..., i : i + DOT_MAX], y[..., i : i + DOT_MAX])
     return total
 
-
-#: Most exp_rows plans (input shapes) one thread keeps; the oldest goes first.
-PLANS_PER_THREAD = 4
 
 _local = threading.local()
 
@@ -66,27 +68,24 @@ def _plan(shape: tuple):
 
     ka receives arange * c laid out as c, and rb[..., n - j] = b_j.  Step k <=
     DOT_MAX is (k, n - k, x, y): b[n - k] = dot(x, y) / k, dot being ndarray.dot
-    for one series and, for a stack, the (B, 1, k) @ (B, k, 1) matmul of
-    :func:`_stacked_dot` (b a (n + 1, B, 1, 1) view of rb's columns).
+    for one series and, for a stack, np.matmul on the :func:`_stack_views` of
+    the rows, as :func:`_stacked_dot` (b a (n + 1, B, 1, 1) view of rb's
+    columns).  A thread keeps the plan of the last shape only.
     """
-    plans = _local.__dict__.setdefault("plans", {})
     key = (shape, DOT_MAX)  # a plan holds the views of the steps up to DOT_MAX
-    plan = plans.get(key)
-    if plan is None:
-        if len(plans) >= PLANS_PER_THREAD:
-            del plans[next(iter(plans))]
+    plan = getattr(_local, "plan", None)
+    if plan is None or plan[0] != key:
         n = shape[-1] - 1
         ka = np.empty(shape, dtype=np.complex128)
         rb = np.empty(shape, dtype=np.complex128)
-        ks = range(1, min(n, DOT_MAX) + 1)
         if len(shape) == 1:
-            b, dot = rb, np.ndarray.dot
-            steps = [(k, n - k, ka[1 : k + 1], rb[n - k + 1 :]) for k in ks]
+            b, dot, views = rb, np.ndarray.dot, lambda x, y: (x, y)
         else:
-            b, dot = rb.T[:, :, None, None], np.matmul
-            steps = [(k, n - k, ka[:, None, 1 : k + 1], rb[:, n - k + 1 :, None]) for k in ks]
-        plan = plans[key] = (np.arange(n + 1), ka, rb, b, dot, steps)
-    return plan
+            b, dot, views = rb.T[:, :, None, None], np.matmul, _stack_views
+        ks = range(1, min(n, DOT_MAX) + 1)
+        steps = [(k, n - k, *views(ka[..., 1 : k + 1], rb[..., n - k + 1 :])) for k in ks]
+        plan = _local.plan = (key, np.arange(n + 1), ka, rb, b, dot, steps)
+    return plan[1:]
 
 
 def exp_rows(c: np.ndarray) -> np.ndarray:
@@ -96,8 +95,8 @@ def exp_rows(c: np.ndarray) -> np.ndarray:
     which costs O(N^2) and needs no root finding.  The b_j are kept
     reversed, so each step dots two contiguous slices in the order
     j = 1..k and no step copies a reversed view.  The slices are made once
-    per thread and shape (:func:`_plan`), so a step is one dot, one
-    division and one store.  A stack takes one dot per series, and every
+    per thread for the last shape (:func:`_plan`), so a step is one dot,
+    one division and one store.  A stack takes one dot per series, and every
     row is bit for bit the exponential of that series alone.  A step past
     DOT_MAX terms adds its dots by :func:`_long_dot`, so no coefficient
     depends on the BLAS thread count.  Returns a new C-order array.
@@ -109,10 +108,9 @@ def exp_rows(c: np.ndarray) -> np.ndarray:
     for k, i, x, y in steps:
         b[i] = dot(x, y) / k
     if n > DOT_MAX:
-        kat, bt = ka.T, rb.T
         long_dot = np.ndarray.dot if c.ndim == 1 else _stacked_dot
         for k in range(DOT_MAX + 1, n + 1):
-            bt[n - k] = _long_dot(long_dot, kat[1 : k + 1], bt[n - k + 1 :]) / k
+            b[n - k] = _long_dot(long_dot, ka[..., 1 : k + 1], rb[..., n - k + 1 :]) / k
     return rb[..., ::-1].copy()
 
 
