@@ -8,12 +8,14 @@ one bound violation (red alert).  All angles are radians everywhere.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import math
 import sys
+import threading
 from collections import namedtuple
 from collections.abc import Iterator
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import is_dataclass
 from functools import cache
 from itertools import chain
@@ -361,6 +363,70 @@ def _grid(cfg: dict) -> Grid | None:
     return Grid(tuple(radii), block.get("m", Grid.m))
 
 
+#: The least built order x grid points per circle at which verify checks each member on a
+#: worker thread, overlapped with building the next member (see _overlaps).
+_OVERLAP_MIN = 2**26
+
+
+def _overlaps(order: int, m: int) -> bool:
+    """Whether members of this order gain from a worker-thread grid check with m points a circle.
+
+    Both sides must be long kernels that release the GIL: below the gate the two threads
+    convoy on it (verify_main, order 256 with m = 1024, ran about 1.5x slower overlapped).
+    """
+    return order * m >= _OVERLAP_MIN
+
+
+def _now(fn, *args):
+    """Call fn(*args) at once; return the collector of its value, as _worker's submit does."""
+    value = fn(*args)
+    return lambda: value
+
+
+@contextmanager
+def _worker():
+    """Yield submit(fn, *args), which hands a call to one thread run in the caller's context
+    and returns its collector: that gives the call's value, or raises its exception.
+
+    Each call is collected before the next is submitted.  Leaving the with block ends the
+    thread after the call in hand, if any.
+    """
+    call = outcome = None
+    todo, done = threading.Semaphore(0), threading.Semaphore(0)
+
+    def serve():
+        nonlocal outcome
+        while todo.acquire() and call is not None:
+            try:
+                outcome = call(), None
+            except BaseException as exc:  # raised again by collect, in the caller's thread
+                outcome = None, exc
+            done.release()
+
+    def collect():
+        done.acquire()
+        value, exc = outcome
+        if exc is not None:
+            raise exc
+        return value
+
+    def submit(fn, *args):
+        nonlocal call
+        call = lambda: fn(*args)
+        todo.release()
+        return collect
+
+    # a copy of the caller's context: numpy's errstate is a context variable
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(serve,))
+    thread.start()
+    try:
+        yield submit
+    finally:
+        call = None
+        todo.release()
+        thread.join()
+
+
 def _cmd_verify(cfg: dict) -> int:
     order = cfg.get("order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
@@ -383,30 +449,45 @@ def _cmd_verify(cfg: dict) -> int:
     # computed once, when the first function reaches it
     class_rhs = cache(lambda n: bound_rhs(theorem, n, m, alpha=spec.alpha))
 
+    def membership(f) -> list:
+        """f's membership cell, or none without a grid."""
+        if grid is None:
+            return []
+        check = check_convex if spec.is_convex_kind else check_spirallike
+        try:
+            lhs = -check(f, spec, grid).margin
+        except (ZeroOnGrid, CriticalPointOnGrid):
+            # a vanishing f or f' on the grid rules the class out outright
+            lhs = math.inf
+        return [("membership", None, None, lhs, TOL_MEMBER)]
+
+    def member_rhs(f, n: int) -> float:
+        """The rhs of f's row n, for a theorem with a per-function bound."""
+        bound_row(theorem, n, m)  # the per-function rhs has the class-wide one's range
+        try:
+            return row.member(f, spec, n)
+        except ChainInequalityViolation:
+            # a broken derivation chain is a red-alert row, not a crash
+            return math.nan
+
     blocks = []
-    for fid, f, seed in functions:
-        cells = []
-        if grid is not None:
-            check = check_convex if spec.is_convex_kind else check_spirallike
+    overlap = grid is not None and _overlaps(order, grid.m)
+    with _worker() if overlap else nullcontext(_now) as submit:
+        item = next(functions, None)
+        while item is not None:
+            fid, f, seed = item
+            collect = submit(membership, f)
+            cells = []
             try:
-                lhs = -check(f, spec, grid).margin
-            except (ZeroOnGrid, CriticalPointOnGrid):
-                # a vanishing f or f' on the grid rules the class out outright
-                lhs = math.inf
-            cells.append(("membership", None, None, lhs, TOL_MEMBER))
-        for n in ns:
-            lhs = functional(f, n, m)
-            if row.member is None:
-                rhs = class_rhs(n)
-            else:
-                bound_row(theorem, n, m)  # the per-function rhs has the class-wide one's range
-                try:
-                    rhs = row.member(f, spec, n)
-                except ChainInequalityViolation:
-                    # a broken derivation chain is a red-alert row, not a crash
-                    rhs = math.nan
-            cells.append((theorem, n, m, lhs, rhs))
-        blocks.append(_Block(fid, seed, spec, cells))
+                for n in ns:
+                    lhs = functional(f, n, m)
+                    rhs = class_rhs(n) if row.member is None else member_rhs(f, n)
+                    cells.append((theorem, n, m, lhs, rhs))
+                item = next(functions, None)  # above the gate, built while f is checked
+            finally:
+                # a check's exception comes first, as when the check runs before the rows
+                cells[:0] = collect()
+            blocks.append(_Block(fid, seed, spec, cells))
     return _write_blocks(cfg, blocks)
 
 

@@ -15,7 +15,8 @@ import pytest
 
 import spirallab.cli as cli
 from spirallab import TOL_INEQ, TOL_MEMBER
-from spirallab.series import FunctionSeries, Series
+from spirallab.membership import Grid
+from spirallab.series import ORDER_DEFAULT, FunctionSeries, Series
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -91,3 +92,16 @@ def test_span_counts_per_member_and_row(tmp_path, monkeypatch):
     assert calls["inequalities.successive_diff"] == 2 * rows
     assert calls["classes.member_from_measure"] == members
     assert calls["series.exp_zero"] == members
+
+
+def test_only_the_high_order_workload_checks_on_a_worker_thread(monkeypatch):
+    # overlapped with the builds, the grid checks of verify_main (order 256, m = 1,024) ran
+    # 1.5x slower: two threads with short kernels convoy on the GIL
+    workloads = load("workloads", monkeypatch).WORKLOADS
+    overlaps = {
+        name: cli._overlaps(w["config"]["order"], w["config"]["membership"]["m"])
+        for name, w in workloads.items()
+        if "membership" in w["config"]
+    }
+    assert overlaps == {"verify_main": False, "highorder_membership": True}
+    assert not cli._overlaps(ORDER_DEFAULT, Grid.m)  # "membership": true at the default order

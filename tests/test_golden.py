@@ -83,6 +83,22 @@ CASES = {
         "56cc8fb908c6067532e040bbf3972328830c4f96a43535f65e7f4a4171dc1514",
         EMPTY,
     ),
+    # above cli._OVERLAP_MIN, so each check runs on the worker thread; pinned from the serial code
+    "verify_membership_above_the_overlap_gate": (
+        "verify",
+        {
+            "seed": 13,
+            "order": 2048,
+            "spec": {"kind": "spirallike", "gamma": 0.3, "alpha": 0.25},
+            "theorem": "cor_spiral",
+            "n": [2, 4],
+            "functions": [{"sampled": {"trials": 2, "k_atoms": 4}}],
+            "membership": {"radii": [0.5, 0.9, 0.99], "m": 32768},
+        },
+        EXIT_OK,
+        "5aba6d7f483998a8d21fa3f3fafe3a5679b8735797022eb0ce5d5501d91ae0f5",
+        EMPTY,
+    ),
     "verify_thm_robertson": (
         "verify",
         {
