@@ -12,11 +12,10 @@ import contextvars
 import json
 import math
 import sys
-import threading
 from collections import namedtuple
 from collections.abc import Iterator
-from contextlib import contextmanager, nullcontext
-from dataclasses import is_dataclass
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from functools import cache
 from itertools import chain
 from typing import NamedTuple
@@ -276,15 +275,12 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, last: int):
 def _jsonable(obj):
     """The JSON form of what json cannot encode itself, for every JSON report.
 
-    A complex number is [re, im], an AtomicMeasure its atoms [{"t", "w"}, ...] and any
-    other dataclass instance its fields.
+    A complex number is [re, im] and an AtomicMeasure its atoms [{"t", "w"}, ...].
     """
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, AtomicMeasure):
         return [{"t": t, "w": w} for t, w in zip(obj.angles, obj.weights)]
-    if is_dataclass(obj):
-        return vars(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -372,59 +368,16 @@ def _overlaps(order: int, m: int) -> bool:
     """Whether members of this order gain from a worker-thread grid check with m points a circle.
 
     Both sides must be long kernels that release the GIL: below the gate the two threads
-    convoy on it (verify_main, order 256 with m = 1024, ran about 1.5x slower overlapped).
+    convoy on it (verify_main, order 256 with m = 1024, took 1.02-1.30x the serial time
+    overlapped in fresh processes and 1.65x in one process; BENCH_check_overlap.json).
     """
     return order * m >= _OVERLAP_MIN
 
 
 def _now(fn, *args):
-    """Call fn(*args) at once; return the collector of its value, as _worker's submit does."""
+    """Call fn(*args) at once; return the collector of its value, as Future.result is."""
     value = fn(*args)
     return lambda: value
-
-
-@contextmanager
-def _worker():
-    """Yield submit(fn, *args), which hands a call to one thread run in the caller's context
-    and returns its collector: that gives the call's value, or raises its exception.
-
-    Each call is collected before the next is submitted.  Leaving the with block ends the
-    thread after the call in hand, if any.
-    """
-    call = outcome = None
-    todo, done = threading.Semaphore(0), threading.Semaphore(0)
-
-    def serve():
-        nonlocal outcome
-        while todo.acquire() and call is not None:
-            try:
-                outcome = call(), None
-            except BaseException as exc:  # raised again by collect, in the caller's thread
-                outcome = None, exc
-            done.release()
-
-    def collect():
-        done.acquire()
-        value, exc = outcome
-        if exc is not None:
-            raise exc
-        return value
-
-    def submit(fn, *args):
-        nonlocal call
-        call = lambda: fn(*args)
-        todo.release()
-        return collect
-
-    # a copy of the caller's context: numpy's errstate is a context variable
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(serve,))
-    thread.start()
-    try:
-        yield submit
-    finally:
-        call = None
-        todo.release()
-        thread.join()
 
 
 def _cmd_verify(cfg: dict) -> int:
@@ -472,11 +425,13 @@ def _cmd_verify(cfg: dict) -> int:
 
     blocks = []
     overlap = grid is not None and _overlaps(order, grid.m)
-    with _worker() if overlap else nullcontext(_now) as submit:
+    with ThreadPoolExecutor(max_workers=1) if overlap else nullcontext() as pool:
         item = next(functions, None)
         while item is not None:
             fid, f, seed = item
-            collect = submit(membership, f)
+            # a pool check runs in a copy of this context: numpy's errstate is a context variable
+            collect = (_now(membership, f) if pool is None
+                       else pool.submit(contextvars.copy_context().run, membership, f).result)
             cells = []
             try:
                 for n in ns:

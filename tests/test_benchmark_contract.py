@@ -95,8 +95,9 @@ def test_span_counts_per_member_and_row(tmp_path, monkeypatch):
 
 
 def test_only_the_high_order_workload_checks_on_a_worker_thread(monkeypatch):
-    # overlapped with the builds, the grid checks of verify_main (order 256, m = 1,024) ran
-    # 1.5x slower: two threads with short kernels convoy on the GIL
+    # overlapped with the builds, the grid checks of verify_main (order 256, m = 1,024) took
+    # 1.02-1.30x the serial time in fresh processes and 1.65x in one process
+    # (BENCH_check_overlap.json): two threads with short kernels convoy on the GIL
     workloads = load("workloads", monkeypatch).WORKLOADS
     overlaps = {
         name: cli._overlaps(w["config"]["order"], w["config"]["membership"]["m"])

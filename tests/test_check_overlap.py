@@ -1,10 +1,10 @@
 """verify's grid checks on a worker thread give the bytes of the serial run.
 
-Above ``cli._OVERLAP_MIN`` each member's membership check runs on one worker
-thread while the main thread builds the next member and takes its rows.
-These tests open the gate for configs small enough for tier 1 and compare
-every output with the gate-closed run, in which the same loop runs each
-check inline.
+Above ``cli._OVERLAP_MIN`` each member's membership check runs on the one
+worker thread of a ``ThreadPoolExecutor`` while the main thread builds the
+next member and takes its rows.  These tests open the gate for configs small
+enough for tier 1 and compare every output with the gate-closed run, in which
+the same loop runs each check inline through ``cli._now``.
 """
 
 import json

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import spirallab.cli as cli
-from spirallab import AtomicMeasure, ClassSpec, FunctionSeries, classes
+from spirallab import AtomicMeasure, FunctionSeries, classes
 from spirallab.cli import CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _fmt, main
 from test_golden import CASES as GOLDEN
 
@@ -380,10 +380,8 @@ def test_report_goes_to_stdout_without_out(tmp_path, capsys, command):
 
 
 def test_jsonable_encodes_dataclasses_and_complex_and_rejects_the_rest():
-    spec = ClassSpec("spirallike", 0.25, 0.5)
-    doc = {"spec": spec, "z": 1.5 - 2j, "measure": AtomicMeasure((0.5,), (1.0,))}
+    doc = {"z": 1.5 - 2j, "measure": AtomicMeasure((0.5,), (1.0,))}
     assert json.loads(json.dumps(doc, default=cli._jsonable)) == {
-        "spec": {"kind": "spirallike", "gamma": 0.25, "alpha": 0.5},
         "z": [1.5, -2.0],
         "measure": [{"t": 0.5, "w": 1.0}],
     }
@@ -569,6 +567,10 @@ _OUTSIDE_SCHEMA = {
             "m": 2,
         },
     ),
+    "robertson_without_m": (
+        "verify",
+        {**_SAMPLED_MAIN, "spec": {"kind": "c_half", "alpha": -0.5}, "theorem": "thm_robertson"},
+    ),
     "unknown_theorem": ("verify", {**_SAMPLED_MAIN, "theorem": "thm_nonexistent"}),
     "sampled_order_zero": ("verify", {**_SAMPLED_MAIN, "order": 0}),
     "k_atoms_zero": (
@@ -630,6 +632,7 @@ _OUTSIDE_SCHEMA = {
         "sample", {"seed": -1, "trials": 2, "spec": {"kind": "starlike"}}
     ),
     "search_n_below_bound": ("search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 1}),
+    "search_n_zero": ("search", {"seed": 1, "spec": {"kind": "starlike"}, "n": 0}),
     "search_convex_n_below_bound": (
         "search",
         {"seed": 1, "spec": {"kind": "convex"}, "n": 1, "functional": "one_sided_diff"},
