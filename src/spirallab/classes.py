@@ -13,6 +13,7 @@ parameter space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,9 +51,10 @@ def check_atoms(angles: np.ndarray, weights: np.ndarray) -> None:
     Leading axes hold a batch of measures, each checked the same way; the
     first whose weights do not sum to 1 is named.
     """
-    if not (angles.min() >= 0.0 and angles.max() < TWO_PI):
+    # the ufunc reductions are ndarray.min/max without their Python wrappers
+    if not (np.minimum.reduce(angles, None) >= 0.0 and np.maximum.reduce(angles, None) < TWO_PI):
         raise InvalidParams("atom angles must lie in [0, 2pi)")
-    if not weights.min() >= 0.0:
+    if not np.minimum.reduce(weights, None) >= 0.0:
         raise InvalidParams("atom weights must be nonnegative")
     totals = np.add.reduce(weights, -1)  # a scalar for one measure
     for total in [float(totals)] if weights.ndim == 1 else totals.ravel().tolist():
@@ -68,8 +70,8 @@ class AtomicMeasure:
     weights: tuple
 
     def __post_init__(self):
-        angles = tuple(float(t) for t in self.angles)
-        weights = tuple(float(w) for w in self.weights)
+        angles = tuple(map(float, self.angles))
+        weights = tuple(map(float, self.weights))
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "weights", weights)
         if len(angles) < 1 or len(angles) != len(weights):
@@ -148,6 +150,7 @@ def herglotz(measure: AtomicMeasure, order: int = ORDER_DEFAULT) -> Series:
     return Series(h)
 
 
+@functools.lru_cache(maxsize=1)
 def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT):
     """Coefficient map of the members of one class, for many measures.
 
@@ -162,7 +165,8 @@ def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT):
     Convex kinds divide a_n by n (the inverse Alexander map).  a_k reads
     only h_1..h_{k-1} (see _kernel_sums), so the map at any order is a
     bitwise prefix of the map at every higher one.  What does not depend
-    on the atoms is computed once, here.
+    on the atoms is computed once, here, and the last map made is kept, so
+    a suite of one class and order makes it once.
     """
     if order < 1:
         raise InvalidParams("order must be >= 1")
@@ -313,4 +317,4 @@ def random_measure(rng: np.random.Generator, k_atoms: int) -> AtomicMeasure:
         raise InvalidParams(f"k_atoms must lie in 1..{MAX_ATOMS}")
     k = int(rng.integers(1, k_atoms + 1))
     w = rng.dirichlet(np.ones(k))
-    return AtomicMeasure(tuple(rng.uniform(0.0, TWO_PI, k)), tuple(w / w.sum()))
+    return AtomicMeasure(rng.uniform(0.0, TWO_PI, k).tolist(), (w / w.sum()).tolist())

@@ -11,6 +11,7 @@ import argparse
 import contextvars
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
@@ -176,7 +177,11 @@ def _merged(args: argparse.Namespace) -> dict:
     if cfg.get("format", "csv") not in ("csv", "json"):
         raise ConfigError("field 'format' must be 'csv' or 'json'")
     if cfg.get("out"):
-        _open_out(cfg["out"], "a").close()  # an unusable path fails before any work
+        # an unusable path fails before any work, and a later config error leaves no file
+        new = not os.path.lexists(cfg["out"])
+        _open_out(cfg["out"], "a").close()
+        if new:
+            os.remove(cfg["out"])
     cfg["command"] = args.command
     return cfg
 
@@ -319,8 +324,12 @@ def _write_blocks(cfg: dict, blocks: list) -> int:
     """Write the blocks' rows by function id, then n, in cfg's 'format'; return the exit code.
 
     Each row's slack is rhs - lhs and its pass holds(lhs, rhs).  CSV fields
-    follow _fmt (.12g floats, "" for None, true/false), written inline; the
-    id, seed, gamma and alpha fields are formatted once per block.
+    follow _fmt (.12g floats, "" for None, true/false), written inline.  Text
+    that repeats is formatted once: gamma and alpha while blocks share a spec,
+    id and seed per block, and n and m per (theorem, n, m), whose rhs text is
+    kept while that key's next rhs is the same float object (a class-wide rhs
+    is one object per n).  The text held is bounded by the distinct
+    (theorem, n, m), never by the rows.
     """
     blocks.sort(key=lambda b: b.fid)  # function ids are unique
     if cfg.get("format", "csv") == "json":
@@ -334,14 +343,23 @@ def _write_blocks(cfg: dict, blocks: list) -> int:
         return EXIT_OK if all(row["pass"] for row in rows) else EXIT_VIOLATION
     lines = [",".join(CSV_COLUMNS)]
     failed = False
+    last_spec = params = None  # the last block's spec and its "gamma,alpha" text
+    texts = {}  # (theorem, n, m) -> [its "n,m," text, the last rhs, that rhs's text]
     for fid, seed, spec, cells in blocks:
-        ids = ",".join(_fmt(v) for v in (fid, seed, spec.gamma, spec.alpha))
+        if spec is not last_spec:
+            last_spec, params = spec, f"{_fmt(spec.gamma)},{_fmt(spec.alpha)}"
+        ids = f"{fid},{_fmt(seed)},{params}"
         for theorem, n, m, lhs, rhs in cells:
+            text = texts.get((theorem, n, m))
+            if text is None:
+                text = texts[theorem, n, m] = [f"{_fmt(n)},{_fmt(m)},", None, ""]
+            if text[1] is not rhs:
+                text[1:] = rhs, f"{rhs:.12g}"
             ok = holds(lhs, rhs)
             failed = failed or not ok
             lines.append(
-                f"{theorem},{ids},{'' if n is None else n},{'' if m is None else m},"
-                f"{lhs:.12g},{rhs:.12g},{rhs - lhs:.12g},{'true' if ok else 'false'}"
+                f"{theorem},{ids},{text[0]}{lhs:.12g},{text[2]},{rhs - lhs:.12g},"
+                f"{'true' if ok else 'false'}"
             )
     _write(cfg, "\n".join(lines) + "\n")
     return EXIT_VIOLATION if failed else EXIT_OK
@@ -400,6 +418,7 @@ def _cmd_verify(cfg: dict) -> int:
     functions = _build_functions(cfg, spec, order, order if grid is not None else ns[-1] + 1)
     # without a per-function rhs the row's rhs depends on n alone: each n's is
     # computed once, when the first function reaches it
+    per_function = row.member is not None
     class_rhs = cache(lambda n: bound_rhs(theorem, n, m, alpha=spec.alpha))
 
     def membership(f) -> list:
@@ -436,7 +455,7 @@ def _cmd_verify(cfg: dict) -> int:
             try:
                 for n in ns:
                     lhs = functional(f, n, m)
-                    rhs = class_rhs(n) if row.member is None else member_rhs(f, n)
+                    rhs = member_rhs(f, n) if per_function else class_rhs(n)
                     cells.append((theorem, n, m, lhs, rhs))
                 item = next(functions, None)  # above the gate, built while f is checked
             finally:

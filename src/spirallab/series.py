@@ -63,6 +63,16 @@ def _long_dot(dot, x: np.ndarray, y: np.ndarray):
 _local = threading.local()
 
 
+def _dot_aligned(size: int) -> np.ndarray:
+    """An empty complex vector whose element 1, where every step's first operand starts, begins
+    a 64-byte line.  Where malloc puts a buffer is an accident of the heap's history, and at
+    order 4096 the recurrence ran 10% slower, with the same bits, when its first operands
+    started at an odd multiple of 16 bytes."""
+    raw = np.empty(16 * size + 64, dtype=np.uint8)
+    start = (48 - raw.ctypes.data) % 64
+    return raw[start : start + 16 * size].view(np.complex128)
+
+
 def _plan(shape: tuple):
     """This thread's (arange, ka, rb, b, dot, steps) for exp_rows of a c of this shape.
 
@@ -76,7 +86,7 @@ def _plan(shape: tuple):
     plan = getattr(_local, "plan", None)
     if plan is None or plan[0] != key:
         n = shape[-1] - 1
-        ka = np.empty(shape, dtype=np.complex128)
+        ka = _dot_aligned(shape[0]) if len(shape) == 1 else np.empty(shape, dtype=np.complex128)
         rb = np.empty(shape, dtype=np.complex128)
         if len(shape) == 1:
             b, dot, views = rb, np.ndarray.dot, lambda x, y: (x, y)

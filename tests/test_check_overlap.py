@@ -94,7 +94,8 @@ CASES = {
 
 
 def run(tmp_path, capsys, monkeypatch, doc, gate):
-    """(exit code, report bytes, stdout, stderr, threads the checks ran on) of one verify run."""
+    """(exit code, report bytes or None without a report, stdout, stderr, threads the checks ran
+    on) of one verify run."""
     monkeypatch.setattr(cli, "_OVERLAP_MIN", gate)
     threads = []
     for name in ("check_spirallike", "check_convex"):
@@ -108,7 +109,7 @@ def run(tmp_path, capsys, monkeypatch, doc, gate):
     cfg.write_text(json.dumps({**doc, "out": str(out)}))
     code = main(["verify", "--config", str(cfg)])
     captured = capsys.readouterr()
-    return code, out.read_bytes(), captured.out, captured.err, threads
+    return code, out.read_bytes() if out.exists() else None, captured.out, captured.err, threads
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -171,8 +172,9 @@ def test_a_row_config_error_stops_before_the_next_member(tmp_path, capsys, monke
     doc = {**CASES["cor_spiral_json"][0], "order": 256, "n": [2, 300]}
     built, _ = _track_members(monkeypatch)
     before = threading.active_count()
-    code, _, out, err, _ = run(tmp_path, capsys, monkeypatch, doc, gate)
+    code, report, out, err, _ = run(tmp_path, capsys, monkeypatch, doc, gate)
     assert (code, out, err) == (EXIT_CONFIG, "", "config error: need order >= 257, have 256\n")
+    assert report is None  # nor an empty file left by the early check of the out path
     assert len(built) == members
     assert threading.active_count() == before
 

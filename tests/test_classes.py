@@ -207,6 +207,19 @@ def test_member_builder_batch_rows_are_each_member_alone(kind):
             assert np.array_equal(row, member_from_measure(m, spec, 40).coeffs)
 
 
+def test_members_of_one_class_and_order_share_one_builder():
+    # a sampled suite makes its map once; an equal spec with zeros of the other sign hashes
+    # alike and shares it, which keeps every bit, since e^{i gamma} is 1 + 0i at gamma = -0.0
+    member_builder.cache_clear()
+    measure = fixed_measure(3, 3)
+    atoms = np.asarray(measure.angles), np.asarray(measure.weights)
+    for spec in (ClassSpec("spirallike", 0.0, 0.0), ClassSpec("spirallike", -0.0, -0.0)):
+        fresh = member_builder.__wrapped__(spec, 24)(*atoms)
+        for _ in range(3):
+            assert member_from_measure(measure, spec, 24).coeffs.tobytes() == fresh.tobytes()
+    assert member_builder.cache_info().misses == 1
+
+
 def test_check_atoms_checks_each_row_of_a_batch():
     angles = np.array([[0.5, 1.0], [2.0, 3.0], [1.0, 6.0]])
     weights = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])

@@ -17,6 +17,15 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 
 SPIRAL = {"kind": "spirallike", "gamma": 0.4, "alpha": 0.2}
 
+SUITE = {
+    "seed": 4,
+    "order": 256,
+    "spec": SPIRAL,
+    "theorem": "cor_spiral",
+    "n": [2, 20],
+    "functions": [{"sampled": {"trials": 60, "k_atoms": 8}}],
+}
+
 # name -> (command, config, exit code, sha256 of the report, sha256 of stdout)
 CASES = {
     "verify_thm_main_membership_csv": (
@@ -160,6 +169,22 @@ CASES = {
         },
         EXIT_OK,
         "2b6c68de3e2d6362b05a75e920b0bb4132ef7740bfca4e001de00ab909105132",
+        EMPTY,
+    ),
+    # the benchmark's suite_1000 at 60 trials: class-wide rows of one spec over many blocks,
+    # so a CSV text memo that leaks from one block or key into another shows up here
+    "verify_sampled_suite_csv": (
+        "verify",
+        SUITE,
+        EXIT_OK,
+        "92d1b5e9c8673222fd2d90314968d25ec79f4c1bfca92477cc6e50231717fba9",
+        EMPTY,
+    ),
+    "verify_sampled_suite_json": (
+        "verify",
+        {**SUITE, "format": "json"},
+        EXIT_OK,
+        "2df99bd07a13daec311dea1bada1d5c4d9b5e408aeb1ee3a623634a81022556d",
         EMPTY,
     ),
     "trace": (

@@ -257,6 +257,15 @@ def test_exp_rows_plans_keep_every_bit_as_shapes_come_and_go():
             assert np.array_equal(g, exp_zero_sliced(Series(row)).coeffs)
 
 
+def test_exp_rows_first_operands_start_a_cache_line():
+    # where malloc puts a buffer is an accident of the heap; a series' recurrence dots
+    # ka[1 : k + 1], which starts a 64-byte line at every order
+    for size in (2, 3, 22, 257, 4097):
+        series._local.plan = None
+        exp_rows(np.zeros(size, dtype=np.complex128))
+        assert series._local.plan[2][1:].ctypes.data % 64 == 0
+
+
 def test_exp_rows_returns_an_array_no_later_call_writes():
     rng = np.random.default_rng(30)
     for shape in [(64,), (4, 64)]:
