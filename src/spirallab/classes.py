@@ -111,16 +111,6 @@ class ClassSpec:
     def is_convex_kind(self) -> bool:
         return self.kind in CONVEX_KINDS
 
-    def spiral_parent(self) -> "ClassSpec":
-        """The spiral/starlike class whose Alexander transform is this class."""
-        if self.kind == "convex_spirallike":
-            return ClassSpec("spirallike", self.gamma, self.alpha)
-        if self.kind == "convex":
-            return ClassSpec("starlike", 0.0, self.alpha)
-        if self.kind == "c_half":
-            return ClassSpec("starlike", 0.0, -0.5)
-        return self
-
     def threshold(self) -> float:
         """The right-hand side alpha*cos(gamma) of the defining condition."""
         return self.alpha * math.cos(self.gamma)
@@ -158,20 +148,19 @@ def member_builder(spec: ClassSpec, order: int = ORDER_DEFAULT):
     atoms that :func:`check_atoms` accepts; it does not check them again.
     A batch is atoms of shape (B, k), giving coefficients of shape
     (B, order + 1), each row bit for bit the member of its atoms alone.
-    The spiral parent's member follows the formula in
+    The spiral member of the spec's (gamma, alpha) follows the formula in
     :func:`member_from_measure`: one member's log series goes through
-    :meth:`Series.exp_zero`, a batch's through
-    :func:`~spirallab.series.exp_rows`, which gives each row the same bits.
-    Convex kinds divide a_n by n (the inverse Alexander map).  a_k reads
-    only h_1..h_{k-1} (see _kernel_sums), so the map at any order is a
-    bitwise prefix of the map at every higher one.  What does not depend
-    on the atoms is computed once, here, and the last map made is kept, so
-    a suite of one class and order makes it once.
+    :meth:`Series.exp_zero`, a batch's through :func:`~spirallab.series.exp_rows`,
+    which gives each row the same bits.  Convex kinds, whose spiral parent
+    shares their (gamma, alpha), divide its a_n by n (the inverse Alexander
+    map).  a_k reads only h_1..h_{k-1} (see _kernel_sums), so the map at any
+    order is a bitwise prefix of the map at every higher one.  What does not
+    depend on the atoms is computed once, here, and the last map made is
+    kept, so a suite of one class and order makes it once.
     """
     if order < 1:
         raise InvalidParams("order must be >= 1")
-    parent = spec.spiral_parent()
-    factor = np.exp(1j * parent.gamma) * math.cos(parent.gamma) * (1.0 - parent.alpha)
+    factor = np.exp(1j * spec.gamma) * math.cos(spec.gamma) * (1.0 - spec.alpha)
     index = np.arange(order)  # h_0 is never read, but gives order 2 two columns (_kernel_sums)
     n = np.maximum(index, 1)
     divisor = np.arange(1, order + 1) if spec.is_convex_kind else None

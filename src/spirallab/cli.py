@@ -323,25 +323,18 @@ class _Block(NamedTuple):
 def _write_blocks(cfg: dict, blocks: list) -> int:
     """Write the blocks' rows by function id, then n, in cfg's 'format'; return the exit code.
 
-    Each row's slack is rhs - lhs and its pass holds(lhs, rhs).  CSV fields
-    follow _fmt (.12g floats, "" for None, true/false), written inline.  Text
-    that repeats is formatted once: gamma and alpha while blocks share a spec,
-    id and seed per block, and n and m per (theorem, n, m), whose rhs text is
-    kept while that key's next rhs is the same float object (a class-wide rhs
-    is one object per n).  The text held is bounded by the distinct
-    (theorem, n, m), never by the rows.
+    Each row is judged once: its slack is rhs - lhs and its pass holds(lhs, rhs),
+    and any failed row sets the exit code, in either format.  A JSON row is an
+    object keyed by CSV_COLUMNS.  CSV fields follow _fmt (.12g floats, "" for
+    None, true/false), written inline.  CSV text that repeats is formatted
+    once: gamma and alpha while blocks share a spec, id and seed per block,
+    and n and m per (theorem, n, m), whose rhs text is kept while that key's
+    next rhs is the same float object (a class-wide rhs is one object per n).
+    The text held is bounded by the distinct (theorem, n, m), never by the rows.
     """
     blocks.sort(key=lambda b: b.fid)  # function ids are unique
-    if cfg.get("format", "csv") == "json":
-        rows = [
-            dict(zip(CSV_COLUMNS, (theorem, fid, seed, spec.gamma, spec.alpha, n, m,
-                                   lhs, rhs, rhs - lhs, holds(lhs, rhs))))
-            for fid, seed, spec, cells in blocks
-            for theorem, n, m, lhs, rhs in cells
-        ]
-        _write(cfg, rows)
-        return EXIT_OK if all(row["pass"] for row in rows) else EXIT_VIOLATION
-    lines = [",".join(CSV_COLUMNS)]
+    as_json = cfg.get("format", "csv") == "json"
+    rows = [] if as_json else [",".join(CSV_COLUMNS)]
     failed = False
     last_spec = params = None  # the last block's spec and its "gamma,alpha" text
     texts = {}  # (theorem, n, m) -> [its "n,m," text, the last rhs, that rhs's text]
@@ -350,18 +343,22 @@ def _write_blocks(cfg: dict, blocks: list) -> int:
             last_spec, params = spec, f"{_fmt(spec.gamma)},{_fmt(spec.alpha)}"
         ids = f"{fid},{_fmt(seed)},{params}"
         for theorem, n, m, lhs, rhs in cells:
+            ok = holds(lhs, rhs)
+            failed = failed or not ok
+            if as_json:
+                rows.append(dict(zip(CSV_COLUMNS, (theorem, fid, seed, spec.gamma, spec.alpha,
+                                                   n, m, lhs, rhs, rhs - lhs, ok))))
+                continue
             text = texts.get((theorem, n, m))
             if text is None:
                 text = texts[theorem, n, m] = [f"{_fmt(n)},{_fmt(m)},", None, ""]
             if text[1] is not rhs:
                 text[1:] = rhs, f"{rhs:.12g}"
-            ok = holds(lhs, rhs)
-            failed = failed or not ok
-            lines.append(
+            rows.append(
                 f"{theorem},{ids},{text[0]}{lhs:.12g},{text[2]},{rhs - lhs:.12g},"
                 f"{'true' if ok else 'false'}"
             )
-    _write(cfg, "\n".join(lines) + "\n")
+    _write(cfg, rows if as_json else "\n".join(rows) + "\n")
     return EXIT_VIOLATION if failed else EXIT_OK
 
 

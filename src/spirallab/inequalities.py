@@ -198,8 +198,7 @@ def class_bound(spec: ClassSpec, functional: str, n: int, m: int | None = None) 
     """
     for theorem, row in THEOREMS.items():
         if row.admits(spec) and row.functional == functional:
-            alpha = 0.0 if row.member is not None else spec.alpha
-            return theorem, bound_rhs(theorem, n, m, alpha=alpha)
+            return theorem, bound_row(theorem, n, m).rhs(n, m, spec.alpha)
     return None
 
 

@@ -174,16 +174,83 @@ def spiral_margin_exact(measure: AtomicMeasure, spec, grid) -> float:
     The spiral member of the measure has Re(e^{-i gamma} z f'/f) - alpha cos(gamma)
     = (1 - alpha) cos(gamma) Re h, where Re h = sum_j w_j (1 - r^2) / |1 - e^{-i t_j} z|^2
     is the Poisson sum of the atoms.  A convex member's margin is its spiral
-    parent's, the Alexander transform z f' being that parent's member.
+    parent's, the Alexander transform z f' being that parent's member, of the
+    same (gamma, alpha).
     """
-    parent = spec.spiral_parent()
     tilt = np.exp(-1j * np.asarray(measure.angles))[:, None]
     weights = np.asarray(measure.weights)[:, None]
     low = math.inf
     for r in grid.radii:
         poisson = weights * (1.0 - r * r) / np.abs(1.0 - tilt * circle(r, grid.m)) ** 2
         low = min(low, float(poisson.sum(axis=0).min()))
-    return (1.0 - parent.alpha) * math.cos(parent.gamma) * low
+    return (1.0 - spec.alpha) * math.cos(spec.gamma) * low
+
+
+def chain_replay(measure: AtomicMeasure, spec, n: int, near: float | None = None) -> dict:
+    """The derivation chain that chain_trace replays on the measure's member at n, at 40 digits.
+
+    Everything starts from the measure: h_k = 2 sum_j w_j e^{-ik t_j}, the exact
+    c_k = (1 - alpha) h_k for k = 1..n, and the member traced, the spiral member
+    z exp(e^{i gamma} cos(gamma) sum c_k z^k / k) through a_{n+1} (for a convex kind,
+    z f' of its member, the parent with the same (gamma, alpha)).  M is the largest value
+    of Re psi at the roots of Re psi' that mpmath.findroot finds in brackets around the
+    four best peaks of a dense double grid (M >= 0: Re psi has mean 0).  theta is its
+    angle, or ``near`` where Re psi is within 1e-12 of M there: the chain holds at every
+    maximum, a symmetric measure ties two, and a double angle resolves a flat maximum only
+    to about the square root of an ulp.  Then xi0 = e^{-i theta}, the Milin exponent
+    sum_k (|C_k - xi0^k|^2 - 1) / k with C_k = e^{i gamma} cos(gamma) c_k,
+    beta = |a_{n+1} - xi0 a_n| and the bound exp(-M alpha cos gamma).  Returns the fields
+    of ProofTrace that these name (c, M, xi0, milin_exponent, beta_bound, final_bound) and
+    ``a``, a_0..a_{n+1}, each rounded to a double.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        atoms = [(mpmath.mpf(t), mpmath.mpf(w)) for t, w in zip(measure.angles, measure.weights)]
+        h = [2 * mpmath.fsum(w * mpmath.expj(-k * t) for t, w in atoms) for k in range(1, n + 1)]
+        c = [(1 - mpmath.mpf(spec.alpha)) * hk for hk in h]
+        rotation, cos_g = mpmath.expj(spec.gamma), mpmath.cos(spec.gamma)
+        big_c = [rotation * cos_g * ck for ck in c]
+        # u = f/z = exp(sum C_k z^k / k), by k u_k = sum_{j=1}^k C_j u_{k-j}
+        u = [mpmath.mpc(1)]
+        for k in range(1, n + 1):
+            u.append(mpmath.fsum(big_c[j - 1] * u[k - j] for j in range(1, k + 1)) / k)
+        a = [mpmath.mpc(0), *u]
+        d = [rotation * ck / k for k, ck in enumerate(c, 1)]
+
+        def re_psi(theta):
+            return mpmath.re(mpmath.fsum(dk * mpmath.expj(k * theta) for k, dk in enumerate(d, 1)))
+
+        def slope(theta):
+            return -mpmath.fsum(k * mpmath.im(dk * mpmath.expj(k * theta))
+                                for k, dk in enumerate(d, 1))
+
+        # a sample at least its neighbours has a maximum of Re psi within a step of it:
+        # every half-step where Re psi' falls through 0 brackets a root
+        step = 2.0 * math.pi / (64 * (n + 1))
+        grid = step * np.arange(64 * (n + 1))
+        samples = (np.exp(1j * np.outer(grid, np.arange(1, n + 1))) @ np.array(d, complex)).real
+        peaks = (samples >= np.roll(samples, 1)) & (samples >= np.roll(samples, -1))
+        roots = []
+        for i in sorted(peaks.nonzero()[0], key=lambda i: samples[i])[-4:]:
+            ends = [mpmath.mpf(grid[i] + j * step) for j in (-1, 0, 1)]
+            for lo, hi in zip(ends, ends[1:]):
+                if slope(lo) >= 0 >= slope(hi):
+                    roots.append(mpmath.findroot(slope, (lo, hi), solver="anderson"))
+        M, theta = max((re_psi(root), root) for root in roots)
+        if near is not None and re_psi(mpmath.mpf(near)) >= M - 1e-12 * max(M, 1):
+            theta = mpmath.mpf(near)
+        xi0 = mpmath.expj(-theta)
+        exponent = mpmath.fsum((abs(big_c[k - 1] - xi0**k) ** 2 - 1) / k for k in range(1, n + 1))
+        return {
+            "c": np.array([complex(x) for x in c]),
+            "a": np.array([complex(x) for x in a]),
+            "M": float(M),
+            "xi0": complex(xi0),
+            "milin_exponent": float(exponent),
+            "beta_bound": float(abs(a[n + 1] - xi0 * a[n])),
+            "final_bound": float(mpmath.exp(-M * spec.alpha * cos_g)),
+        }
 
 
 def horner(s: Series, z: complex) -> complex:

@@ -70,13 +70,6 @@ def test_class_spec_invariants():
         ClassSpec("elliptic")
 
 
-def test_spiral_parent():
-    assert ClassSpec("convex", alpha=0.25).spiral_parent() == ClassSpec("starlike", alpha=0.25)
-    assert ClassSpec("c_half", alpha=-0.5).spiral_parent() == ClassSpec("starlike", alpha=-0.5)
-    s = ClassSpec("spirallike", gamma=0.4, alpha=0.1)
-    assert s.spiral_parent() == s
-
-
 # ----------------------------------------------------------------------
 # herglotz
 
@@ -151,20 +144,32 @@ def test_two_atoms_match_two_point_extremal():
 
 
 def test_member_from_measure_convex_kind_goes_through_alexander():
-    m = fixed_measure(3, 4)
-    g = member_from_measure(m, ClassSpec("starlike", alpha=-0.5), 20)
-    f = member_from_measure(m, ClassSpec("c_half", alpha=-0.5), 20)
+    # a convex kind's member is, bit for bit, a_k / k of the spiral member with its own
+    # (gamma, alpha); a zero gamma of either sign gives the same bits
+    cases = [
+        ("c_half", "starlike", 0.0, -0.5),
+        ("convex", "starlike", 0.0, 0.3),
+        ("convex", "starlike", -0.0, 0.3),
+        ("convex_spirallike", "spirallike", 0.5, 0.2),
+        ("convex_spirallike", "spirallike", -0.0, 0.2),
+    ]
     n = np.arange(1, 21)
-    assert np.allclose(f.coeffs[1:] * n, g.coeffs[1:])
+    for seed, (kind, parent_kind, gamma, alpha) in enumerate(cases):
+        m = fixed_measure(seed + 3, 4)
+        f = member_from_measure(m, ClassSpec(kind, gamma, alpha), 20)
+        for parent_gamma in (0.0, -0.0) if gamma == 0.0 else (gamma,):
+            g = member_from_measure(m, ClassSpec(parent_kind, parent_gamma, alpha), 20)
+            assert f.coeffs[0] == 0.0
+            assert f.coeffs[1:].tobytes() == (g.coeffs[1:] / n).tobytes(), (kind, parent_gamma)
 
 
 def test_member_from_measure_convex_spirallike():
     m = fixed_measure(4, 3)
     spec = ClassSpec("convex_spirallike", gamma=0.5, alpha=0.2)
-    g = member_from_measure(m, spec.spiral_parent(), 20)
+    g = member_from_measure(m, ClassSpec("spirallike", spec.gamma, spec.alpha), 20)
     f = member_from_measure(m, spec, 20)
     n = np.arange(1, 21)
-    assert np.allclose(f.coeffs[1:] * n, g.coeffs[1:])
+    assert f.coeffs[1:].tobytes() == (g.coeffs[1:] / n).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -468,14 +473,14 @@ def product_formula_coeffs(measure, spec, order):
     """a_0..a_order of z prod_j (1 - e^{-i t_j} z)^{-2 w_j (1-alpha) e^{i gamma} cos gamma}.
 
     That product is the spirallike member of the measure; convex kinds
-    then take the Alexander inverse a_n / n of their spiral parent.
+    then take the Alexander inverse a_n / n of their spiral parent, which
+    has their (gamma, alpha).
     Each factor expands by the rising-factorial ratio (b + n - 1) x / n.
     """
     mpmath = pytest.importorskip("mpmath")
-    parent = spec.spiral_parent()
     with mpmath.workdps(40):
-        scale = 2 * (1 - mpmath.mpf(parent.alpha)) * mpmath.expj(parent.gamma)
-        scale *= mpmath.cos(parent.gamma)
+        scale = 2 * (1 - mpmath.mpf(spec.alpha)) * mpmath.expj(spec.gamma)
+        scale *= mpmath.cos(spec.gamma)
         u = [mpmath.mpc(1)] + [mpmath.mpc(0)] * (order - 1)
         for t, w in zip(measure.angles, measure.weights):
             b, x = scale * w, mpmath.expj(-mpmath.mpf(t))

@@ -1055,6 +1055,17 @@ def test_csv_writer_gives_each_rhs_of_a_key_its_own_text(tmp_path):
         for theorem, n, m, lhs, r in b.cells
     ]
     assert out.read_text().splitlines()[1:] == expected
+    # JSON rows go through the same loop: each row is judged once, so both formats give the
+    # same pass per row and the same exit code, failing or not
+    for kept, code in ((blocks, EXIT_VIOLATION), (blocks[:2], EXIT_OK)):
+        for fmt in ("csv", "json"):
+            cfg = {"out": str(tmp_path / f"rows.{fmt}"), "format": fmt}
+            assert cli._write_blocks(cfg, list(kept)) == code
+        lines = (tmp_path / "rows.csv").read_text().splitlines()[1:]
+        rows = json.loads((tmp_path / "rows.json").read_text())
+        verdicts = [holds(lhs, r) for b in kept for _, _, _, lhs, r in b.cells]
+        assert [line.endswith(",true") for line in lines] == verdicts
+        assert [row["pass"] for row in rows] == verdicts
 
 
 # Open false red alerts, strict so that the item that removes one turns its test green.

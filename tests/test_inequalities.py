@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spirallab import (
     AtomicMeasure,
@@ -17,6 +17,7 @@ from spirallab import (
     OrderTooLow,
     ProofTrace,
     TOL_INEQ,
+    alexander_forward,
     bound_rhs,
     gamma_ratio,
     lemma31_check,
@@ -32,8 +33,10 @@ from spirallab import (
     successive_diff,
 )
 from spirallab import cli, inequalities
-from spirallab.inequalities import THEOREMS, class_bound, holds
-from oracles import alexander_inverse, fixed_measure, gamma_ratios, psi_max_reference
+from spirallab.inequalities import THEOREMS, chain_trace, class_bound, holds
+from oracles import (
+    alexander_inverse, chain_replay, fixed_measure, gamma_ratios, psi_max_reference
+)
 
 
 def harmonic(n):
@@ -490,6 +493,32 @@ def test_proof_trace_sampled_members():
         assert trace.beta_bound**2 <= math.exp(trace.milin_exponent) + TOL_INEQ
         assert successive_diff(f, n) <= trace.final_bound + TOL_INEQ
         assert trace.final_bound <= 1.0 + 1e-12
+
+
+@settings(max_examples=25, derandomize=True)
+@given(
+    st.sampled_from(["spirallike", "starlike", "convex", "convex_spirallike"]),
+    st.floats(-1.2, 1.2),
+    st.floats(0.0, 0.9),
+    st.lists(st.tuples(st.floats(0.0, 2 * math.pi, exclude_max=True), st.floats(0.01, 1.0)),
+             min_size=1, max_size=4),
+    st.integers(2, 12),
+)
+def test_chain_trace_matches_its_40_digit_replay(kind, gamma, alpha, atoms, n):
+    # every field of the chain, from the double member, within 1e-12 of the replay from the
+    # measure alone, relative to max(|x|, 1); the replay takes the trace's angle only where
+    # Re psi reaches M there within 1e-12; alpha < 0 loses digits in recover_c (ROADMAP 2)
+    pytest.importorskip("mpmath")
+    spec = ClassSpec(kind, gamma if "spirallike" in kind else 0.0, alpha)
+    total = sum(w for _, w in atoms)
+    measure = AtomicMeasure([t for t, _ in atoms], [w / total for _, w in atoms])
+    f = member_from_measure(measure, spec, n + 1)
+    trace = chain_trace(f, spec, n)
+    got = {**vars(trace), "c": np.array(trace.c),
+           "a": (alexander_forward(f) if spec.is_convex_kind else f).coeffs}
+    for field, exact in chain_replay(measure, spec, n, near=trace.max_angle).items():
+        err = np.max(np.abs(got[field] - exact) / np.maximum(np.abs(exact), 1.0))
+        assert err <= 1e-12, (field, err)
 
 
 def test_proof_trace_final_bound_is_one_iff_alpha_zero():

@@ -190,10 +190,12 @@ def test_worst_point_is_the_brute_force_minimum_on_the_circle(kind):
 )
 def test_convex_check_is_the_spiral_check_of_the_alexander_transform(spec):
     grid = Grid((0.5, 0.9, 0.99), 1000)
+    # the spiral parent: spirallike or starlike with the same (gamma, alpha)
+    parent = ClassSpec("spirallike" if spec.gamma else "starlike", spec.gamma, spec.alpha)
     for seed in (1, 2):
         f = member_from_measure(fixed_measure(seed, 3), spec, 512)
         convex = check_convex(f, spec, grid)
-        spiral = check_spirallike(alexander_forward(f), spec.spiral_parent(), grid)
+        spiral = check_spirallike(alexander_forward(f), parent, grid)
         assert convex.margin == spiral.margin
         assert convex.worst_point == spiral.worst_point
 
