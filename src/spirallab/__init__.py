@@ -13,7 +13,6 @@ from .classes import (
     AtomicMeasure,
     ClassSpec,
     InvalidParams,
-    UnknownName,
     alexander_forward,
     herglotz,
     member_from_measure,
@@ -24,9 +23,6 @@ from .extremal import SearchProblem, SearchResult, search
 from .inequalities import (
     TOL_INEQ,
     ChainInequalityViolation,
-    DegenerateCosGamma,
-    InvalidIndices,
-    OrderTooLow,
     ProofTrace,
     bound_rhs,
     gamma_ratio,
@@ -49,14 +45,6 @@ from .membership import (
     check_kaplan,
     check_spirallike,
 )
-from .series import (
-    DIV_FLOOR,
-    ORDER_DEFAULT,
-    TOL_EXACT,
-    DivisionByNearZeroConstant,
-    FunctionSeries,
-    NonzeroConstantTerm,
-    Series,
-)
+from .series import ORDER_DEFAULT, FunctionSeries, Series
 
 __version__ = "0.1.0"

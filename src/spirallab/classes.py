@@ -36,11 +36,7 @@ CONVEX_KINDS = ("convex_spirallike", "convex", "c_half")
 
 
 class InvalidParams(ValueError):
-    """Input outside its valid range: the base of every input error the package raises."""
-
-
-class UnknownName(InvalidParams):
-    """No named function under this identifier."""
+    """Input outside its valid range: the type of every input error the package raises."""
 
 
 def check_atoms(angles: np.ndarray, weights: np.ndarray) -> None:
@@ -285,7 +281,7 @@ def named(name: str, order: int = ORDER_DEFAULT, /, **params) -> FunctionSeries:
     try:
         build = _NAMED[name]
     except KeyError:
-        raise UnknownName(f"unknown function name {name!r}") from None
+        raise InvalidParams(f"unknown function name {name!r}") from None
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
             coeffs = build(order, **params)

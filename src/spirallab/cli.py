@@ -117,7 +117,7 @@ _FIELDS = {
 _ORDER_MAX = _FIELDS["config"]["order"].hi
 
 
-class ConfigError(ValueError):
+class ConfigError(InvalidParams):
     """Config file or flag contents outside the accepted schema."""
 
 
@@ -592,8 +592,8 @@ def main(argv=None) -> int:
     try:
         cfg = _merged(args)
         return _COMMANDS[args.command][0](cfg)
-    except (ConfigError, InvalidParams, OverflowError) as exc:
-        # InvalidParams is the base of every input error the package raises;
+    except (InvalidParams, OverflowError) as exc:
+        # InvalidParams is the type of every input error the package raises, ConfigError too;
         # OverflowError: float() of a JSON integer past the double range, such as a
         # 400-digit "gamma" in the spec, a radius or a named function's parameter
         print(f"config error: {exc}", file=sys.stderr)

@@ -51,18 +51,6 @@ ON_COEFFICIENTS = {
 }
 
 
-class OrderTooLow(InvalidParams):
-    """Requested coefficient index exceeds the truncation order."""
-
-
-class InvalidIndices(InvalidParams):
-    """Index pair outside the theorem's valid range."""
-
-
-class DegenerateCosGamma(InvalidParams):
-    """cos(gamma) too small for the spiral normalization to make sense."""
-
-
 class ChainInequalityViolation(ArithmeticError):
     """A derivation-chain inequality failed beyond tolerance."""
 
@@ -81,9 +69,9 @@ def holds(lhs: float, rhs: float) -> bool:
 
 
 def check_indices(functional: str, n: int, m: int | None) -> None:
-    """Raise InvalidIndices unless the indices suit functional: robertson needs n > m >= 1."""
+    """Raise InvalidParams unless the indices suit functional: robertson needs n > m >= 1."""
     if functional == "robertson" and (m is None or not n > m >= 1):
-        raise InvalidIndices("robertson needs n > m >= 1")
+        raise InvalidParams("robertson needs n > m >= 1")
 
 
 def successive_diff(f: FunctionSeries, n: int) -> float:
@@ -94,9 +82,9 @@ def successive_diff(f: FunctionSeries, n: int) -> float:
 def one_sided_diff(f: FunctionSeries, n: int) -> float:
     """The signed difference |a_{n+1}| - |a_n|."""
     if n < 1:
-        raise InvalidIndices("successive difference needs n >= 1")
+        raise InvalidParams("successive difference needs n >= 1")
     if n + 1 > f.order:
-        raise OrderTooLow(f"need order >= {n + 1}, have {f.order}")
+        raise InvalidParams(f"need order >= {n + 1}, have {f.order}")
     return ON_COEFFICIENTS["one_sided_diff"](f.coeffs.item, n)
 
 
@@ -125,7 +113,7 @@ class Theorem(NamedTuple):
 def _gamma_ratio_rhs(n: int, m: int | None, alpha: float | None) -> float:
     """thm_C's rhs: the Gamma ratio at alpha, which the caller must give."""
     if alpha is None:
-        raise InvalidIndices("thm_C bound needs alpha")
+        raise InvalidParams("thm_C bound needs alpha")
     return gamma_ratio(alpha, n)
 
 
@@ -172,10 +160,10 @@ def bound_row(theorem_id: str, n: int, m: int | None = None) -> Theorem:
     """
     row = THEOREMS.get(theorem_id)
     if row is None:
-        raise InvalidIndices(f"unknown theorem id {theorem_id!r}")
+        raise InvalidParams(f"unknown theorem id {theorem_id!r}")
     check_indices(row.functional, n, m)
     if n < 2:
-        raise InvalidIndices(f"{theorem_id} bound needs n >= 2")
+        raise InvalidParams(f"{theorem_id} bound needs n >= 2")
     return row
 
 
@@ -185,7 +173,7 @@ def bound_rhs(
     """Class-wide right-hand side of the theorem's bound_row at index n (and m)."""
     row = bound_row(theorem_id, n, m)
     if row.member is not None and alpha != 0.0:
-        raise InvalidIndices(f"{theorem_id} at alpha != 0 is per-function; see Theorem.member")
+        raise InvalidParams(f"{theorem_id} at alpha != 0 is per-function; see Theorem.member")
     return row.rhs(n, m, alpha)
 
 
@@ -207,10 +195,12 @@ def _newton_peak(d, k, k2, ik, theta: float, value: float, h: float):
 
     Re psi' = -sum k Im(e_k) and Re psi'' = -sum k^2 Re(e_k) with
     e_k = d_k e^{ik t}; ``k2`` and ``ik`` hold k^2 and ik.  Steps stay within
-    h of theta.  The sample is kept when refinement does not beat it,
-    which covers a start whose curvature is >= 0.  The step arithmetic runs
-    on Python floats and each sum is one ``ndarray.dot``, the cblas call that
-    ``@`` makes, so the bits are those of numpy scalars at less dispatch.
+    h of theta.  The sample is kept only when refinement falls below it,
+    which covers a start whose curvature is >= 0; a tie keeps Newton's
+    point (M is the same), so a flat maximum reports its stationary angle,
+    not the sample's.  The step arithmetic runs on Python floats and each
+    sum is one ``ndarray.dot``, the cblas call that ``@`` makes, so the bits
+    are those of numpy scalars at less dispatch.
     """
     t, lo, hi = theta, theta - h, theta + h
     for _ in range(20):
@@ -223,7 +213,7 @@ def _newton_peak(d, k, k2, ik, theta: float, value: float, h: float):
         if abs(step) < 1e-15:
             break
     refined = d.dot(np.exp(ik * t)).real.item()
-    return (refined, t) if refined > value else (value, theta)
+    return (refined, t) if refined >= value else (value, theta)
 
 
 def psi_max(c, n: int, gamma: float):
@@ -249,9 +239,9 @@ def psi_max(c, n: int, gamma: float):
     """
     c = np.asarray(c, dtype=np.complex128)
     if n < 1:
-        raise InvalidIndices("psi_max needs n >= 1")
+        raise InvalidParams("psi_max needs n >= 1")
     if c.size < n:
-        raise OrderTooLow(f"need {n} coefficients, have {c.size}")
+        raise InvalidParams(f"need {n} coefficients, have {c.size}")
     k = np.arange(1.0, n + 1)
     d = np.exp(1j * gamma) * c[:n] / k
     m = 16 * (n + 1)
@@ -284,9 +274,9 @@ def lemma31_check(c, lam, gamma: float, alpha: float, M: float):
     c = np.asarray(c, dtype=np.complex128)
     lam = np.asarray(lam, dtype=float)
     if lam.size > c.size:
-        raise OrderTooLow(f"need {lam.size} coefficients, have {c.size}")
+        raise InvalidParams(f"need {lam.size} coefficients, have {c.size}")
     if np.any(lam < 0):
-        raise InvalidIndices("weights must be nonnegative")
+        raise InvalidParams("weights must be nonnegative")
     lhs = math.cos(gamma) * float(np.sum(lam * np.abs(c[: lam.size]) ** 2))
     return lhs, 2.0 * M * (1.0 - alpha)
 
@@ -300,9 +290,9 @@ def milin_third(alpha_seq, n: int):
     """
     arr = np.asarray(alpha_seq, dtype=np.complex128)
     if n < 1:
-        raise InvalidIndices("milin_third needs n >= 1")
+        raise InvalidParams("milin_third needs n >= 1")
     if arr.size < n:
-        raise OrderTooLow(f"need {n} coefficients, have {arr.size}")
+        raise InvalidParams(f"need {n} coefficients, have {arr.size}")
     s = np.zeros(n + 1, dtype=np.complex128)
     s[1:] = arr[:n]
     beta_n = Series(s).exp_zero().coeffs[n]
@@ -336,9 +326,9 @@ def recover_c(f: FunctionSeries, gamma: float, count: int) -> np.ndarray:
     """
     cos_g = math.cos(gamma)
     if cos_g < 1e-9:
-        raise DegenerateCosGamma(f"cos(gamma) = {cos_g:.3e}")
+        raise InvalidParams(f"cos(gamma) = {cos_g:.3e}")
     if count > f.order - 1:
-        raise OrderTooLow(f"need order >= {count + 1}, have {f.order}")
+        raise InvalidParams(f"need order >= {count + 1}, have {f.order}")
     # Quotient coefficient k reads only coefficients 0..k of each operand.
     u = f.coeffs[1 : count + 2]
     q = Series(np.arange(1, count + 1) * u[1:]).div(Series(u))  # u'/u
@@ -354,7 +344,7 @@ def proof_trace(f: FunctionSeries, gamma: float, alpha: float, n: int) -> ProofT
     ChainInequalityViolation.  An exponential past the double range is inf.
     """
     if n < 1:
-        raise InvalidIndices("proof trace needs n >= 1")
+        raise InvalidParams("proof trace needs n >= 1")
     c = recover_c(f, gamma, n)
     M, angle = psi_max(c, n, gamma)
     xi0 = complex(np.exp(-1j * angle))
@@ -402,5 +392,5 @@ def robertson_gap(f: FunctionSeries, n: int, m: int) -> float:
     """Robertson's functional | n|a_n| - m|a_m| |, bounded by (n-m)(n+m+1)/2."""
     check_indices("robertson", n, m)
     if n > f.order:
-        raise OrderTooLow(f"need order >= {n}, have {f.order}")
+        raise InvalidParams(f"need order >= {n}, have {f.order}")
     return ON_COEFFICIENTS["robertson"](f.a, n, m)

@@ -52,7 +52,9 @@ class Grid:
 
     def __post_init__(self):
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-        if not self.radii or any(not 0.0 < r <= 1.0 for r in self.radii):
+        if not self.radii:
+            raise InvalidParams("field 'membership': radii must not be empty")
+        if any(not 0.0 < r <= 1.0 for r in self.radii):
             raise InvalidParams("field 'membership': radii must lie in (0, 1]")
         if self.m < 1:
             raise InvalidParams("field 'membership': m must be >= 1")

@@ -28,14 +28,6 @@ DIV_FLOOR = 1e-12
 TOL_EXACT = 1e-12
 
 
-class DivisionByNearZeroConstant(ArithmeticError):
-    """Denominator constant term is too close to zero for a quotient."""
-
-
-class NonzeroConstantTerm(ValueError):
-    """exp_zero requires a series with constant term 0."""
-
-
 #: Longest BLAS dot a recurrence step calls.  OpenBLAS sums a ``zdotu`` of at
 #: most 10,000 elements on one thread and splits a longer one across threads,
 #: which rounds otherwise, so a longer sum is cut into dots of this length.
@@ -164,7 +156,7 @@ class Series:
         """Quotient q with ``other * q == self`` up to the common order."""
         b = other._c
         if abs(b[0]) <= DIV_FLOOR:
-            raise DivisionByNearZeroConstant(
+            raise ZeroDivisionError(
                 f"|denominator constant term| = {abs(b[0]):.3e} <= {DIV_FLOOR:g}"
             )
         n = min(self.order, other.order)
@@ -183,7 +175,7 @@ class Series:
     def exp_zero(self) -> "Series":
         """Exponential of a series with zero constant term, by :func:`exp_rows`."""
         if abs(self._c[0]) > TOL_EXACT:
-            raise NonzeroConstantTerm(f"constant term {self._c[0]:.3e} is not 0")
+            raise ValueError(f"constant term {self._c[0]:.3e} is not 0")
         return Series(exp_rows(self._c))
 
     # ------------------------------------------------------------------

@@ -13,7 +13,6 @@ from spirallab import (
     ClassSpec,
     InvalidParams,
     Series,
-    UnknownName,
     alexander_forward,
     classes,
     herglotz,
@@ -22,9 +21,15 @@ from spirallab import (
     random_measure,
 )
 from spirallab.classes import MAX_ATOMS, member_builder
-from spirallab.cli import EXIT_OK, _class_spec, main
+from spirallab.cli import EXIT_OK, ConfigError, _class_spec, main
 from spirallab.extremal import SearchProblem, _atoms_from_vector
-from spirallab.inequalities import DegenerateCosGamma, InvalidIndices, OrderTooLow
+from spirallab.inequalities import (
+    bound_row,
+    lemma31_check,
+    milin_third,
+    recover_c,
+    successive_diff,
+)
 from spirallab.membership import Grid
 from conftest import assert_series_close
 from oracles import alexander_inverse, fixed_measure, herglotz_by_atom, log_unit
@@ -377,9 +382,59 @@ def test_odd_sqrt_matches_series_engine():
     assert np.allclose(f.coeffs[1:], u.coeffs, atol=1e-12)
 
 
-@pytest.mark.parametrize("error", [UnknownName, OrderTooLow, InvalidIndices, DegenerateCosGamma])
-def test_every_input_error_is_invalid_params(error):
-    assert issubclass(error, InvalidParams) and issubclass(error, ValueError)
+#: (call, message) of input guards: one raise site of each former InvalidParams subclass
+#: (unknown name, order too low, invalid indices, degenerate cos gamma), then guards that
+#: no other test reaches.
+INPUT_ERRORS = {
+    "unknown_name": (lambda: named("nope", 8), "unknown function name 'nope'"),
+    "order_too_low": (
+        lambda: successive_diff(named("koebe", 10), 10),
+        "need order >= 11, have 10",
+    ),
+    "invalid_indices": (
+        lambda: successive_diff(named("koebe", 10), 0),
+        "successive difference needs n >= 1",
+    ),
+    "degenerate_cos_gamma": (
+        lambda: recover_c(named("koebe", 8), math.pi / 2, 2),
+        f"cos(gamma) = {math.cos(math.pi / 2):.3e}",
+    ),
+    "member_builder_order": (
+        lambda: member_builder(ClassSpec("starlike"), 0),
+        "order must be >= 1",
+    ),
+    "random_measure_k_atoms": (
+        lambda: random_measure(np.random.default_rng(0), MAX_ATOMS + 1),
+        f"k_atoms must lie in 1..{MAX_ATOMS}",
+    ),
+    "search_restarts": (
+        lambda: SearchProblem(ClassSpec("starlike"), 4, restarts=0),
+        "restarts must be >= 1",
+    ),
+    "bound_row_unknown_theorem": (lambda: bound_row("nope", 2), "unknown theorem id 'nope'"),
+    "lemma31_more_weights": (
+        lambda: lemma31_check([1.0], [1.0, 1.0], 0.0, 0.0, 1.0),
+        "need 2 coefficients, have 1",
+    ),
+    "lemma31_negative_weight": (
+        lambda: lemma31_check([1.0, 1.0], [1.0, -1.0], 0.0, 0.0, 1.0),
+        "weights must be nonnegative",
+    ),
+    "milin_third_n": (lambda: milin_third([1.0], 0), "milin_third needs n >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_every_input_error_is_invalid_params(case):
+    call, message = INPUT_ERRORS[case]
+    with pytest.raises(InvalidParams) as info:
+        call()
+    assert type(info.value) is InvalidParams
+    assert str(info.value) == message
+
+
+def test_config_error_is_an_invalid_params():
+    assert issubclass(ConfigError, InvalidParams)
 
 
 def test_bad_search_problem_grid_and_name_raise_invalid_params():
@@ -389,9 +444,11 @@ def test_bad_search_problem_grid_and_name_raise_invalid_params():
         SearchProblem(ClassSpec("starlike"), 4, functional="nope")
     with pytest.raises(InvalidParams, match="radii must lie in"):
         Grid((1.5,))
+    with pytest.raises(InvalidParams, match="^field 'membership': radii must not be empty$"):
+        Grid(())
     with pytest.raises(InvalidParams, match="m must be >= 1"):
         Grid(m=0)
-    with pytest.raises(UnknownName, match="^unknown function name 'nope'$") as info:
+    with pytest.raises(InvalidParams, match="^unknown function name 'nope'$") as info:
         named("nope", 8)
     assert not isinstance(info.value, KeyError)
     # named's own arguments are positional, so params can only reach the builder
@@ -400,7 +457,7 @@ def test_bad_search_problem_grid_and_name_raise_invalid_params():
 
 
 def test_named_rejects_unknown_and_bad_params():
-    with pytest.raises(UnknownName):
+    with pytest.raises(InvalidParams, match="^unknown function name 'lemniscate'$"):
         named("lemniscate", 10)
     with pytest.raises(InvalidParams):
         named("l_phi", 10, phi=0.0)

@@ -11,10 +11,8 @@ from spirallab import (
     AtomicMeasure,
     ChainInequalityViolation,
     ClassSpec,
-    DegenerateCosGamma,
     FunctionSeries,
-    InvalidIndices,
-    OrderTooLow,
+    InvalidParams,
     ProofTrace,
     TOL_INEQ,
     alexander_forward,
@@ -72,9 +70,9 @@ def test_successive_diff_cube_power_map():
 
 def test_successive_diff_guards():
     f = named("koebe", 10)
-    with pytest.raises(OrderTooLow):
+    with pytest.raises(InvalidParams, match="^need order >= 11, have 10$"):
         successive_diff(f, 10)
-    with pytest.raises(InvalidIndices):
+    with pytest.raises(InvalidParams, match="^successive difference needs n >= 1$"):
         successive_diff(f, 0)
 
 
@@ -123,7 +121,7 @@ def test_bound_exponential_forms():
     assert bound_rhs("thm_main", 5, alpha=0.0) == 1.0
     assert bound_rhs("cor_convex_gamma", 5, alpha=0.0) == pytest.approx(1 / 6)
     for theorem in ("thm_main", "cor_convex_gamma"):
-        with pytest.raises(InvalidIndices, match="Theorem.member"):
+        with pytest.raises(InvalidParams, match="Theorem.member"):
             bound_rhs(theorem, 5, alpha=0.5)
 
 
@@ -132,16 +130,16 @@ def test_every_bound_row_needs_n_at_least_two(theorem):
     # per-function rows too: trace may run the chain at n = 1, but no theorem bounds it there
     # (thm_robertson's n > m >= 1 rules n = 1 out first)
     assert inequalities.bound_row(theorem, 2) is THEOREMS[theorem]
-    with pytest.raises(InvalidIndices, match=f"^{theorem} bound needs n >= 2$"):
+    with pytest.raises(InvalidParams, match=f"^{theorem} bound needs n >= 2$"):
         inequalities.bound_row(theorem, 1)
 
 
 def test_bound_invalid_indices():
-    with pytest.raises(InvalidIndices):
+    with pytest.raises(InvalidParams, match="^thm_B bound needs n >= 2$"):
         bound_rhs("thm_B", 1)
-    with pytest.raises(InvalidIndices):
+    with pytest.raises(InvalidParams, match="^robertson needs n > m >= 1$"):
         bound_rhs("thm_robertson", 3, 3)
-    with pytest.raises(InvalidIndices):
+    with pytest.raises(InvalidParams, match="^thm_C bound needs alpha$"):
         bound_rhs("thm_C", 5)  # alpha missing
 
 
@@ -343,9 +341,9 @@ def test_psi_max_is_bitwise_the_reference():
 
 
 def test_psi_max_guards():
-    with pytest.raises(InvalidIndices):
+    with pytest.raises(InvalidParams, match="^psi_max needs n >= 1$"):
         psi_max(np.ones(3), 0, 0.0)
-    with pytest.raises(OrderTooLow):
+    with pytest.raises(InvalidParams, match="^need 5 coefficients, have 3$"):
         psi_max(np.ones(3), 5, 0.0)
 
 
@@ -424,7 +422,7 @@ def test_milin_third_is_universal(alpha_seq):
 
 
 def test_milin_third_guards():
-    with pytest.raises(OrderTooLow):
+    with pytest.raises(InvalidParams, match="^need 5 coefficients, have 1$"):
         milin_third([1.0], 5)
 
 
@@ -521,6 +519,17 @@ def test_chain_trace_matches_its_40_digit_replay(kind, gamma, alpha, atoms, n):
         assert err <= 1e-12, (field, err)
 
 
+def test_chain_trace_reports_the_stationary_angle_of_a_flat_maximum():
+    # one atom at t = 1e-10: Re psi is flat at its top to within an ulp, so Newton's point
+    # ties the grid sample at t = 0 in value, and the tie must keep the stationary angle
+    spec = ClassSpec("spirallike")
+    f = member_from_measure(AtomicMeasure((1e-10,), (1.0,)), spec, 8)
+    trace = chain_trace(f, spec, 2)
+    assert trace.max_angle == pytest.approx(1e-10, rel=1e-12, abs=0.0)
+    assert trace.xi0.real == 1.0
+    assert trace.xi0.imag == pytest.approx(-1e-10, rel=1e-12, abs=0.0)
+
+
 def test_proof_trace_final_bound_is_one_iff_alpha_zero():
     measure = fixed_measure(8, 3)
     f0 = member_from_measure(measure, ClassSpec("spirallike", gamma=0.5), 32)
@@ -532,7 +541,7 @@ def test_proof_trace_final_bound_is_one_iff_alpha_zero():
 
 
 def test_proof_trace_degenerate_gamma():
-    with pytest.raises(DegenerateCosGamma):
+    with pytest.raises(InvalidParams, match=r"^cos\(gamma\) = 1\.571e-10$"):
         proof_trace(identity_map(8), math.pi / 2 * 0.9999999999, 0.0, 2)
 
 
@@ -668,7 +677,7 @@ def test_robertson_gap_sampled_c_half_members():
 
 def test_robertson_gap_guards():
     f = named("koebe", 10)
-    with pytest.raises(InvalidIndices):
+    with pytest.raises(InvalidParams, match="^robertson needs n > m >= 1$"):
         robertson_gap(f, 3, 3)
-    with pytest.raises(OrderTooLow):
+    with pytest.raises(InvalidParams, match="^need order >= 12, have 10$"):
         robertson_gap(f, 12, 3)

@@ -51,7 +51,7 @@ def test_cli_turns_only_input_errors_into_config_errors():
                 if isinstance(node, ast.ExceptHandler):
                     types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
                     caught.setdefault(func.name, set()).update(map(ast.unparse, types))
-    assert caught["main"] == {"SystemExit", "ConfigError", "InvalidParams", "OverflowError"}
+    assert caught["main"] == {"SystemExit", "InvalidParams", "OverflowError"}
     assert sorted(name for name, types in caught.items() if "ValueError" in types) == [
         "_load_config",
         "_open_out",
