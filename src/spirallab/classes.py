@@ -29,6 +29,16 @@ WEIGHT_TOL = 1e-12
 #: Most atoms a sampled or searched measure may have.
 MAX_ATOMS = 16
 
+#: Most atom terms (members x atoms x coefficients) of one batch of members: a round of
+#: search's live restarts, or a block of verify's sampled suite.  Only a memory bound: a
+#: batch's kernel arrays take 16 bytes a term, so each stays within 1 MiB.
+BATCH_TERMS = 2**16
+
+#: Fewest members built as one stack; fewer are built one at a time.  A stacked recurrence
+#: step costs about three single-series steps, so smaller stacks lose what they save in
+#: per-call overhead (BENCH_lockstep_search.json, BENCH_member_blocks.json).
+MIN_BATCH = 4
+
 KINDS = ("spirallike", "convex_spirallike", "starlike", "convex", "c_half")
 
 #: Kinds whose members are Alexander transforms of spiral/starlike members.
@@ -220,13 +230,18 @@ def _two_point(order, theta1, theta2):
     return a
 
 
-def _l_phi(order, phi):
+def l_phi_coefficients(phi: float, n: np.ndarray) -> np.ndarray:
+    """a_n = sin(n phi) / (n sin(phi)) of l_phi(phi) at each index of the array n, the bits
+    of the same a_n in every order's build: np.sin rounds each element alone."""
     s = math.sin(float(phi))
     if abs(s) < 1e-12:
         raise InvalidParams("l_phi needs sin(phi) != 0")
-    n = np.arange(1, order + 1)
+    return np.sin(n * float(phi)) / (n * s)
+
+
+def _l_phi(order, phi):
     a = np.zeros(order + 1, dtype=np.complex128)
-    a[1:] = np.sin(n * float(phi)) / (n * s)
+    a[1:] = l_phi_coefficients(phi, np.arange(1, order + 1))
     return a
 
 

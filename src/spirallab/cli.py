@@ -24,10 +24,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .classes import (
+    BATCH_TERMS,
     MAX_ATOMS,
+    MIN_BATCH,
     AtomicMeasure,
     ClassSpec,
     InvalidParams,
+    l_phi_coefficients,
+    member_builder,
     member_from_measure,
     named,
     random_measure,
@@ -35,13 +39,16 @@ from .classes import (
 from .extremal import SearchProblem, search
 from .inequalities import (
     FUNCTIONALS,
+    ON_COEFFICIENTS,
     THEOREMS,
     ChainInequalityViolation,
     bound_rhs,
     bound_row,
     chain_trace,
+    check_reads,
     class_bound,
     holds,
+    on_rows,
 )
 from .membership import (
     TOL_MEMBER,
@@ -72,9 +79,10 @@ CSV_COLUMNS = (
 )
 
 #: Ceiling on trials x (built order + 1) of a run's one sampled suite: as members, 2**25 complex
-#: coefficients are 512 MiB.  verify and trace hold one member at a time, but their rows (about
-#: 420 B each) scale with it; sample holds and writes one trial at a time (64 trials at order
-#: 8192 peaked at about 41 MiB, 57 MiB when it held them all).
+#: coefficients are 512 MiB.  verify and trace hold a member, or verify without a grid a block
+#: of at most BATCH_TERMS atom terms, and the one before it, but their rows (about 420 B each)
+#: scale with the suite; sample holds and writes one trial at a time (64 trials at order 8192
+#: peaked at about 41 MiB, 57 MiB when it held them all).
 _COEFFICIENTS = 2**25
 
 #: A config field: its exact JSON types and, for an integer, its range lo..hi; holds names the
@@ -230,23 +238,62 @@ def _check_coefficients(trials: int, order: int) -> None:
         )
 
 
-def _suite(seed: int, spec: ClassSpec, order: int, trials: int, k_atoms: int):
-    """(measure, member of this order) per trial, drawn from one stream seeded by seed and
-    built one at a time; building draws nothing, so the draws are those of drawing all first."""
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        measure = random_measure(rng, k_atoms)
-        yield measure, member_from_measure(measure, spec, order)
+class _Suite(NamedTuple):
+    """A sampled suite: trials measures of at most k_atoms atoms, drawn in turn from one stream
+    seeded by seed, and their members built through a_order.  Building draws nothing, so the
+    draws are those of drawing all first.  Builds run under np.errstate, as named ones do: an
+    overflowing member's coefficients read inf or NaN without numpy's warnings."""
+
+    seed: int | None
+    trials: int
+    k_atoms: int
+    order: int
+
+    def members(self, spec: ClassSpec) -> Iterator:
+        """(function id, measure, member) per trial, built one at a time as it is read."""
+        rng = np.random.default_rng(self.seed)
+        for t in range(self.trials):
+            measure = random_measure(rng, self.k_atoms)
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = member_from_measure(measure, spec, self.order)
+            yield f"sample-{t:04d}", measure, f
+
+    def blocks(self, spec: ClassSpec) -> Iterator:
+        """(function ids, coefficients) per block of trials, built as it is read: a
+        (members, order + 1) array, each row bit for bit the member built alone, within
+        BATCH_TERMS atom terms (members x k_atoms x (order + 1)).
+
+        A block's measures are padded to its largest atom count with zero-weight atoms at
+        angle 0, whose +0 terms leave every Herglotz sum's bits as they were, and built by
+        one member_builder call, or one per member in a block of fewer than MIN_BATCH.
+        """
+        rng = np.random.default_rng(self.seed)
+        build = member_builder(spec, self.order)
+        size = max(1, BATCH_TERMS // (self.k_atoms * (self.order + 1)))
+        for first in range(0, self.trials, size):
+            count = min(size, self.trials - first)
+            measures = [random_measure(rng, self.k_atoms) for _ in range(count)]
+            k = max(len(mu.angles) for mu in measures)
+            pads = [(0.0,) * (k - len(mu.angles)) for mu in measures]
+            angles = np.array([mu.angles + pad for mu, pad in zip(measures, pads)])
+            weights = np.array([mu.weights + pad for mu, pad in zip(measures, pads)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                if count >= MIN_BATCH:
+                    a = build(angles, weights)
+                else:
+                    a = np.array([build(*atoms) for atoms in zip(angles, weights)])
+            yield [f"sample-{t:04d}" for t in range(first, first + count)], a
 
 
-def _build_functions(cfg: dict, spec: ClassSpec, order: int, last: int):
-    """An iterator of (function_id, FunctionSeries, seed-or-None), one per function named.
+def _build_functions(cfg: dict, spec: ClassSpec, order: int, last: int) -> tuple:
+    """(named, suite): a list of (function_id, FunctionSeries, None), one per named function,
+    and the _Suite of the sampled entry, of no trials without one.
 
     One pass checks every entry first: ids must not repeat, so at most one entry is sampled
     (any two number their members from sample-0000), within the coefficient ceiling.  The
     named functions, closed forms built in full, come next, so a bad name or params fail
-    before any member is drawn.  The sampled members come last, built through a_last (within
-    a_1..a_order), the last coefficient read, one at a time as the iterator is read.
+    before any member is drawn.  The suite's members are built through a_last (within
+    a_1..a_order), the last coefficient read, as its caller reads them.
     """
     named_entries = {}  # function id -> (name, params)
     trials = k_atoms = 0  # of the sampled entry; without one, no member is drawn
@@ -273,8 +320,12 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, last: int):
     seed = _require(cfg, "seed") if trials else None
     functions = [(tag, named(name, order, **params), None)
                  for tag, (name, params) in named_entries.items()]
-    members = _suite(seed, spec, built, trials, k_atoms) if trials else ()
-    return chain(functions, ((f"sample-{t:04d}", f, seed) for t, (_, f) in enumerate(members)))
+    return functions, _Suite(seed, trials, k_atoms, built)
+
+
+def _one_at_a_time(functions: list, suite: _Suite, spec: ClassSpec) -> Iterator:
+    """(function_id, FunctionSeries, seed-or-None): the named functions, then the members."""
+    return chain(functions, ((fid, f, suite.seed) for fid, _, f in suite.members(spec)))
 
 
 def _jsonable(obj):
@@ -412,11 +463,16 @@ def _cmd_verify(cfg: dict) -> int:
     grid = _grid(cfg)
     # membership reads every coefficient, the bounds none past a_{max n + 1}
     # (ns[-1]: max() would walk the whole range)
-    functions = _build_functions(cfg, spec, order, order if grid is not None else ns[-1] + 1)
+    last = order if grid is not None else ns[-1] + 1
+    functions, suite = _build_functions(cfg, spec, order, last)
     # without a per-function rhs the row's rhs depends on n alone: each n's is
     # computed once, when the first function reaches it
     per_function = row.member is not None
     class_rhs = cache(lambda n: bound_rhs(theorem, n, m, alpha=spec.alpha))
+    # a grid check takes whole members and a per-function rhs a member's trace; otherwise the
+    # rows read only moduli, so the suite is built and judged in blocks (see _Suite.blocks)
+    in_blocks = grid is None and not per_function
+    functions = iter(functions) if in_blocks else _one_at_a_time(functions, suite, spec)
 
     def membership(f) -> list:
         """f's membership cell, or none without a grid."""
@@ -459,6 +515,16 @@ def _cmd_verify(cfg: dict) -> int:
                 # a check's exception comes first, as when the check runs before the rows
                 cells[:0] = collect()
             blocks.append(_Block(fid, seed, spec, cells))
+    if in_blocks and suite.trials:
+        # a row's config error comes before the first block is drawn
+        rhs = []
+        for n in ns:
+            check_reads(row.functional, n, m, suite.order)
+            rhs.append(class_rhs(n))
+        for fids, a in suite.blocks(spec):
+            for fid, lhs in zip(fids, on_rows(row.functional, a, ns, m).T.tolist()):
+                cells = [(theorem, n, m, value, r) for n, value, r in zip(ns, lhs, rhs)]
+                blocks.append(_Block(fid, suite.seed, spec, cells))
     return _write_blocks(cfg, blocks)
 
 
@@ -466,9 +532,8 @@ def _cmd_trace(cfg: dict) -> int:
     order = cfg.get("order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
     ns = _n_range(cfg)
-    functions = _build_functions(cfg, spec, order, ns[-1] + 1)
     docs = []
-    for fid, f, seed in functions:
+    for fid, f, seed in _one_at_a_time(*_build_functions(cfg, spec, order, ns[-1] + 1), spec):
         for n in ns:
             doc = {"function_id": fid, "seed": seed}
             try:
@@ -516,9 +581,9 @@ def _cmd_sample(cfg: dict) -> int:
     k_atoms = cfg.get("k_atoms", 2)
     seed = _require(cfg, "seed")
     _check_coefficients(trials, order)
-    suite = _suite(seed, spec, order, trials, k_atoms)
+    members = enumerate(_Suite(seed, trials, k_atoms, order).members(spec))
     _write(cfg, ({"atoms": measure, **vars(spec), "trial": t, "seed": seed,
-                  "coefficients": f.coeffs.tolist()} for t, (measure, f) in enumerate(suite)))
+                  "coefficients": f.coeffs.tolist()} for t, (_, measure, f) in members))
     return EXIT_OK
 
 
@@ -529,24 +594,32 @@ def _cmd_table(cfg: dict) -> int:
     order = max(ns[-1] + 1, 1)
     if order > _ORDER_MAX:
         raise ConfigError(f"field 'n' must be <= {_ORDER_MAX - 1}")
-    koebe = named("koebe", order)
-    chalf = named("c_half_extremal", order)
-    cube = named("power_map", order, beta=3.0)
+
+    def moduli(name, **params):
+        """The getter k -> |a_k| of the named function for the row at any n."""
+        item = named(name, order, **params).coeffs.item
+        return lambda n: lambda k: abs(item(k))
 
     def sharp(n):
-        return named("l_phi", n + 1, phi=math.pi / n)
+        # l_phi(pi/n): row n reads a_n and a_{n+1} alone, so only those two are built
+        a = l_phi_coefficients(math.pi / n, np.arange(n, n + 2))
+        return lambda k: abs(a.item(k - n))
 
-    # (theorem, function id, class, builder of the function used at index n)
+    # (theorem, function id, class, the moduli getter of the function used at index n)
     cases = (
-        ("thm_A", "koebe", ClassSpec("starlike"), lambda n: koebe),
-        ("thm_c_half", "c_half_extremal", ClassSpec("c_half", alpha=-0.5), lambda n: chalf),
-        ("thm_C", "power_map(beta=3)", ClassSpec("starlike", alpha=-0.5), lambda n: cube),
+        ("thm_A", "koebe", ClassSpec("starlike"), moduli("koebe")),
+        ("thm_c_half", "c_half_extremal", ClassSpec("c_half", alpha=-0.5),
+         moduli("c_half_extremal")),
+        ("thm_C", "power_map(beta=3)", ClassSpec("starlike", alpha=-0.5),
+         moduli("power_map", beta=3.0)),
         ("thm_B", "l_phi(pi/n)", ClassSpec("convex"), sharp),
     )
     blocks = [_Block(fid, None, spec, []) for _, fid, spec, _ in cases]
     for n in ns:
-        for (theorem, _, spec, build), block in zip(cases, blocks):
-            lhs = FUNCTIONALS[THEOREMS[theorem].functional](build(n), n)
+        for (theorem, _, spec, at), block in zip(cases, blocks):
+            functional = THEOREMS[theorem].functional
+            check_reads(functional, n, None, order)
+            lhs = ON_COEFFICIENTS[functional](at(n), n)
             block.cells.append((theorem, n, None, lhs, bound_rhs(theorem, n, alpha=spec.alpha)))
     return _write_blocks(cfg, blocks)
 

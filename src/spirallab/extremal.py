@@ -20,9 +20,10 @@ from itertools import islice
 import numpy as np
 
 from .classes import (
-    MAX_ATOMS, TWO_PI, AtomicMeasure, ClassSpec, InvalidParams, check_atoms, member_builder
+    BATCH_TERMS, MAX_ATOMS, MIN_BATCH, TWO_PI, AtomicMeasure, ClassSpec, InvalidParams,
+    check_atoms, member_builder,
 )
-from .inequalities import FUNCTIONALS, ON_COEFFICIENTS, check_indices
+from .inequalities import FUNCTIONALS, ON_COEFFICIENTS, check_indices, on_rows
 
 #: Per-restart convergence tolerance on the simplex objective spread.
 SPREAD_TOL = 1e-10
@@ -30,15 +31,6 @@ SPREAD_TOL = 1e-10
 #: Initial simplex edge lengths for angle and weight coordinates.
 _STEP_ANGLE = 0.5
 _STEP_WEIGHT = 0.25
-
-#: Most atom terms (live restarts x atoms x coefficients) in one round's batch.  Only a
-#: memory bound: a round's kernel arrays take 16 bytes a term, so each stays within 1 MiB.
-_ROUND_TERMS = 2**16
-
-#: Fewest live restarts evaluated as one batch; with fewer, each point is evaluated alone.
-#: A stacked recurrence step costs about three single-series steps, so smaller batches
-#: lose at large n what they save in per-call overhead (BENCH_lockstep_search.json).
-_MIN_BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -115,8 +107,8 @@ def _objective(problem: SearchProblem):
     def value(x: np.ndarray):
         a = build(*_atoms_from_vector(x, k))
         if a.ndim == 1:
-            return functional(a.item, n, m)
-        return [functional(row.item, n, m) for row in a]
+            return functional(lambda j: abs(a.item(j)), n, m)
+        return on_rows(problem.functional, a, (n,), m)[0].tolist()
 
     return value
 
@@ -209,8 +201,8 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
     share before the simplex spread converges marks the result
     budget_exhausted.  The restarts advance side by side: each round
     evaluates the pending point of every live restart, in one batch while
-    at least ``_MIN_BATCH`` are live and each point alone while fewer are.
-    A restart starts, in restart order, when a slot of the ``_ROUND_TERMS``
+    at least ``MIN_BATCH`` are live and each point alone while fewer are.
+    A restart starts, in restart order, when a slot of the ``BATCH_TERMS``
     window frees.  Their costs are replayed in restart order, so the
     result and every ``on_improve`` call are bit for bit those of running
     the restarts one after another.
@@ -236,11 +228,11 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
         queue.extend(runs)
         return runs
 
-    live = start(max(1, _ROUND_TERMS // (k * (problem.n + 1))))
+    live = start(max(1, BATCH_TERMS // (k * (problem.n + 1))))
     best_cost, best_x, history, evals, exhausted = math.inf, None, [], 0, False
     while live:
         points = [run.point for run in live]
-        costs = objective(np.array(points)) if len(live) >= _MIN_BATCH else map(objective, points)
+        costs = objective(np.array(points)) if len(live) >= MIN_BATCH else map(objective, points)
         done = sum([run.send(sign * value) for run, value in zip(live, costs)])
         if done:
             live = [run for run in live if run.converged is None] + start(done)

@@ -42,12 +42,13 @@ FUNCTIONALS = {
     "robertson": lambda f, n, m: robertson_gap(f, n, m),
 }
 
-#: The same functionals on a coefficient getter a(k) -> a_k, such as
-#: ``FunctionSeries.a`` or ``ndarray.item``, with n and m already checked.
+#: The same functionals on a getter r(k) -> |a_k|, with n and m already checked
+#: (check_reads): the one formula of each, whether r gives one member's modulus as a float
+#: or an array of them, one per member of a stack (see on_rows).
 ON_COEFFICIENTS = {
-    "two_sided_diff": lambda a, n, m=None: abs(abs(a(n + 1)) - abs(a(n))),
-    "one_sided_diff": lambda a, n, m=None: abs(a(n + 1)) - abs(a(n)),
-    "robertson": lambda a, n, m: abs(n * abs(a(n)) - m * abs(a(m))),
+    "two_sided_diff": lambda r, n, m=None: abs(r(n + 1) - r(n)),
+    "one_sided_diff": lambda r, n, m=None: r(n + 1) - r(n),
+    "robertson": lambda r, n, m: abs(n * r(n) - m * r(m)),
 }
 
 
@@ -74,6 +75,35 @@ def check_indices(functional: str, n: int, m: int | None) -> None:
         raise InvalidParams("robertson needs n > m >= 1")
 
 
+def check_reads(functional: str, n: int, m: int | None, order: int) -> None:
+    """Raise InvalidParams unless functional at n (and m) reads within a_0..a_order: the
+    differences need n >= 1 and read a_{n+1}, robertson needs n > m >= 1 and reads a_n."""
+    if functional == "robertson":
+        check_indices(functional, n, m)
+        last = n
+    else:
+        if n < 1:
+            raise InvalidParams("successive difference needs n >= 1")
+        last = n + 1
+    if last > order:
+        raise InvalidParams(f"need order >= {last}, have {order}")
+
+
+def on_rows(functional: str, a: np.ndarray, ns, m: int | None = None) -> np.ndarray:
+    """The functional at each n of ns for each row of the coefficient stack a, as a
+    (len(ns), rows) array, with n and m already checked (check_reads).
+
+    The moduli are ``np.hypot(re, im)``, the bits of ``abs(complex)`` (``np.abs`` is an ulp
+    off in about a third of values), so each value is bit for bit the row's member's alone,
+    but for one case: a modulus past the double range of finite parts is inf here, where
+    ``abs`` raises OverflowError.  inf - inf reads NaN without a numpy warning, as Python
+    floats do.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        moduli = np.hypot(a.real, a.imag).T.__getitem__
+        return np.array([ON_COEFFICIENTS[functional](moduli, n, m) for n in ns])
+
+
 def successive_diff(f: FunctionSeries, n: int) -> float:
     """The two-sided functional | |a_{n+1}| - |a_n| |."""
     return abs(one_sided_diff(f, n))
@@ -81,11 +111,13 @@ def successive_diff(f: FunctionSeries, n: int) -> float:
 
 def one_sided_diff(f: FunctionSeries, n: int) -> float:
     """The signed difference |a_{n+1}| - |a_n|."""
-    if n < 1:
-        raise InvalidParams("successive difference needs n >= 1")
-    if n + 1 > f.order:
-        raise InvalidParams(f"need order >= {n + 1}, have {f.order}")
-    return ON_COEFFICIENTS["one_sided_diff"](f.coeffs.item, n)
+    check_reads("one_sided_diff", n, None, f.order)
+    item = f.coeffs.item
+    return ON_COEFFICIENTS["one_sided_diff"](lambda k: abs(item(k)), n)
+
+
+#: (alpha, k, the product of the first k factors) of gamma_ratio's last call
+_last_ratio = (math.nan, 0, 1.0)
 
 
 def gamma_ratio(alpha: float, n: int) -> float:
@@ -93,11 +125,19 @@ def gamma_ratio(alpha: float, n: int) -> float:
 
     Computed by the telescoping product of (k - 2 alpha)/k, k = 1..n, taken
     in that order, never by evaluating Gamma itself, so it loses no more
-    than O(n ulp) relative accuracy.
+    than O(n ulp) relative accuracy; past the double range it is inf.  A
+    call at the last call's alpha and an n no lower goes on from that
+    product, so a rising n range costs O(top n) in all; the product is
+    the same sequence of roundings either way, so no caller sees another's.
     """
-    k = np.arange(1.0, n + 1)
-    with np.errstate(over="ignore"):  # a ratio past the double range is inf
-        return float(np.cumprod(np.append(1.0, (k - 2.0 * alpha) / k))[-1])
+    global _last_ratio
+    last_alpha, done, ratio = _last_ratio
+    if last_alpha != alpha or done > n:
+        done, ratio = 0, 1.0
+    for k in range(done + 1, n + 1):
+        ratio *= (k - 2.0 * alpha) / k
+    _last_ratio = (alpha, max(done, n), ratio)
+    return ratio
 
 
 class Theorem(NamedTuple):
@@ -390,7 +430,5 @@ def chain_trace(f: FunctionSeries, spec: ClassSpec, n: int) -> ProofTrace:
 
 def robertson_gap(f: FunctionSeries, n: int, m: int) -> float:
     """Robertson's functional | n|a_n| - m|a_m| |, bounded by (n-m)(n+m+1)/2."""
-    check_indices("robertson", n, m)
-    if n > f.order:
-        raise InvalidParams(f"need order >= {n}, have {f.order}")
-    return ON_COEFFICIENTS["robertson"](f.a, n, m)
+    check_reads("robertson", n, m, f.order)
+    return ON_COEFFICIENTS["robertson"](lambda k: abs(f.a(k)), n, m)

@@ -6,12 +6,15 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spirallab.cli as cli
-from spirallab import AtomicMeasure, ClassSpec, FunctionSeries, classes
+from spirallab import (
+    AtomicMeasure, ClassSpec, FunctionSeries, classes, member_from_measure, random_measure
+)
 from spirallab.cli import CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _fmt, main
-from spirallab.inequalities import holds
+from spirallab.inequalities import FUNCTIONALS, THEOREMS, holds
 from test_golden import CASES as GOLDEN
 
 
@@ -31,18 +34,27 @@ def test_table_passes_and_is_deterministic(tmp_path):
 
 
 def test_table_builds_each_l_phi_through_its_last_read_coefficient(tmp_path, monkeypatch):
-    # row n reads a_n and a_{n+1} of l_phi(pi/n), so that member is built at order n + 1
-    orders = []
-    build = classes._NAMED["l_phi"]
+    # row n reads a_n and a_{n+1} of l_phi(pi/n), so only those two coefficients are built,
+    # and no l_phi member at all
+    built = []
 
-    def recorded(order, phi):
-        orders.append(order)
-        return build(order, phi)
+    def recorded(phi, n):
+        built.append((phi, n.tolist()))
+        return classes.l_phi_coefficients(phi, n)
 
-    monkeypatch.setitem(classes._NAMED, "l_phi", recorded)
+    monkeypatch.setattr(cli, "l_phi_coefficients", recorded)
+    monkeypatch.delitem(classes._NAMED, "l_phi")
     cfg = write_config(tmp_path, {"n": [2, 12], "out": str(tmp_path / "table.csv")})
     assert main(["table", "--config", cfg]) == EXIT_OK
-    assert orders == [n + 1 for n in range(2, 13)]
+    assert built == [(math.pi / n, [n, n + 1]) for n in range(2, 13)]
+
+
+def test_l_phi_coefficients_are_those_of_every_order():
+    # np.sin rounds each element alone, so a_n and a_{n+1} built alone are the full build's bits
+    for n in range(2, 8001, 7):
+        full = classes.named("l_phi", n + 1, phi=math.pi / n).coeffs[n:]
+        alone = classes.l_phi_coefficients(math.pi / n, np.arange(n, n + 2))
+        assert full.tolist() == alone.astype(complex).tolist()
 
 
 def test_table_contents(tmp_path):
@@ -895,22 +907,29 @@ class _Member(FunctionSeries):
 
 
 def _track_members(monkeypatch):
-    """Wrap cli.member_from_measure; return weakrefs to the members it builds and, per
-    build, how many earlier members are still alive."""
+    """Wrap cli.member_from_measure and the maps of cli.member_builder; return weakrefs to the
+    members and blocks of members they build and, per build, how many earlier ones are still
+    alive."""
     built, alive = [], []
 
-    def tracked(*args, **kwargs):
-        alive.append(sum(ref() is not None for ref in built))
-        member = _Member(classes.member_from_measure(*args, **kwargs).coeffs)
-        built.append(weakref.ref(member))
-        return member
+    def track(build):
+        def tracked(*args):
+            alive.append(sum(ref() is not None for ref in built))
+            made = build(*args)
+            built.append(weakref.ref(made))
+            return made
 
-    monkeypatch.setattr(cli, "member_from_measure", tracked)
+        return tracked
+
+    member = track(lambda *args: _Member(classes.member_from_measure(*args).coeffs))
+    monkeypatch.setattr(cli, "member_from_measure", member)
+    monkeypatch.setattr(cli, "member_builder", lambda *args: track(classes.member_builder(*args)))
     return built, alive
 
 
-#: case -> (command, config, its config error, the sampled members built before it):
-#: named functions are built before any member, and a row's error stops the run at once
+#: case -> (command, config, its config error, the sampled members or blocks built before it):
+#: named functions are built before any member, a row's error stops the run at once, and
+#: without a grid a class-wide row's error comes before the first block is drawn
 _LATE_ERRORS = {
     "unknown_name_after_sampled": (
         "verify",
@@ -928,7 +947,7 @@ _LATE_ERRORS = {
             "functions": [{"sampled": {"trials": 40}}],
         },
         "need order >= 257, have 256",
-        1,
+        0,
     ),
     "robertson_m_zero": (
         "verify",
@@ -941,7 +960,7 @@ _LATE_ERRORS = {
             "functions": [{"sampled": {"trials": 40}}],
         },
         "robertson needs n > m >= 1",
-        1,
+        0,
     ),
     "trace_n_past_order": (
         "trace",
@@ -962,21 +981,100 @@ def test_config_error_comes_before_the_next_member(tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize(
-    "command, doc",
+    "command, doc, builds",
     [
-        ("verify", {**_SAMPLED_MAIN, "membership": {"radii": [0.5], "m": 64}}),
-        ("verify", {**_SAMPLED_MAIN, "theorem": "cor_spiral"}),
-        ("trace", _SAMPLED_MAIN),
+        ("verify", {**_SAMPLED_MAIN, "membership": {"radii": [0.5], "m": 64}}, 12),
+        ("verify", {**_SAMPLED_MAIN, "theorem": "cor_spiral"}, 3),
+        ("trace", _SAMPLED_MAIN, 12),
     ],
     ids=["verify_thm_main_membership", "verify_cor_spiral", "trace"],
 )
-def test_each_member_is_dropped_after_its_rows(tmp_path, monkeypatch, command, doc):
-    # the loop still holds the last member while the next is built, and no earlier one
+def test_each_member_is_dropped_after_its_rows(tmp_path, monkeypatch, command, doc, builds):
+    # the loop still holds the last member, or block, while the next is built, and no earlier
+    # one; a grid-less class-wide verify builds its members of order 5 in blocks of four
     built, alive = _track_members(monkeypatch)
-    doc = {**doc, "functions": [{"sampled": {"trials": 6, "k_atoms": 3}}]}
+    monkeypatch.setattr(cli, "BATCH_TERMS", 4 * 3 * 6)
+    assert cli.MIN_BATCH <= 4
+    doc = {**doc, "functions": [{"sampled": {"trials": 12, "k_atoms": 3}}]}
     cfg = write_config(tmp_path, {**doc, "out": str(tmp_path / "out")})
     assert main([command, "--config", cfg]) == EXIT_OK
-    assert alive == [0, 1, 1, 1, 1, 1]
+    assert alive == [0] + [1] * (builds - 1)
+
+
+#: grid-less suites with a class-wide rhs, which verify builds and judges in blocks:
+#: case -> (spec, theorem, m, n range); starlike members of order -20000 leave the double
+#: range before a_202
+_BLOCK_SUITES = {
+    "spirallike": ({"kind": "spirallike", "gamma": 0.4, "alpha": 0.2}, "cor_spiral", None, [2, 30]),
+    "starlike_negative_order": ({"kind": "starlike", "alpha": -0.5}, "thm_C", None, [2, 30]),
+    "convex": ({"kind": "convex", "alpha": 0.3}, "thm_B", None, [2, 30]),
+    "c_half": ({"kind": "c_half", "alpha": -0.5}, "thm_robertson", 3, [4, 30]),
+    "overflow": ({"kind": "starlike", "alpha": -20000.0}, "thm_C", None, [2, 250]),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 23])
+@pytest.mark.parametrize("k_atoms", [1, 16])
+@pytest.mark.parametrize("case", sorted(_BLOCK_SUITES))
+def test_block_rows_are_those_of_each_member_built_alone(tmp_path, monkeypatch, case, k_atoms,
+                                                         trials):
+    # blocks of five members: 23 trials take four stacked builds and a last block of three,
+    # built one member at a time; the rows are FUNCTIONALS on the same draws, built alone
+    spec, theorem, m, (lo, hi) = _BLOCK_SUITES[case]
+    monkeypatch.setattr(cli, "BATCH_TERMS", 5 * k_atoms * (hi + 2))
+    out = tmp_path / "rows.json"
+    doc = {"seed": 7, "order": 512, "spec": spec, "theorem": theorem, "n": [lo, hi], "m": m,
+           "functions": [{"sampled": {"trials": trials, "k_atoms": k_atoms}}],
+           "format": "json", "out": str(out)}
+    code = main(["verify", "--config", write_config(tmp_path, doc)])
+    rows = json.loads(out.read_text())
+    rng = np.random.default_rng(7)
+    functional = FUNCTIONALS[THEOREMS[theorem].functional]
+    expected = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(trials):
+            f = member_from_measure(random_measure(rng, k_atoms), ClassSpec(**spec), hi + 1)
+            expected += [(f"sample-{t:04d}", n, functional(f, n, m).hex()) for n in range(lo, hi + 1)]
+    assert [(row["function_id"], row["n"], row["lhs"].hex()) for row in rows] == expected
+    assert code == (EXIT_OK if all(row["pass"] for row in rows) else EXIT_VIOLATION)
+    if case == "overflow":
+        assert "nan" in {row["lhs"].hex() for row in rows}
+
+
+#: a sampled suite whose members leave the double range: inf and NaN rows, a red alert
+_OVERFLOW = {"seed": 1, "order": 4096, "spec": {"kind": "starlike", "alpha": -300},
+             "theorem": "thm_C", "n": [2, 2000],
+             "functions": [{"sampled": {"trials": 3, "k_atoms": 2}}]}
+
+#: cli.main in a fresh interpreter; with "per_member", thm_C's rhs is given per function, with
+#: the same values, so verify takes its members one at a time instead of in blocks
+_RUN_MAIN = """
+import sys
+from spirallab import cli
+if sys.argv[1] == "per_member":
+    row = cli.THEOREMS["thm_C"]
+    cli.THEOREMS["thm_C"] = row._replace(member=lambda f, spec, n: row.rhs(n, None, spec.alpha))
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_an_overflowing_sampled_member_writes_nothing_on_stderr(tmp_path):
+    # numpy's overflow and invalid-value warnings of the builds and the array rows are off,
+    # as they are for a named build, on both paths
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for how in ("blocks", "per_member"):
+        out = tmp_path / f"{how}.csv"
+        cfg = write_config(tmp_path, {**_OVERFLOW, "out": str(out)})
+        run = subprocess.run(
+            [sys.executable, "-c", _RUN_MAIN, how, "verify", "--config", cfg],
+            capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (EXIT_VIOLATION, b"", b"")
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert b",nan," in reports[0]
 
 
 def test_thm_main_bound_overflows(tmp_path):

@@ -238,8 +238,8 @@ def test_search_with_fewer_live_restarts_than_restarts(monkeypatch, terms, min_b
                             budget=4000, restarts=8, seed=7919)
     expected = []
     reference = search_in_turn(problem, on_improve=lambda e, v: expected.append((e, v)))
-    monkeypatch.setattr("spirallab.extremal._ROUND_TERMS", terms)
-    monkeypatch.setattr("spirallab.extremal._MIN_BATCH", min_batch)
+    monkeypatch.setattr("spirallab.extremal.BATCH_TERMS", terms)
+    monkeypatch.setattr("spirallab.extremal.MIN_BATCH", min_batch)
     seen = []
     assert search(problem, on_improve=lambda e, v: seen.append((e, v))) == reference
     assert seen == expected
@@ -253,7 +253,7 @@ def test_search_stops_each_restart_at_a_small_share(monkeypatch, k, live):
     # evaluates its points alone, else all restarts go in one batch
     n = 4
     if live is not None:
-        monkeypatch.setattr("spirallab.extremal._ROUND_TERMS", live * k * (n + 1))
+        monkeypatch.setattr("spirallab.extremal.BATCH_TERMS", live * k * (n + 1))
     for s in range(1, 3 * (2 * k + 1) + 1):
         restarts = max(4, -(-100 * k // s))  # budget = restarts * s >= 100 * k
         problem = SearchProblem(ClassSpec("spirallike", 0.4, 0.2), n=n, k_atoms=k,

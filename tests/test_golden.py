@@ -187,6 +187,38 @@ CASES = {
         "2df99bd07a13daec311dea1bada1d5c4d9b5e408aeb1ee3a623634a81022556d",
         EMPTY,
     ),
+    # the benchmark's suite_1000 at the held-out seed: 1,000 members built and judged in
+    # three blocks, pinned from the code that built each member alone
+    "verify_sampled_suite_blocks_csv": (
+        "verify",
+        {**SUITE, "seed": 7919, "functions": [{"sampled": {"trials": 1000, "k_atoms": 8}}]},
+        EXIT_OK,
+        "479076a132f85c955ed80c12cbcb1e51520ec05858ab75a8c36c5f58363f1756",
+        EMPTY,
+    ),
+    "verify_sampled_suite_blocks_json": (
+        "verify",
+        {**SUITE, "seed": 7919, "functions": [{"sampled": {"trials": 1000, "k_atoms": 8}}],
+         "format": "json"},
+        EXIT_OK,
+        "fb28a1cbf1a94a9d37f4c4d39420b20a68f62b5fa2fc58d264bf5f77a8f771e1",
+        EMPTY,
+    ),
+    # the one-sided difference of sampled convex members against 1/(n + 1), in three blocks
+    "verify_sampled_thm_B_convex": (
+        "verify",
+        {
+            "seed": 3,
+            "order": 64,
+            "spec": {"kind": "convex"},
+            "theorem": "thm_B",
+            "n": [2, 40],
+            "functions": [{"sampled": {"trials": 250, "k_atoms": 16}}],
+        },
+        EXIT_OK,
+        "3bcc035932e6c2ca298853d84ea138085dafe1c484da8fc32a7165acbee78f7c",
+        EMPTY,
+    ),
     "trace": (
         "trace",
         {
