@@ -34,11 +34,6 @@ MAX_ATOMS = 16
 #: batch's kernel arrays take 16 bytes a term, so each stays within 1 MiB.
 BATCH_TERMS = 2**16
 
-#: Fewest members built as one stack; fewer are built one at a time.  A stacked recurrence
-#: step costs about three single-series steps, so smaller stacks lose what they save in
-#: per-call overhead (BENCH_lockstep_search.json, BENCH_member_blocks.json).
-MIN_BATCH = 4
-
 KINDS = ("spirallike", "convex_spirallike", "starlike", "convex", "c_half")
 
 #: Kinds whose members are Alexander transforms of spiral/starlike members.

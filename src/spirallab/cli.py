@@ -26,7 +26,6 @@ import numpy as np
 from .classes import (
     BATCH_TERMS,
     MAX_ATOMS,
-    MIN_BATCH,
     AtomicMeasure,
     ClassSpec,
     InvalidParams,
@@ -42,7 +41,7 @@ from .inequalities import (
     ON_COEFFICIENTS,
     THEOREMS,
     ChainInequalityViolation,
-    bound_rhs,
+    bound_rhs_walk,
     bound_row,
     chain_trace,
     check_reads,
@@ -265,7 +264,7 @@ class _Suite(NamedTuple):
 
         A block's measures are padded to its largest atom count with zero-weight atoms at
         angle 0, whose +0 terms leave every Herglotz sum's bits as they were, and built by
-        one member_builder call, or one per member in a block of fewer than MIN_BATCH.
+        one member_builder call.
         """
         rng = np.random.default_rng(self.seed)
         build = member_builder(spec, self.order)
@@ -278,10 +277,7 @@ class _Suite(NamedTuple):
             angles = np.array([mu.angles + pad for mu, pad in zip(measures, pads)])
             weights = np.array([mu.weights + pad for mu, pad in zip(measures, pads)])
             with np.errstate(over="ignore", invalid="ignore"):
-                if count >= MIN_BATCH:
-                    a = build(angles, weights)
-                else:
-                    a = np.array([build(*atoms) for atoms in zip(angles, weights)])
+                a = build(angles, weights)
             yield [f"sample-{t:04d}" for t in range(first, first + count)], a
 
 
@@ -468,7 +464,7 @@ def _cmd_verify(cfg: dict) -> int:
     # without a per-function rhs the row's rhs depends on n alone: each n's is
     # computed once, when the first function reaches it
     per_function = row.member is not None
-    class_rhs = cache(lambda n: bound_rhs(theorem, n, m, alpha=spec.alpha))
+    class_rhs = cache(bound_rhs_walk(theorem, m, alpha=spec.alpha))
     # a grid check takes whole members and a per-function rhs a member's trace; otherwise the
     # rows read only moduli, so the suite is built and judged in blocks (see _Suite.blocks)
     in_blocks = grid is None and not per_function
@@ -615,12 +611,13 @@ def _cmd_table(cfg: dict) -> int:
         ("thm_B", "l_phi(pi/n)", ClassSpec("convex"), sharp),
     )
     blocks = [_Block(fid, None, spec, []) for _, fid, spec, _ in cases]
+    rhs = [bound_rhs_walk(theorem, alpha=spec.alpha) for theorem, _, spec, _ in cases]
     for n in ns:
-        for (theorem, _, spec, at), block in zip(cases, blocks):
+        for (theorem, _, spec, at), block, rhs_at in zip(cases, blocks, rhs):
             functional = THEOREMS[theorem].functional
             check_reads(functional, n, None, order)
             lhs = ON_COEFFICIENTS[functional](at(n), n)
-            block.cells.append((theorem, n, None, lhs, bound_rhs(theorem, n, alpha=spec.alpha)))
+            block.cells.append((theorem, n, None, lhs, rhs_at(n)))
     return _write_blocks(cfg, blocks)
 
 

@@ -20,8 +20,8 @@ from itertools import islice
 import numpy as np
 
 from .classes import (
-    BATCH_TERMS, MAX_ATOMS, MIN_BATCH, TWO_PI, AtomicMeasure, ClassSpec, InvalidParams,
-    check_atoms, member_builder,
+    BATCH_TERMS, MAX_ATOMS, TWO_PI, AtomicMeasure, ClassSpec, InvalidParams, check_atoms,
+    member_builder,
 )
 from .inequalities import FUNCTIONALS, ON_COEFFICIENTS, check_indices, on_rows
 
@@ -31,6 +31,11 @@ SPREAD_TOL = 1e-10
 #: Initial simplex edge lengths for angle and weight coordinates.
 _STEP_ANGLE = 0.5
 _STEP_WEIGHT = 0.25
+
+#: Fewest live restarts evaluated as one batch; with fewer, each point is evaluated alone.
+#: A stacked recurrence step costs about three single-series steps, so smaller batches
+#: lose at large n what they save in per-call overhead (BENCH_lockstep_search.json).
+_MIN_BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -201,7 +206,7 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
     share before the simplex spread converges marks the result
     budget_exhausted.  The restarts advance side by side: each round
     evaluates the pending point of every live restart, in one batch while
-    at least ``MIN_BATCH`` are live and each point alone while fewer are.
+    at least ``_MIN_BATCH`` are live and each point alone while fewer are.
     A restart starts, in restart order, when a slot of the ``BATCH_TERMS``
     window frees.  Their costs are replayed in restart order, so the
     result and every ``on_improve`` call are bit for bit those of running
@@ -232,7 +237,7 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
     best_cost, best_x, history, evals, exhausted = math.inf, None, [], 0, False
     while live:
         points = [run.point for run in live]
-        costs = objective(np.array(points)) if len(live) >= MIN_BATCH else map(objective, points)
+        costs = objective(np.array(points)) if len(live) >= _MIN_BATCH else map(objective, points)
         done = sum([run.send(sign * value) for run, value in zip(live, costs)])
         if done:
             live = [run for run in live if run.converged is None] + start(done)

@@ -94,14 +94,31 @@ def on_rows(functional: str, a: np.ndarray, ns, m: int | None = None) -> np.ndar
     (len(ns), rows) array, with n and m already checked (check_reads).
 
     The moduli are ``np.hypot(re, im)``, the bits of ``abs(complex)`` (``np.abs`` is an ulp
-    off in about a third of values), so each value is bit for bit the row's member's alone,
-    but for one case: a modulus past the double range of finite parts is inf here, where
-    ``abs`` raises OverflowError.  inf - inf reads NaN without a numpy warning, as Python
+    off in about a third of values), so each value is bit for bit the row's member's alone;
+    and a read a_k of finite parts whose modulus is past the double range raises
+    OverflowError, as ``abs`` does.  inf - inf reads NaN without a numpy warning, as Python
     floats do.
     """
+    on = ON_COEFFICIENTS[functional]
+    try:
+        # np.hypot overflows only on a modulus past the double range of finite parts; without
+        # an overflow there or in the functional, the values are those of the path below
+        with np.errstate(over="raise", invalid="ignore"):
+            moduli = np.hypot(a.real, a.imag).T
+            return np.array([on(moduli.__getitem__, n, m) for n in ns])
+    except FloatingPointError:
+        pass
     with np.errstate(over="ignore", invalid="ignore"):
-        moduli = np.hypot(a.real, a.imag).T.__getitem__
-        return np.array([ON_COEFFICIENTS[functional](moduli, n, m) for n in ns])
+        moduli = np.hypot(a.real, a.imag).T
+        # the k whose a_k, in some row, is of finite parts and a modulus past the double range
+        past = (np.isinf(moduli) & np.isfinite(a.T)).any(axis=1)
+
+        def r(k: int) -> np.ndarray:
+            if past[k]:
+                raise OverflowError("absolute value too large")
+            return moduli[k]
+
+        return np.array([on(r, n, m) for n in ns])
 
 
 def successive_diff(f: FunctionSeries, n: int) -> float:
@@ -116,28 +133,21 @@ def one_sided_diff(f: FunctionSeries, n: int) -> float:
     return ON_COEFFICIENTS["one_sided_diff"](lambda k: abs(item(k)), n)
 
 
-#: (alpha, k, the product of the first k factors) of gamma_ratio's last call
-_last_ratio = (math.nan, 0, 1.0)
-
-
 def gamma_ratio(alpha: float, n: int) -> float:
     """Gamma(1 - 2 alpha + n) / (Gamma(1 - 2 alpha) Gamma(n + 1)).
 
     Computed by the telescoping product of (k - 2 alpha)/k, k = 1..n, taken
     in that order, never by evaluating Gamma itself, so it loses no more
-    than O(n ulp) relative accuracy; past the double range it is inf.  A
-    call at the last call's alpha and an n no lower goes on from that
-    product, so a rising n range costs O(top n) in all; the product is
-    the same sequence of roundings either way, so no caller sees another's.
+    than O(n ulp) relative accuracy.
     """
-    global _last_ratio
-    last_alpha, done, ratio = _last_ratio
-    if last_alpha != alpha or done > n:
-        done, ratio = 0, 1.0
-    for k in range(done + 1, n + 1):
-        ratio *= (k - 2.0 * alpha) / k
-    _last_ratio = (alpha, max(done, n), ratio)
-    return ratio
+    return float(_gamma_ratios(alpha, n)[-1])
+
+
+def _gamma_ratios(alpha: float, n: int) -> np.ndarray:
+    """gamma_ratio(alpha, j) for j = 0..n, the running products of one cumprod."""
+    k = np.arange(1.0, n + 1)
+    with np.errstate(over="ignore"):  # a ratio past the double range is inf
+        return np.cumprod(np.append(1.0, (k - 2.0 * alpha) / k))
 
 
 class Theorem(NamedTuple):
@@ -215,6 +225,29 @@ def bound_rhs(
     if row.member is not None and alpha != 0.0:
         raise InvalidParams(f"{theorem_id} at alpha != 0 is per-function; see Theorem.member")
     return row.rhs(n, m, alpha)
+
+
+def bound_rhs_walk(
+    theorem_id: str, m: int | None = None, *, alpha: float | None = None
+) -> Callable[[int], float]:
+    """bound_rhs(theorem_id, n, m, alpha=alpha) as a function of n, with its checks and bits,
+    for a caller that reads a range of n: thm_C's Gamma ratios are read off one running
+    product, taken again to twice the length when an n past its end is read, so a range up
+    to N costs O(N) in all where a gamma_ratio per n costs O(N^2).
+    """
+    row = THEOREMS.get(theorem_id)
+    if row is None or row.rhs is not _gamma_ratio_rhs or row.member is not None or alpha is None:
+        return lambda n: bound_rhs(theorem_id, n, m, alpha=alpha)
+    ratios = _gamma_ratios(alpha, 0)
+
+    def rhs(n: int) -> float:
+        nonlocal ratios
+        bound_row(theorem_id, n, m)
+        if n >= len(ratios):
+            ratios = _gamma_ratios(alpha, max(n, 2 * len(ratios)))
+        return float(ratios[n])
+
+    return rhs
 
 
 def class_bound(spec: ClassSpec, functional: str, n: int, m: int | None = None) -> tuple | None:

@@ -994,7 +994,6 @@ def test_each_member_is_dropped_after_its_rows(tmp_path, monkeypatch, command, d
     # one; a grid-less class-wide verify builds its members of order 5 in blocks of four
     built, alive = _track_members(monkeypatch)
     monkeypatch.setattr(cli, "BATCH_TERMS", 4 * 3 * 6)
-    assert cli.MIN_BATCH <= 4
     doc = {**doc, "functions": [{"sampled": {"trials": 12, "k_atoms": 3}}]}
     cfg = write_config(tmp_path, {**doc, "out": str(tmp_path / "out")})
     assert main([command, "--config", cfg]) == EXIT_OK
@@ -1019,7 +1018,7 @@ _BLOCK_SUITES = {
 def test_block_rows_are_those_of_each_member_built_alone(tmp_path, monkeypatch, case, k_atoms,
                                                          trials):
     # blocks of five members: 23 trials take four stacked builds and a last block of three,
-    # built one member at a time; the rows are FUNCTIONALS on the same draws, built alone
+    # and 1 trial a stack of one; the rows are FUNCTIONALS on the same draws, built alone
     spec, theorem, m, (lo, hi) = _BLOCK_SUITES[case]
     monkeypatch.setattr(cli, "BATCH_TERMS", 5 * k_atoms * (hi + 2))
     out = tmp_path / "rows.json"
@@ -1075,6 +1074,40 @@ def test_an_overflowing_sampled_member_writes_nothing_on_stderr(tmp_path):
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
     assert b",nan," in reports[0]
+
+
+def test_a_modulus_past_the_double_range_is_a_config_error_on_both_paths(tmp_path, monkeypatch,
+                                                                         capsys):
+    # every sampled member's a_4 has finite parts and a modulus past the double range: the
+    # block rows raise OverflowError, as abs does on a member alone, so both paths exit 1
+    builder, from_measure = cli.member_builder, cli.member_from_measure
+    huge = complex(1.3e308, 1.3e308)
+
+    def overflowing(spec, order):
+        build = builder(spec, order)
+
+        def overflowed(angles, weights):
+            a = build(angles, weights)
+            a[..., 4] = huge
+            return a
+
+        return overflowed
+
+    def overflowed_member(measure, spec, order):
+        a = from_measure(measure, spec, order).coeffs.copy()
+        a[4] = huge
+        return FunctionSeries(a)
+
+    monkeypatch.setattr(cli, "member_builder", overflowing)
+    monkeypatch.setattr(cli, "member_from_measure", overflowed_member)
+    cfg = write_config(tmp_path, {**_SAMPLED_MAIN, "theorem": "cor_spiral", "out": "-"})
+    row = THEOREMS["cor_spiral"]
+    for per_member in (False, True):
+        if per_member:  # the same rhs, given per function: the members are taken one at a time
+            monkeypatch.setitem(THEOREMS, "cor_spiral", row._replace(
+                member=lambda f, spec, n: row.rhs(n, None, spec.alpha)))
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: absolute value too large\n")
 
 
 def test_thm_main_bound_overflows(tmp_path):

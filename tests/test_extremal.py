@@ -6,6 +6,7 @@ import pytest
 from spirallab import (
     AtomicMeasure, ClassSpec, SearchProblem, SearchResult, member_from_measure, search
 )
+from spirallab import extremal
 from spirallab.classes import InvalidParams, check_atoms
 from spirallab.cli import EXIT_OK, main
 from spirallab.extremal import _atoms_from_vector, _objective
@@ -239,10 +240,33 @@ def test_search_with_fewer_live_restarts_than_restarts(monkeypatch, terms, min_b
     expected = []
     reference = search_in_turn(problem, on_improve=lambda e, v: expected.append((e, v)))
     monkeypatch.setattr("spirallab.extremal.BATCH_TERMS", terms)
-    monkeypatch.setattr("spirallab.extremal.MIN_BATCH", min_batch)
+    monkeypatch.setattr("spirallab.extremal._MIN_BATCH", min_batch)
     seen = []
     assert search(problem, on_improve=lambda e, v: seen.append((e, v))) == reference
     assert seen == expected
+
+
+def test_a_modulus_past_the_double_range_raises_in_a_batch_as_alone(monkeypatch):
+    # every member's a_7 has finite parts and a modulus past the double range: the batched
+    # rounds raise OverflowError as a point evaluated alone does, rather than read inf
+    builder = extremal.member_builder
+
+    def overflowing(spec, order):
+        build = builder(spec, order)
+
+        def overflowed(angles, weights):
+            a = build(angles, weights)
+            a[..., 7] = complex(1.3e308, 1.3e308)
+            return a
+
+        return overflowed
+
+    monkeypatch.setattr(extremal, "member_builder", overflowing)
+    problem = SearchProblem(ClassSpec("convex"), n=6, functional="one_sided_diff", k_atoms=4,
+                            budget=4000, restarts=8, seed=7919)
+    for run in (search, search_in_turn):
+        with pytest.raises(OverflowError, match="^absolute value too large$"):
+            run(problem)
 
 
 @pytest.mark.parametrize("live", [None, 3])

@@ -31,7 +31,7 @@ from spirallab import (
     successive_diff,
 )
 from spirallab import cli, inequalities
-from spirallab.inequalities import THEOREMS, chain_trace, class_bound, holds
+from spirallab.inequalities import THEOREMS, bound_rhs_walk, chain_trace, class_bound, holds
 from oracles import (
     alexander_inverse, chain_replay, fixed_measure, gamma_ratios, psi_max_reference
 )
@@ -93,6 +93,27 @@ def test_functionals_on_a_stack_are_those_of_each_row_alone():
         assert [[v.hex() for v in row] for row in rows] == [[v.hex() for v in r] for r in alone]
 
 
+def test_a_modulus_past_the_double_range_raises_on_a_stack_as_alone():
+    # a_5 of the second row has finite parts and a modulus past the double range: abs raises
+    # OverflowError on it, so on_rows does wherever it reads a_5, and reads the rest alike
+    a = np.tile(np.arange(12.0) + 0.5j, (3, 1))
+    a[:, :2] = 0.0, 1.0
+    a[1, 5] = complex(1.3e308, 1.3e308)
+    a[2, 6] = complex(math.inf, 1.0)  # an infinite part is an inf modulus, not an error
+    a[0, 8] = 1.7e308  # robertson's 8 |a_8| is inf, not an error
+    for functional, scalar in inequalities.FUNCTIONALS.items():
+        for n in range(3, 11):
+            try:
+                alone = [scalar(FunctionSeries(row), n, 2).hex() for row in a]
+            except OverflowError:
+                with pytest.raises(OverflowError, match="^absolute value too large$"):
+                    inequalities.on_rows(functional, a, (n,), 2)
+                assert n in (4, 5)
+            else:
+                rows = inequalities.on_rows(functional, a, (n,), 2)[0].tolist()
+                assert [v.hex() for v in rows] == alone
+
+
 # ----------------------------------------------------------------------
 # bound evaluators
 
@@ -117,6 +138,17 @@ def test_bound_thm_C_matches_lgamma():
 @pytest.mark.parametrize("alpha", [-3.0, -0.5, -0.25, 0.0, 0.3, 0.75])
 def test_gamma_ratio_matches_the_k_loop_bit_for_bit(alpha):
     assert [gamma_ratio(alpha, n) for n in range(2001)] == gamma_ratios(alpha, 2000)
+
+
+@pytest.mark.parametrize("alpha", [-100.0, -3.0, -0.5, 0.3])
+def test_bound_rhs_walk_is_bound_rhs_at_every_n(alpha):
+    # rising, then back down and on past the end: the same bits and checks as a bound_rhs per n
+    ns = [*range(2, 400), 7, 2, 399, 1000, 3, 5000]
+    for theorem in ("thm_C", "cor_spiral", "thm_B"):
+        walk = bound_rhs_walk(theorem, alpha=alpha)
+        assert [walk(n).hex() for n in ns] == [bound_rhs(theorem, n, alpha=alpha).hex() for n in ns]
+    with pytest.raises(InvalidParams, match="^thm_C bound needs n >= 2$"):
+        bound_rhs_walk("thm_C", alpha=alpha)(1)
 
 
 def test_bound_thm_B():
