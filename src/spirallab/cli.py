@@ -17,7 +17,6 @@ from collections import namedtuple
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from functools import cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -240,8 +239,7 @@ def _check_coefficients(trials: int, order: int) -> None:
 class _Suite(NamedTuple):
     """A sampled suite: trials measures of at most k_atoms atoms, drawn in turn from one stream
     seeded by seed, and their members built through a_order.  Building draws nothing, so the
-    draws are those of drawing all first.  Builds run under np.errstate, as named ones do: an
-    overflowing member's coefficients read inf or NaN without numpy's warnings."""
+    draws are those of drawing all first."""
 
     seed: int | None
     trials: int
@@ -253,9 +251,7 @@ class _Suite(NamedTuple):
         rng = np.random.default_rng(self.seed)
         for t in range(self.trials):
             measure = random_measure(rng, self.k_atoms)
-            with np.errstate(over="ignore", invalid="ignore"):
-                f = member_from_measure(measure, spec, self.order)
-            yield f"sample-{t:04d}", measure, f
+            yield f"sample-{t:04d}", measure, member_from_measure(measure, spec, self.order)
 
     def blocks(self, spec: ClassSpec) -> Iterator:
         """(function ids, coefficients) per block of trials, built as it is read: a
@@ -276,9 +272,7 @@ class _Suite(NamedTuple):
             pads = [(0.0,) * (k - len(mu.angles)) for mu in measures]
             angles = np.array([mu.angles + pad for mu, pad in zip(measures, pads)])
             weights = np.array([mu.weights + pad for mu, pad in zip(measures, pads)])
-            with np.errstate(over="ignore", invalid="ignore"):
-                a = build(angles, weights)
-            yield [f"sample-{t:04d}" for t in range(first, first + count)], a
+            yield [f"sample-{t:04d}" for t in range(first, first + count)], build(angles, weights)
 
 
 def _build_functions(cfg: dict, spec: ClassSpec, order: int, last: int) -> tuple:
@@ -461,10 +455,16 @@ def _cmd_verify(cfg: dict) -> int:
     # (ns[-1]: max() would walk the whole range)
     last = order if grid is not None else ns[-1] + 1
     functions, suite = _build_functions(cfg, spec, order, last)
-    # without a per-function rhs the row's rhs depends on n alone: each n's is
-    # computed once, when the first function reaches it
+    # a row's config error comes before any member is built: each n is checked once, and
+    # without a per-function rhs the row's rhs depends on n alone and is computed here
     per_function = row.member is not None
-    class_rhs = cache(bound_rhs_walk(theorem, m, alpha=spec.alpha))
+    class_rhs = []
+    if functions or suite.trials:
+        walk = bound_rhs_walk(theorem, m, alpha=spec.alpha)
+        for n in ns:
+            check_reads(row.functional, n, m, suite.order)
+            bound_row(theorem, n, m)
+            class_rhs.append(None if per_function else walk(n))
     # a grid check takes whole members and a per-function rhs a member's trace; otherwise the
     # rows read only moduli, so the suite is built and judged in blocks (see _Suite.blocks)
     in_blocks = grid is None and not per_function
@@ -482,15 +482,6 @@ def _cmd_verify(cfg: dict) -> int:
             lhs = math.inf
         return [("membership", None, None, lhs, TOL_MEMBER)]
 
-    def member_rhs(f, n: int) -> float:
-        """The rhs of f's row n, for a theorem with a per-function bound."""
-        bound_row(theorem, n, m)  # the per-function rhs has the class-wide one's range
-        try:
-            return row.member(f, spec, n)
-        except ChainInequalityViolation:
-            # a broken derivation chain is a red-alert row, not a crash
-            return math.nan
-
     blocks = []
     overlap = grid is not None and _overlaps(order, grid.m)
     with ThreadPoolExecutor(max_workers=1) if overlap else nullcontext() as pool:
@@ -502,9 +493,14 @@ def _cmd_verify(cfg: dict) -> int:
                        else pool.submit(contextvars.copy_context().run, membership, f).result)
             cells = []
             try:
-                for n in ns:
+                for n, rhs in zip(ns, class_rhs):
                     lhs = functional(f, n, m)
-                    rhs = member_rhs(f, n) if per_function else class_rhs(n)
+                    if per_function:
+                        try:
+                            rhs = row.member(f, spec, n)
+                        except ChainInequalityViolation:
+                            # a broken derivation chain is a red-alert row, not a crash
+                            rhs = math.nan
                     cells.append((theorem, n, m, lhs, rhs))
                 item = next(functions, None)  # above the gate, built while f is checked
             finally:
@@ -512,14 +508,9 @@ def _cmd_verify(cfg: dict) -> int:
                 cells[:0] = collect()
             blocks.append(_Block(fid, seed, spec, cells))
     if in_blocks and suite.trials:
-        # a row's config error comes before the first block is drawn
-        rhs = []
-        for n in ns:
-            check_reads(row.functional, n, m, suite.order)
-            rhs.append(class_rhs(n))
         for fids, a in suite.blocks(spec):
             for fid, lhs in zip(fids, on_rows(row.functional, a, ns, m).T.tolist()):
-                cells = [(theorem, n, m, value, r) for n, value, r in zip(ns, lhs, rhs)]
+                cells = [(theorem, n, m, value, r) for n, value, r in zip(ns, lhs, class_rhs)]
                 blocks.append(_Block(fid, suite.seed, spec, cells))
     return _write_blocks(cfg, blocks)
 
@@ -661,7 +652,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         cfg = _merged(args)
-        return _COMMANDS[args.command][0](cfg)
+        # a member past the double range reads inf or NaN, a red alert, without numpy's
+        # warnings, in every command and in verify's worker, which runs in a copy of this context
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command][0](cfg)
     except (InvalidParams, OverflowError) as exc:
         # InvalidParams is the type of every input error the package raises, ConfigError too;
         # OverflowError: float() of a JSON integer past the double range, such as a

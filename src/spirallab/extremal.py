@@ -234,7 +234,9 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
         return runs
 
     live = start(max(1, BATCH_TERMS // (k * (problem.n + 1))))
-    best_cost, best_x, history, evals, exhausted = math.inf, None, [], 0, False
+    # without a cost below +inf (every value NaN, or inf when minimizing), no history, a NaN
+    # best value and the first restart's start point
+    best_cost, best_x, history, evals, exhausted = math.inf, np.array(live[0].point), [], 0, False
     while live:
         points = [run.point for run in live]
         costs = objective(np.array(points)) if len(live) >= _MIN_BATCH else map(objective, points)
@@ -259,7 +261,7 @@ def search(problem: SearchProblem, on_improve=None) -> SearchResult:
             exhausted = exhausted or not run.converged
 
     return SearchResult(
-        best_value=sign * best_cost,
+        best_value=sign * best_cost if history else math.nan,
         best_measure=AtomicMeasure(*_atoms_from_vector(best_x, k)),
         history=tuple(history),
         evaluations_used=evals,

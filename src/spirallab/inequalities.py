@@ -220,29 +220,30 @@ def bound_row(theorem_id: str, n: int, m: int | None = None) -> Theorem:
 def bound_rhs(
     theorem_id: str, n: int, m: int | None = None, *, alpha: float | None = None
 ) -> float:
-    """Class-wide right-hand side of the theorem's bound_row at index n (and m)."""
-    row = bound_row(theorem_id, n, m)
-    if row.member is not None and alpha != 0.0:
-        raise InvalidParams(f"{theorem_id} at alpha != 0 is per-function; see Theorem.member")
-    return row.rhs(n, m, alpha)
+    """Class-wide right-hand side of the theorem's bound_row at index n (and m):
+    bound_rhs_walk(theorem_id, m, alpha=alpha)(n)."""
+    return bound_rhs_walk(theorem_id, m, alpha=alpha)(n)
 
 
 def bound_rhs_walk(
     theorem_id: str, m: int | None = None, *, alpha: float | None = None
 ) -> Callable[[int], float]:
-    """bound_rhs(theorem_id, n, m, alpha=alpha) as a function of n, with its checks and bits,
-    for a caller that reads a range of n: thm_C's Gamma ratios are read off one running
-    product, taken again to twice the length when an n past its end is read, so a range up
-    to N costs O(N) in all where a gamma_ratio per n costs O(N^2).
+    """The class-wide rhs of the theorem's bound_row as a function of n, for a caller that
+    reads one n or a range of them.  Each call checks n (and m) by bound_row, and raises
+    InvalidParams for a per-function theorem at alpha != 0 and for thm_C without alpha.
+    thm_C's Gamma ratios are read off one running product, taken again to twice the length
+    when an n past its end is read, so a range up to N costs O(N) in all where a gamma_ratio
+    per n costs O(N^2); each is gamma_ratio(alpha, n), bit for bit.
     """
-    row = THEOREMS.get(theorem_id)
-    if row is None or row.rhs is not _gamma_ratio_rhs or row.member is not None or alpha is None:
-        return lambda n: bound_rhs(theorem_id, n, m, alpha=alpha)
-    ratios = _gamma_ratios(alpha, 0)
+    ratios = ()
 
     def rhs(n: int) -> float:
         nonlocal ratios
-        bound_row(theorem_id, n, m)
+        row = bound_row(theorem_id, n, m)
+        if row.member is not None and alpha != 0.0:
+            raise InvalidParams(f"{theorem_id} at alpha != 0 is per-function; see Theorem.member")
+        if row.rhs is not _gamma_ratio_rhs or alpha is None:
+            return row.rhs(n, m, alpha)  # thm_C without alpha raises here
         if n >= len(ratios):
             ratios = _gamma_ratios(alpha, max(n, 2 * len(ratios)))
         return float(ratios[n])

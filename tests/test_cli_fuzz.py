@@ -10,7 +10,8 @@ capped (order <= 64, trials <= 3, budget <= 400) to keep the run short.
 
 import json
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from spirallab.cli import (
     EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, ConfigError, _check, _class_spec, main
@@ -120,6 +121,10 @@ CONFIGS = st.sampled_from(sorted(FIELDS)).flatmap(
     lambda command: st.tuples(st.just(command), obj(*FIELDS[command]))
 )
 
+#: a search whose every member leaves the double range, so that no evaluation reads below inf
+OVERFLOW_SEARCH = {"seed": 1, "spec": {"kind": "starlike", "alpha": -300}, "n": 3000,
+                   "k_atoms": 2, "budget": 200, "restarts": 2}
+
 
 def outside_its_class(doc: dict) -> bool:
     """True when doc pairs a valid class spec with a theorem not stated for that class."""
@@ -139,6 +144,7 @@ def test_any_config_ends_in_an_exit_code(tmp_path_factory):
 
     @settings(max_examples=200, derandomize=True)
     @given(CONFIGS)
+    @example(("search", OVERFLOW_SEARCH))
     def run(case):
         command, doc = case
         cfg.write_text(json.dumps({**doc, "out": str(work / "out")}))
@@ -149,3 +155,22 @@ def test_any_config_ends_in_an_exit_code(tmp_path_factory):
             assert code == EXIT_CONFIG
 
     run()
+
+
+def test_a_search_with_no_value_below_inf_is_a_red_alert(tmp_path, capsys):
+    # no history and a NaN best value at the first restart's start point, which thm_C's
+    # bound (inf here) fails
+    out = tmp_path / "result.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**OVERFLOW_SEARCH, "out": str(out)}))
+    assert main(["search", "--config", str(cfg)]) == EXIT_VIOLATION
+    assert capsys.readouterr() == ("", "")
+    doc = json.loads(out.read_text())
+    rng = np.random.default_rng(OVERFLOW_SEARCH["seed"])
+    angles, weights = rng.uniform(0.0, 2.0 * np.pi, 2), rng.uniform(0.3, 1.0, 2) ** 2
+    weights /= weights.sum()
+    assert doc["best_measure"] == {
+        "atoms": [{"t": t, "w": w} for t, w in zip(angles.tolist(), weights.tolist())]
+    }
+    assert np.isnan(doc["best_value"]) and doc["history"] == []
+    assert doc["bound"] == {"theorem_id": "thm_C", "rhs": float("inf"), "violated": True}

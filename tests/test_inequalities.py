@@ -142,11 +142,16 @@ def test_gamma_ratio_matches_the_k_loop_bit_for_bit(alpha):
 
 @pytest.mark.parametrize("alpha", [-100.0, -3.0, -0.5, 0.3])
 def test_bound_rhs_walk_is_bound_rhs_at_every_n(alpha):
-    # rising, then back down and on past the end: the same bits and checks as a bound_rhs per n
+    # rising, then back down and on past the end: thm_C's rhs is a gamma_ratio per n, bit for
+    # bit, the other rows' their own rhs, and bound_rhs reads the same
     ns = [*range(2, 400), 7, 2, 399, 1000, 3, 5000]
     for theorem in ("thm_C", "cor_spiral", "thm_B"):
         walk = bound_rhs_walk(theorem, alpha=alpha)
-        assert [walk(n).hex() for n in ns] == [bound_rhs(theorem, n, alpha=alpha).hex() for n in ns]
+        rhs = THEOREMS[theorem].rhs
+        expected = [(gamma_ratio(alpha, n) if theorem == "thm_C" else rhs(n, None, alpha)).hex()
+                    for n in ns]
+        assert [walk(n).hex() for n in ns] == expected
+        assert [bound_rhs(theorem, n, alpha=alpha).hex() for n in ns] == expected
     with pytest.raises(InvalidParams, match="^thm_C bound needs n >= 2$"):
         bound_rhs_walk("thm_C", alpha=alpha)(1)
 
