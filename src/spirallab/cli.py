@@ -40,7 +40,7 @@ from .inequalities import (
     ON_COEFFICIENTS,
     THEOREMS,
     ChainInequalityViolation,
-    bound_rhs_walk,
+    bound_rhs,
     bound_row,
     chain_trace,
     check_reads,
@@ -455,16 +455,16 @@ def _cmd_verify(cfg: dict) -> int:
     # (ns[-1]: max() would walk the whole range)
     last = order if grid is not None else ns[-1] + 1
     functions, suite = _build_functions(cfg, spec, order, last)
-    # a row's config error comes before any member is built: each n is checked once, and
-    # without a per-function rhs the row's rhs depends on n alone and is computed here
+    # a row's config error comes before any member is built: every rule bounds n from below
+    # and the order bounds it from above, so the range is checked at its two ends; without a
+    # per-function rhs the row's rhs depends on n alone and is computed here
     per_function = row.member is not None
     class_rhs = []
     if functions or suite.trials:
-        walk = bound_rhs_walk(theorem, m, alpha=spec.alpha)
-        for n in ns:
-            check_reads(row.functional, n, m, suite.order)
-            bound_row(theorem, n, m)
-            class_rhs.append(None if per_function else walk(n))
+        bound_row(theorem, ns[0], m)
+        check_reads(row.functional, ns[-1], m, suite.order)
+        class_rhs = ([None] * len(ns) if per_function
+                     else bound_rhs(theorem, ns, m, alpha=spec.alpha))
     # a grid check takes whole members and a per-function rhs a member's trace; otherwise the
     # rows read only moduli, so the suite is built and judged in blocks (see _Suite.blocks)
     in_blocks = grid is None and not per_function
@@ -519,8 +519,11 @@ def _cmd_trace(cfg: dict) -> int:
     order = cfg.get("order", ORDER_DEFAULT)
     spec = _class_spec(cfg)
     ns = _n_range(cfg)
+    functions, suite = _build_functions(cfg, spec, order, ns[-1] + 1)
+    # each trace reads a_{n+1}: the range's top is checked before any member is built
+    check_reads("two_sided_diff", ns[-1], None, order)
     docs = []
-    for fid, f, seed in _one_at_a_time(*_build_functions(cfg, spec, order, ns[-1] + 1), spec):
+    for fid, f, seed in _one_at_a_time(functions, suite, spec):
         for n in ns:
             doc = {"function_id": fid, "seed": seed}
             try:
@@ -601,14 +604,13 @@ def _cmd_table(cfg: dict) -> int:
          moduli("power_map", beta=3.0)),
         ("thm_B", "l_phi(pi/n)", ClassSpec("convex"), sharp),
     )
-    blocks = [_Block(fid, None, spec, []) for _, fid, spec, _ in cases]
-    rhs = [bound_rhs_walk(theorem, alpha=spec.alpha) for theorem, _, spec, _ in cases]
-    for n in ns:
-        for (theorem, _, spec, at), block, rhs_at in zip(cases, blocks, rhs):
-            functional = THEOREMS[theorem].functional
-            check_reads(functional, n, None, order)
-            lhs = ON_COEFFICIENTS[functional](at(n), n)
-            block.cells.append((theorem, n, None, lhs, rhs_at(n)))
+    blocks = []
+    for theorem, fid, spec, at in cases:
+        # checks the range's smallest n; its largest reads a_{n+1}, the last one built
+        rhs = bound_rhs(theorem, ns, alpha=spec.alpha)
+        on = ON_COEFFICIENTS[THEOREMS[theorem].functional]
+        blocks.append(_Block(fid, None, spec, [(theorem, n, None, on(at(n), n), r)
+                                               for n, r in zip(ns, rhs)]))
     return _write_blocks(cfg, blocks)
 
 

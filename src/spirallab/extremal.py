@@ -23,7 +23,7 @@ from .classes import (
     BATCH_TERMS, MAX_ATOMS, TWO_PI, AtomicMeasure, ClassSpec, InvalidParams, check_atoms,
     member_builder,
 )
-from .inequalities import FUNCTIONALS, ON_COEFFICIENTS, check_indices, on_rows
+from .inequalities import FUNCTIONALS, ON_COEFFICIENTS, check_reads, on_rows
 
 #: Per-restart convergence tolerance on the simplex objective spread.
 SPREAD_TOL = 1e-10
@@ -55,15 +55,13 @@ class SearchProblem:
     def __post_init__(self):
         if self.functional not in FUNCTIONALS:
             raise InvalidParams(f"unknown functional {self.functional!r}")
-        check_indices(self.functional, self.n, self.m)
+        check_reads(self.functional, self.n, self.m)
         if not 1 <= self.k_atoms <= MAX_ATOMS:
             raise InvalidParams(f"k_atoms must lie in 1..{MAX_ATOMS}")
         if self.budget < 100 * self.k_atoms:
             raise InvalidParams("budget must be at least 100 * k_atoms")
         if self.restarts < 1:
             raise InvalidParams("restarts must be >= 1")
-        if self.n < 1:
-            raise InvalidParams("n must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classes import ClassSpec, InvalidParams, alexander_forward
+from .classes import TWO_PI, ClassSpec, InvalidParams, alexander_forward
 from .series import FunctionSeries, Series
 
 #: Slack below -TOL_INEQ counts as a bound violation; see holds.
@@ -69,23 +69,20 @@ def holds(lhs: float, rhs: float) -> bool:
     return rhs - lhs >= -TOL_INEQ
 
 
-def check_indices(functional: str, n: int, m: int | None) -> None:
-    """Raise InvalidParams unless the indices suit functional: robertson needs n > m >= 1."""
-    if functional == "robertson" and (m is None or not n > m >= 1):
-        raise InvalidParams("robertson needs n > m >= 1")
-
-
-def check_reads(functional: str, n: int, m: int | None, order: int) -> None:
-    """Raise InvalidParams unless functional at n (and m) reads within a_0..a_order: the
-    differences need n >= 1 and read a_{n+1}, robertson needs n > m >= 1 and reads a_n."""
+def check_reads(functional: str, n: int, m: int | None, order: int | None = None) -> None:
+    """The one index rule: raise InvalidParams unless functional suits n (and m) and, given
+    an order, reads within a_0..a_order.  The differences need n >= 1 and read a_{n+1},
+    robertson needs n > m >= 1 and reads a_n; every rule bounds n from below, so a range of n
+    is checked whole at its smallest n and, against an order, at its largest."""
     if functional == "robertson":
-        check_indices(functional, n, m)
+        if m is None or not n > m >= 1:
+            raise InvalidParams("robertson needs n > m >= 1")
         last = n
     else:
         if n < 1:
             raise InvalidParams("successive difference needs n >= 1")
         last = n + 1
-    if last > order:
+    if order is not None and last > order:
         raise InvalidParams(f"need order >= {last}, have {order}")
 
 
@@ -155,15 +152,20 @@ class Theorem(NamedTuple):
 
     functional: str  # the FUNCTIONALS key of the functional it bounds
     admits: Callable[[ClassSpec], bool]  # true for the classes it is stated for
-    rhs: Callable[[int, int | None, float | None], float]  # class-wide rhs(n, m, alpha)
+    # class-wide rhs(n, m, alpha) at an int n, or at an int array of them (a constant rhs
+    # stays a float; bound_rhs broadcasts it)
+    rhs: Callable[[int | np.ndarray, int | None, float | None], float | np.ndarray]
     # per-function rhs(f, spec, n) when there is one; rhs is then class-wide at alpha = 0 only
     member: Callable[[FunctionSeries, ClassSpec, int], float] | None = None
 
 
-def _gamma_ratio_rhs(n: int, m: int | None, alpha: float | None) -> float:
-    """thm_C's rhs: the Gamma ratio at alpha, which the caller must give."""
+def _gamma_ratio_rhs(n, m: int | None, alpha: float | None):
+    """thm_C's rhs: the Gamma ratio at alpha, which the caller must give; at an array of n,
+    the slice of one running product, each gamma_ratio(alpha, n) bit for bit."""
     if alpha is None:
         raise InvalidParams("thm_C bound needs alpha")
+    if isinstance(n, np.ndarray):
+        return _gamma_ratios(alpha, int(n.max()))[n]
     return gamma_ratio(alpha, n)
 
 
@@ -199,56 +201,44 @@ THEOREMS = {
         lambda f, spec, n: chain_trace(f, spec, n).final_bound,
     ),
     "thm_robertson": Theorem(
-        "robertson", lambda s: s.kind == "c_half", lambda n, m, a: (n - m) * (n + m + 1) / 2.0
+        "robertson",
+        lambda s: s.kind == "c_half",
+        # a float factor, so an int array of n cannot wrap: the bits of the int product's
+        lambda n, m, a: (n - m) * (n + m + 1.0) / 2.0,
     ),
 }
 
 
 def bound_row(theorem_id: str, n: int, m: int | None = None) -> Theorem:
     """The theorem's THEOREMS row, once n (and m) lie in the range of its bounds, class-wide
-    and per-function: every theorem needs n >= 2, and thm_robertson n > m >= 1 (check_indices).
+    and per-function: every theorem needs n >= 2 besides its functional's rule (check_reads).
     """
     row = THEOREMS.get(theorem_id)
     if row is None:
         raise InvalidParams(f"unknown theorem id {theorem_id!r}")
-    check_indices(row.functional, n, m)
+    check_reads(row.functional, n, m)
     if n < 2:
         raise InvalidParams(f"{theorem_id} bound needs n >= 2")
     return row
 
 
 def bound_rhs(
-    theorem_id: str, n: int, m: int | None = None, *, alpha: float | None = None
-) -> float:
-    """Class-wide right-hand side of the theorem's bound_row at index n (and m):
-    bound_rhs_walk(theorem_id, m, alpha=alpha)(n)."""
-    return bound_rhs_walk(theorem_id, m, alpha=alpha)(n)
+    theorem_id: str, n: int | range, m: int | None = None, *, alpha: float | None = None
+):
+    """Class-wide right-hand side of the theorem's bound_row at index n (and m): a float at
+    an int n, a list of them at a range of n, checked once at its smallest n.
 
-
-def bound_rhs_walk(
-    theorem_id: str, m: int | None = None, *, alpha: float | None = None
-) -> Callable[[int], float]:
-    """The class-wide rhs of the theorem's bound_row as a function of n, for a caller that
-    reads one n or a range of them.  Each call checks n (and m) by bound_row, and raises
-    InvalidParams for a per-function theorem at alpha != 0 and for thm_C without alpha.
-    thm_C's Gamma ratios are read off one running product, taken again to twice the length
-    when an n past its end is read, so a range up to N costs O(N) in all where a gamma_ratio
-    per n costs O(N^2); each is gamma_ratio(alpha, n), bit for bit.
+    Raises InvalidParams for a per-function theorem at alpha != 0 and for thm_C without
+    alpha.  A range costs one rhs call: thm_C's Gamma ratios are the prefixes of one running
+    product, so a range up to N costs O(N) in all, each gamma_ratio(alpha, n) bit for bit.
     """
-    ratios = ()
-
-    def rhs(n: int) -> float:
-        nonlocal ratios
-        row = bound_row(theorem_id, n, m)
-        if row.member is not None and alpha != 0.0:
-            raise InvalidParams(f"{theorem_id} at alpha != 0 is per-function; see Theorem.member")
-        if row.rhs is not _gamma_ratio_rhs or alpha is None:
-            return row.rhs(n, m, alpha)  # thm_C without alpha raises here
-        if n >= len(ratios):
-            ratios = _gamma_ratios(alpha, max(n, 2 * len(ratios)))
-        return float(ratios[n])
-
-    return rhs
+    row = bound_row(theorem_id, n[0] if isinstance(n, range) else n, m)
+    if row.member is not None and alpha != 0.0:
+        raise InvalidParams(f"{theorem_id} at alpha != 0 is per-function; see Theorem.member")
+    if not isinstance(n, range):
+        return row.rhs(n, m, alpha)
+    values = row.rhs(np.arange(n.start, n.stop, n.step), m, alpha)
+    return np.broadcast_to(values, len(n)).tolist()
 
 
 def class_bound(spec: ClassSpec, functional: str, n: int, m: int | None = None) -> tuple | None:
@@ -333,7 +323,9 @@ def psi_max(c, n: int, gamma: float):
             value, angle = _newton_peak(d, k, k2, ik, i * h, vals.item(i), h)
             if value > best:
                 best, theta = value, angle
-    return best, theta % (2.0 * np.pi)
+    # a tiny negative angle wraps to exactly 2 pi, which folds to 0
+    theta %= TWO_PI
+    return best, theta if theta < TWO_PI else 0.0
 
 
 def lemma31_check(c, lam, gamma: float, alpha: float, M: float):

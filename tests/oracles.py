@@ -113,7 +113,8 @@ def psi_max_reference(c, n: int, gamma: float):
             value, angle = _newton_peak_reference(d, k, k2, ik, i * h, float(vals[i]), h)
             if value > best:
                 best, theta = value, angle
-    return best, theta % (2.0 * np.pi)
+    theta %= 2.0 * np.pi
+    return best, theta if theta < 2.0 * np.pi else 0.0  # exactly 2 pi folds to 0
 
 
 def gamma_ratios(alpha: float, n: int) -> list:

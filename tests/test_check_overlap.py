@@ -172,7 +172,7 @@ def test_a_row_config_error_stops_before_the_next_member(tmp_path, capsys, monke
     built, _ = _track_members(monkeypatch)
     before = threading.active_count()
     code, report, out, err, _ = run(tmp_path, capsys, monkeypatch, doc, gate)
-    assert (code, out, err) == (EXIT_CONFIG, "", "config error: need order >= 257, have 256\n")
+    assert (code, out, err) == (EXIT_CONFIG, "", "config error: need order >= 301, have 256\n")
     assert report is None  # nor an empty file left by the early check of the out path
     assert built == []
     assert threading.active_count() == before

@@ -864,6 +864,13 @@ _OUTSIDE_SCHEMA = {
 }
 
 
+#: case -> the whole config error of the _OUTSIDE_SCHEMA cases that pin it
+_OUTSIDE_SCHEMA_ERRORS = {
+    "verify_n_range_past_order": "need order >= 1000000000000001, have 64",
+    "trace_n_range_past_order": "need order >= 1000000000000001, have 64",
+}
+
+
 @pytest.mark.parametrize("case", sorted(_OUTSIDE_SCHEMA))
 def test_config_outside_schema_is_config_error(tmp_path, capsys, case):
     command, doc, *flags = _OUTSIDE_SCHEMA[case]
@@ -872,6 +879,8 @@ def test_config_outside_schema_is_config_error(tmp_path, capsys, case):
     assert main([command, "--config", cfg, *flags]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
+    if case in _OUTSIDE_SCHEMA_ERRORS:
+        assert captured.err == f"config error: {_OUTSIDE_SCHEMA_ERRORS[case]}\n"
     assert captured.out == ""  # rejected before any work is streamed
 
 
@@ -929,8 +938,9 @@ def _track_members(monkeypatch):
 
 
 #: case -> (command, config, its config error, the sampled members or blocks built before it):
-#: named functions are built before any member, a verify row's error comes before any member
-#: is built, with or without a grid and a per-function rhs, and trace's stops the run at once
+#: named functions are built before any member, and a verify row's error, with or without a
+#: grid and a per-function rhs, and trace's come before any member is built; an n range past
+#: the order names the order its top n needs
 _LATE_ERRORS = {
     "unknown_name_after_sampled": (
         "verify",
@@ -947,7 +957,7 @@ _LATE_ERRORS = {
             "n": [2, 300],
             "functions": [{"sampled": {"trials": 40}}],
         },
-        "need order >= 257, have 256",
+        "need order >= 301, have 256",
         0,
     ),
     "robertson_m_zero": (
@@ -972,7 +982,7 @@ _LATE_ERRORS = {
             "functions": [{"sampled": {"trials": 40}}],
             "membership": {"radii": [0.5], "m": 64},
         },
-        "need order >= 33, have 32",
+        "need order >= 41, have 32",
         0,
     ),
     "thm_main_n_below_two": (
@@ -984,8 +994,8 @@ _LATE_ERRORS = {
     "trace_n_past_order": (
         "trace",
         {**_SAMPLED_MAIN, "n": [2, 40], "functions": [{"sampled": {"trials": 40}}]},
-        "need order >= 33, have 32",
-        1,
+        "need order >= 41, have 32",
+        0,
     ),
 }
 

@@ -31,7 +31,7 @@ from spirallab import (
     successive_diff,
 )
 from spirallab import cli, inequalities
-from spirallab.inequalities import THEOREMS, bound_rhs_walk, chain_trace, class_bound, holds
+from spirallab.inequalities import THEOREMS, chain_trace, class_bound, holds
 from oracles import (
     alexander_inverse, chain_replay, fixed_measure, gamma_ratios, psi_max_reference
 )
@@ -141,19 +141,28 @@ def test_gamma_ratio_matches_the_k_loop_bit_for_bit(alpha):
 
 
 @pytest.mark.parametrize("alpha", [-100.0, -3.0, -0.5, 0.3])
-def test_bound_rhs_walk_is_bound_rhs_at_every_n(alpha):
-    # rising, then back down and on past the end: thm_C's rhs is a gamma_ratio per n, bit for
-    # bit, the other rows' their own rhs, and bound_rhs reads the same
-    ns = [*range(2, 400), 7, 2, 399, 1000, 3, 5000]
-    for theorem in ("thm_C", "cor_spiral", "thm_B"):
-        walk = bound_rhs_walk(theorem, alpha=alpha)
-        rhs = THEOREMS[theorem].rhs
-        expected = [(gamma_ratio(alpha, n) if theorem == "thm_C" else rhs(n, None, alpha)).hex()
-                    for n in ns]
-        assert [walk(n).hex() for n in ns] == expected
-        assert [bound_rhs(theorem, n, alpha=alpha).hex() for n in ns] == expected
+def test_bound_rhs_over_a_range_is_bound_rhs_at_each_n(alpha):
+    # every class-wide row: thm_C's rhs is a gamma_ratio per n, bit for bit, thm_robertson's
+    # reads m, and a per-function row has its class-wide rhs at alpha = 0
+    for theorem, row in THEOREMS.items():
+        m = 1 if row.functional == "robertson" else None
+        at = 0.0 if row.member is not None else alpha
+        for lo in (2, 7, 399):
+            ns = range(lo, 1000)
+            each = [bound_rhs(theorem, n, m, alpha=at) for n in ns]
+            if theorem == "thm_C":
+                assert [v.hex() for v in each] == [gamma_ratio(at, n).hex() for n in ns]
+            assert all(type(v) is float for v in each)
+            assert [v.hex() for v in bound_rhs(theorem, ns, m, alpha=at)] == [
+                v.hex() for v in each
+            ]
+    # past n = 3e9 robertson's product is past the int64 range, which must not wrap
+    far = range(10**10, 10**10 + 3)
+    assert bound_rhs("thm_robertson", far, 1) == [bound_rhs("thm_robertson", n, 1) for n in far]
     with pytest.raises(InvalidParams, match="^thm_C bound needs n >= 2$"):
-        bound_rhs_walk("thm_C", alpha=alpha)(1)
+        bound_rhs("thm_C", range(1, 9), alpha=alpha)
+    with pytest.raises(InvalidParams, match="^robertson needs n > m >= 1$"):
+        bound_rhs("thm_robertson", range(3, 9), 3)
 
 
 def test_bound_thm_B():
@@ -241,6 +250,7 @@ def test_class_bound_thm_c_reads_alpha():
     for alpha in (-0.5, -0.25, -1.0):
         _, rhs = class_bound(ClassSpec("starlike", alpha=alpha), "two_sided_diff", 5)
         assert rhs == gamma_ratio(alpha, 5)
+        assert type(rhs) is float  # a Python float, as search writes it, not a numpy scalar
 
 
 def test_readme_theorem_table_mirrors_theorems():
@@ -388,10 +398,16 @@ def test_psi_max_is_bitwise_the_reference():
         cases.append((measure_c(weights, angles, n), n, float(rng.uniform(-1.2, 1.2))))
     tied = measure_c([1 / 3 + 1e-7, 1 / 3 - 1e-7, 1 / 3], 0.1 + 2 * np.pi * np.arange(3) / 3, 10)
     cases.append((tied, 10, 0.0))
+    # koebe's c at gamma = 0.3, whose Newton steps stop a hair below angle 0: that wraps to
+    # exactly 2 pi, which folds to 0
+    koebe = recover_c(named("koebe", 64), 0.3, 3)
+    cases += [(koebe, n, 0.3) for n in (1, 2, 3)]
     for c, n, gamma in cases:
         M, angle = psi_max(c, n, gamma)
         M_ref, angle_ref = psi_max_reference(c, n, gamma)
         assert (M.hex(), float(angle).hex()) == (M_ref.hex(), float(angle_ref).hex()), (n, gamma)
+        assert 0.0 <= angle < 2 * math.pi
+    assert [psi_max(koebe, n, 0.3)[1] for n in (1, 2, 3)] == [0.0] * 3
 
 
 def test_psi_max_guards():
