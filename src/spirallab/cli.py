@@ -313,11 +313,6 @@ def _build_functions(cfg: dict, spec: ClassSpec, order: int, last: int) -> tuple
     return functions, _Suite(seed, trials, k_atoms, built)
 
 
-def _one_at_a_time(functions: list, suite: _Suite, spec: ClassSpec) -> Iterator:
-    """(function_id, FunctionSeries, seed-or-None): the named functions, then the members."""
-    return chain(functions, ((fid, f, suite.seed) for fid, _, f in suite.members(spec)))
-
-
 def _jsonable(obj):
     """The JSON form of what json cannot encode itself, for every JSON report.
 
@@ -458,17 +453,22 @@ def _cmd_verify(cfg: dict) -> int:
     # a row's config error comes before any member is built: every rule bounds n from below
     # and the order bounds it from above, so the range is checked at its two ends; without a
     # per-function rhs the row's rhs depends on n alone and is computed here
+    bound_row(theorem, ns[0], m)
+    check_reads(row.functional, ns[-1], m, suite.order)
     per_function = row.member is not None
-    class_rhs = []
-    if functions or suite.trials:
-        bound_row(theorem, ns[0], m)
-        check_reads(row.functional, ns[-1], m, suite.order)
-        class_rhs = ([None] * len(ns) if per_function
-                     else bound_rhs(theorem, ns, m, alpha=spec.alpha))
-    # a grid check takes whole members and a per-function rhs a member's trace; otherwise the
-    # rows read only moduli, so the suite is built and judged in blocks (see _Suite.blocks)
-    in_blocks = grid is None and not per_function
-    functions = iter(functions) if in_blocks else _one_at_a_time(functions, suite, spec)
+    class_rhs = None if per_function else bound_rhs(theorem, ns, m, alpha=spec.alpha)
+
+    def units() -> Iterator:
+        """(function ids, seed, coefficient stack, member or None): each named function, then
+        the members, whole for a grid or a per-function rhs, else in blocks (_Suite.blocks)."""
+        for fid, f, seed in functions:
+            yield [fid], seed, f.coeffs[None], f
+        if grid is not None or per_function:
+            for fid, _, f in suite.members(spec):
+                yield [fid], suite.seed, f.coeffs[None], f
+        elif suite.trials:
+            for fids, a in suite.blocks(spec):
+                yield fids, suite.seed, a, None
 
     def membership(f) -> list:
         """f's membership cell, or none without a grid."""
@@ -482,36 +482,33 @@ def _cmd_verify(cfg: dict) -> int:
             lhs = math.inf
         return [("membership", None, None, lhs, TOL_MEMBER)]
 
+    def member_rhs(f, n: int) -> float:
+        try:
+            return row.member(f, spec, n)
+        except ChainInequalityViolation:  # a broken derivation chain is a red-alert row
+            return math.nan
+
     blocks = []
+    todo = units()
     overlap = grid is not None and _overlaps(order, grid.m)
     with ThreadPoolExecutor(max_workers=1) if overlap else nullcontext() as pool:
-        item = next(functions, None)
-        while item is not None:
-            fid, f, seed = item
+        unit = next(todo, None)
+        while unit is not None:
+            fids, seed, a, f = unit
             # a pool check runs in a copy of this context: numpy's errstate is a context variable
             collect = (_now(membership, f) if pool is None
                        else pool.submit(contextvars.copy_context().run, membership, f).result)
-            cells = []
             try:
-                for n, rhs in zip(ns, class_rhs):
-                    lhs = functional(f, n, m)
-                    if per_function:
-                        try:
-                            rhs = row.member(f, spec, n)
-                        except ChainInequalityViolation:
-                            # a broken derivation chain is a red-alert row, not a crash
-                            rhs = math.nan
-                    cells.append((theorem, n, m, lhs, rhs))
-                item = next(functions, None)  # above the gate, built while f is checked
+                if per_function:  # FUNCTIONALS and the member's own rhs at each n
+                    rows = [[(theorem, n, m, functional(f, n, m), member_rhs(f, n)) for n in ns]]
+                else:  # every row of the stack from one on_rows call
+                    rows = [[(theorem, n, m, v, r) for n, v, r in zip(ns, values, class_rhs)]
+                            for values in on_rows(row.functional, a, ns, m).T.tolist()]
+                unit = next(todo, None)  # above the gate, built while f is checked
             finally:
                 # a check's exception comes first, as when the check runs before the rows
-                cells[:0] = collect()
-            blocks.append(_Block(fid, seed, spec, cells))
-    if in_blocks and suite.trials:
-        for fids, a in suite.blocks(spec):
-            for fid, lhs in zip(fids, on_rows(row.functional, a, ns, m).T.tolist()):
-                cells = [(theorem, n, m, value, r) for n, value, r in zip(ns, lhs, class_rhs)]
-                blocks.append(_Block(fid, suite.seed, spec, cells))
+                check = collect()
+            blocks += (_Block(fid, seed, spec, check + cells) for fid, cells in zip(fids, rows))
     return _write_blocks(cfg, blocks)
 
 
@@ -520,10 +517,12 @@ def _cmd_trace(cfg: dict) -> int:
     spec = _class_spec(cfg)
     ns = _n_range(cfg)
     functions, suite = _build_functions(cfg, spec, order, ns[-1] + 1)
-    # each trace reads a_{n+1}: the range's top is checked before any member is built
+    # each trace reads a_{n+1} of an n >= 1: the range's two ends are checked before any build
+    check_reads("two_sided_diff", ns[0], None)
     check_reads("two_sided_diff", ns[-1], None, order)
+    members = ((fid, f, suite.seed) for fid, _, f in suite.members(spec))
     docs = []
-    for fid, f, seed in _one_at_a_time(functions, suite, spec):
+    for fid, f, seed in chain(functions, members):
         for n in ns:
             doc = {"function_id": fid, "seed": seed}
             try:

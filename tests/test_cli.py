@@ -820,6 +820,12 @@ _OUTSIDE_SCHEMA = {
     # an n range far past the order: the top of the range is read, never the whole range
     "verify_n_range_past_order": ("verify", {**_SAMPLED_MAIN, "order": 64, "n": [2, 10**15]}),
     "trace_n_range_past_order": ("trace", {**_SAMPLED_MAIN, "order": 64, "n": [2, 10**15]}),
+    # a run of no functions checks its rows all the same
+    "verify_no_functions_n_zero": (
+        "verify",
+        {"order": 32, "spec": {"kind": "spirallike"}, "theorem": "cor_spiral", "n": [0, 400],
+         "functions": []},
+    ),
     "table_n_range_past_order_ceiling": ("table", {"n": [2, 10**15]}),
     # a field, or a nested object, that the command does not read is checked all the same
     "verify_budget_not_int": ("verify", {**_SAMPLED_MAIN, "budget": "x"}),
@@ -868,6 +874,7 @@ _OUTSIDE_SCHEMA = {
 _OUTSIDE_SCHEMA_ERRORS = {
     "verify_n_range_past_order": "need order >= 1000000000000001, have 64",
     "trace_n_range_past_order": "need order >= 1000000000000001, have 64",
+    "verify_no_functions_n_zero": "successive difference needs n >= 1",
 }
 
 
@@ -997,6 +1004,9 @@ _LATE_ERRORS = {
         "need order >= 41, have 32",
         0,
     ),
+    "trace_n_below_one": (
+        "trace", {**_SAMPLED_MAIN, "seed": 3, "n": [0, 4]}, "successive difference needs n >= 1", 0
+    ),
 }
 
 
@@ -1067,6 +1077,47 @@ def test_block_rows_are_those_of_each_member_built_alone(tmp_path, monkeypatch, 
     assert code == (EXIT_OK if all(row["pass"] for row in rows) else EXIT_VIOLATION)
     if case == "overflow":
         assert "nan" in {row["lhs"].hex() for row in rows}
+
+
+#: the named function that shares a run with each _BLOCK_SUITES suite: complex coefficients
+_NEXT_TO_SUITE = {"name": "two_point", "params": {"theta1": 0.7, "theta2": -1.9}}
+
+
+@pytest.mark.parametrize("setup", ["named", "grid"])
+@pytest.mark.parametrize("case", sorted(_BLOCK_SUITES))
+def test_class_wide_rows_of_whole_functions_are_those_of_functionals(tmp_path, monkeypatch, case,
+                                                                     setup):
+    # every class-wide row reads on_rows: a named function's, as a stack of one next to the
+    # suite's blocks, and, under a grid, each whole member's; every lhs is FUNCTIONALS' bits
+    spec, theorem, m, (lo, hi) = _BLOCK_SUITES[case]
+    order, trials, k_atoms = 512, 7, 3
+    monkeypatch.setattr(cli, "BATCH_TERMS", 5 * k_atoms * (hi + 2))  # blocks of five members
+    out = tmp_path / "rows.json"
+    doc = {"seed": 7, "order": order, "spec": spec, "theorem": theorem, "n": [lo, hi], "m": m,
+           "functions": [{"sampled": {"trials": trials, "k_atoms": k_atoms}}],
+           "format": "json", "out": str(out)}
+    if setup == "named":
+        doc["functions"].append(_NEXT_TO_SUITE)
+    else:
+        doc["membership"] = {"radii": [0.5], "m": 64}
+    main(["verify", "--config", write_config(tmp_path, doc)])
+    rows = [row for row in json.loads(out.read_text()) if row["theorem_id"] != "membership"]
+    rng = np.random.default_rng(7)
+    functional = FUNCTIONALS[THEOREMS[theorem].functional]
+    built = hi + 1 if setup == "named" else order  # a grid check reads every coefficient
+    functions = {}
+    expected = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(trials):
+            functions[f"sample-{t:04d}"] = member_from_measure(random_measure(rng, k_atoms),
+                                                               ClassSpec(**spec), built)
+        if setup == "named":
+            functions["two_point(theta1=0.7,theta2=-1.9)"] = classes.named(
+                "two_point", order, **_NEXT_TO_SUITE["params"])
+        for fid in sorted(functions):
+            expected += [(fid, n, functional(functions[fid], n, m).hex())
+                         for n in range(lo, hi + 1)]
+    assert [(row["function_id"], row["n"], row["lhs"].hex()) for row in rows] == expected
 
 
 #: a sampled suite whose members leave the double range: inf and NaN rows, a red alert
