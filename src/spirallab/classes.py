@@ -302,14 +302,17 @@ def named(name: str, order: int = ORDER_DEFAULT, /, **params) -> FunctionSeries:
     return FunctionSeries(coeffs)
 
 
-def random_measure(rng: np.random.Generator, k_atoms: int) -> AtomicMeasure:
-    """Random measure with k uniform on 1..k_atoms atoms, drawn from ``rng``.
-
-    Draws k, then weights uniform on the simplex, then angles uniform on
-    [0, 2pi); reports depend on this draw order.
-    """
+def random_atoms(rng: np.random.Generator, k_atoms: int) -> tuple:
+    """(angles, weights) arrays of k uniform on 1..k_atoms atoms, drawn from ``rng``, unchecked:
+    k, then weights uniform on the simplex, then angles uniform on [0, 2pi), the draw order
+    that reports depend on."""
     if not 1 <= k_atoms <= MAX_ATOMS:
         raise InvalidParams(f"k_atoms must lie in 1..{MAX_ATOMS}")
     k = int(rng.integers(1, k_atoms + 1))
     w = rng.dirichlet(np.ones(k))
-    return AtomicMeasure(rng.uniform(0.0, TWO_PI, k).tolist(), (w / w.sum()).tolist())
+    return rng.uniform(0.0, TWO_PI, k), w / w.sum()
+
+
+def random_measure(rng: np.random.Generator, k_atoms: int) -> AtomicMeasure:
+    """The checked measure of the atoms random_atoms draws from ``rng``."""
+    return AtomicMeasure(*random_atoms(rng, k_atoms))

@@ -28,10 +28,12 @@ from .classes import (
     AtomicMeasure,
     ClassSpec,
     InvalidParams,
+    check_atoms,
     l_phi_coefficients,
     member_builder,
     member_from_measure,
     named,
+    random_atoms,
     random_measure,
 )
 from .extremal import SearchProblem, search
@@ -78,9 +80,9 @@ CSV_COLUMNS = (
 
 #: Ceiling on trials x (built order + 1) of a run's one sampled suite: as members, 2**25 complex
 #: coefficients are 512 MiB.  verify and trace hold a member, or verify without a grid a block
-#: of at most BATCH_TERMS atom terms, and the one before it, but their rows (about 420 B each)
-#: scale with the suite; sample holds and writes one trial at a time (64 trials at order 8192
-#: peaked at about 41 MiB, 57 MiB when it held them all).
+#: of at most BATCH_TERMS atom terms, and the one before it, but their rows (a peak of about
+#: 250 B each as CSV, 550 B as JSON) scale with the suite; sample holds and writes one trial
+#: at a time (64 trials at order 8192 peaked at about 41 MiB, 57 MiB when it held them all).
 _COEFFICIENTS = 2**25
 
 #: A config field: its exact JSON types and, for an integer, its range lo..hi; holds names the
@@ -258,21 +260,24 @@ class _Suite(NamedTuple):
         (members, order + 1) array, each row bit for bit the member built alone, within
         BATCH_TERMS atom terms (members x k_atoms x (order + 1)).
 
-        A block's measures are padded to its largest atom count with zero-weight atoms at
-        angle 0, whose +0 terms leave every Herglotz sum's bits as they were, and built by
-        one member_builder call.
+        Each trial's atoms (random_atoms, random_measure's draws) fill a row of the block,
+        trimmed to its widest draw; zero-weight atoms at angle 0 pad a row, whose +0 terms
+        leave every Herglotz sum's bits as they were.  One check_atoms call checks a block.
         """
         rng = np.random.default_rng(self.seed)
         build = member_builder(spec, self.order)
         size = max(1, BATCH_TERMS // (self.k_atoms * (self.order + 1)))
         for first in range(0, self.trials, size):
             count = min(size, self.trials - first)
-            measures = [random_measure(rng, self.k_atoms) for _ in range(count)]
-            k = max(len(mu.angles) for mu in measures)
-            pads = [(0.0,) * (k - len(mu.angles)) for mu in measures]
-            angles = np.array([mu.angles + pad for mu, pad in zip(measures, pads)])
-            weights = np.array([mu.weights + pad for mu, pad in zip(measures, pads)])
-            yield [f"sample-{t:04d}" for t in range(first, first + count)], build(angles, weights)
+            atoms = np.zeros((2, count, self.k_atoms))  # angles, weights
+            k = 1
+            for i in range(count):
+                angles, weights = random_atoms(rng, self.k_atoms)
+                k = max(k, len(angles))
+                atoms[:, i, :len(angles)] = angles, weights
+            atoms = atoms[..., :k]
+            check_atoms(*atoms)
+            yield [f"sample-{t:04d}" for t in range(first, first + count)], build(*atoms)
 
 
 def _build_functions(cfg: dict, spec: ClassSpec, order: int, last: int) -> tuple:
@@ -348,53 +353,58 @@ def _write(cfg: dict, doc) -> None:
 
 
 class _Block(NamedTuple):
-    """One function's report rows: a cell (theorem, n, m, lhs, rhs) each, membership first."""
+    """A unit's rows: per key (theorem, n, m), membership first, a rhs and each function's lhs."""
 
-    fid: str
+    fids: list
     seed: int | None
     spec: ClassSpec
-    cells: list
+    keys: list
+    lhs: np.ndarray  # (len(keys), len(fids)), or nested lists of that shape
+    rhs: list  # one per key
+
+
+def _csv_field(text: str) -> str:
+    """text as one CSV field: quoted, with its quotes doubled, when it holds a comma, a quote
+    or a line break (RFC 4180, as the csv module's minimal quoting); else as it is."""
+    return '"%s"' % text.replace('"', '""') if any(map(text.__contains__, ',"\r\n')) else text
 
 
 def _write_blocks(cfg: dict, blocks: list) -> int:
-    """Write the blocks' rows by function id, then n, in cfg's 'format'; return the exit code.
+    """Write the blocks' rows by function id, then key, in cfg's 'format'; return the exit code.
 
-    Each row is judged once: its slack is rhs - lhs and its pass holds(lhs, rhs),
-    and any failed row sets the exit code, in either format.  A JSON row is an
-    object keyed by CSV_COLUMNS.  CSV fields follow _fmt (.12g floats, "" for
-    None, true/false), written inline.  CSV text that repeats is formatted
-    once: gamma and alpha while blocks share a spec, id and seed per block,
-    and n and m per (theorem, n, m), whose rhs text is kept while that key's
-    next rhs is the same float object (a class-wide rhs is one object per n).
-    The text held is bounded by the distinct (theorem, n, m), never by the rows.
-    """
-    blocks.sort(key=lambda b: b.fid)  # function ids are unique
+    Each unit is judged once, as arrays: its slack is rhs - lhs and its pass holds(lhs, rhs),
+    the bits of Python floats, and any failed row sets the exit code, in either format.  A
+    JSON row is an object keyed by CSV_COLUMNS.  CSV fields follow _fmt (.12g floats, "" for
+    None, true/false), and a function id is quoted by _csv_field.  A unit's seed, spec, ids
+    and rhs, and the theorem, n and m of units sharing keys (verify's), are formatted once."""
     as_json = cfg.get("format", "csv") == "json"
-    rows = [] if as_json else [",".join(CSV_COLUMNS)]
-    failed = False
-    last_spec = params = None  # the last block's spec and its "gamma,alpha" text
-    texts = {}  # (theorem, n, m) -> [its "n,m," text, the last rhs, that rhs's text]
-    for fid, seed, spec, cells in blocks:
-        if spec is not last_spec:
-            last_spec, params = spec, f"{_fmt(spec.gamma)},{_fmt(spec.alpha)}"
-        ids = f"{fid},{_fmt(seed)},{params}"
-        for theorem, n, m, lhs, rhs in cells:
-            ok = holds(lhs, rhs)
-            failed = failed or not ok
-            if as_json:
-                rows.append(dict(zip(CSV_COLUMNS, (theorem, fid, seed, spec.gamma, spec.alpha,
-                                                   n, m, lhs, rhs, rhs - lhs, ok))))
-                continue
-            text = texts.get((theorem, n, m))
-            if text is None:
-                text = texts[theorem, n, m] = [f"{_fmt(n)},{_fmt(m)},", None, ""]
-            if text[1] is not rhs:
-                text[1:] = rhs, f"{rhs:.12g}"
-            rows.append(
-                f"{theorem},{ids},{text[0]}{lhs:.12g},{text[2]},{rhs - lhs:.12g},"
-                f"{'true' if ok else 'false'}"
-            )
-    _write(cfg, rows if as_json else "\n".join(rows) + "\n")
+    chunks, failed, last_keys = [], False, None  # chunks: (function id, its rows)
+    for fids, seed, spec, keys, lhs, rhs in blocks:
+        lhs, rhs = np.asarray(lhs, dtype=float), np.array(rhs, dtype=float)[:, None]
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
+            slack, ok = rhs - lhs, holds(lhs, rhs)
+        failed = failed or not ok.all()
+        rhs = rhs[:, 0].tolist()
+        columns = zip(fids, lhs.T.tolist(), slack.T.tolist(), ok.T.tolist())
+        if as_json:
+            chunks += ((fid, [dict(zip(CSV_COLUMNS, (theorem, fid, seed, spec.gamma, spec.alpha,
+                                                     n, m, v, r, s, p)))
+                              for (theorem, n, m), v, r, s, p in zip(keys, ls, rhs, ss, ps)])
+                       for fid, ls, ss, ps in columns)
+            continue
+        if keys is not last_keys:
+            last_keys, heads = keys, [f"{theorem}," for theorem, _, _ in keys]
+            nms = [f"{_fmt(n)},{_fmt(m)}," for _, n, m in keys]
+        params = f"{_fmt(seed)},{_fmt(spec.gamma)},{_fmt(spec.alpha)},"
+        rts = [f"{r:.12g}," for r in rhs]
+        for fid, ls, ss, ps in columns:
+            ids = f"{_csv_field(fid)},{params}"
+            chunks.append((fid, "".join([
+                f"{head}{ids}{nm}{v:.12g},{r}{s:.12g},{'true' if p else 'false'}\n"
+                for head, nm, r, v, s, p in zip(heads, nms, rts, ls, ss, ps)])))
+    chunks.sort(key=lambda c: c[0])  # function ids are unique
+    _write(cfg, [row for _, rows in chunks for row in rows] if as_json
+           else "".join([",".join(CSV_COLUMNS) + "\n", *(text for _, text in chunks)]))
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
@@ -471,16 +481,14 @@ def _cmd_verify(cfg: dict) -> int:
                 yield fids, suite.seed, a, None
 
     def membership(f) -> list:
-        """f's membership cell, or none without a grid."""
+        """f's membership lhs, as the unit's first row, or no row without a grid."""
         if grid is None:
             return []
         check = check_convex if spec.is_convex_kind else check_spirallike
         try:
-            lhs = -check(f, spec, grid).margin
+            return [[-check(f, spec, grid).margin]]
         except (ZeroOnGrid, CriticalPointOnGrid):
-            # a vanishing f or f' on the grid rules the class out outright
-            lhs = math.inf
-        return [("membership", None, None, lhs, TOL_MEMBER)]
+            return [[math.inf]]  # a vanishing f or f' on the grid rules the class out outright
 
     def member_rhs(f, n: int) -> float:
         try:
@@ -488,6 +496,7 @@ def _cmd_verify(cfg: dict) -> int:
         except ChainInequalityViolation:  # a broken derivation chain is a red-alert row
             return math.nan
 
+    keys = [("membership", None, None)] * (grid is not None) + [(theorem, n, m) for n in ns]
     blocks = []
     todo = units()
     overlap = grid is not None and _overlaps(order, grid.m)
@@ -500,15 +509,16 @@ def _cmd_verify(cfg: dict) -> int:
                        else pool.submit(contextvars.copy_context().run, membership, f).result)
             try:
                 if per_function:  # FUNCTIONALS and the member's own rhs at each n
-                    rows = [[(theorem, n, m, functional(f, n, m), member_rhs(f, n)) for n in ns]]
+                    lhs = [[functional(f, n, m)] for n in ns]
+                    rhs = [member_rhs(f, n) for n in ns]
                 else:  # every row of the stack from one on_rows call
-                    rows = [[(theorem, n, m, v, r) for n, v, r in zip(ns, values, class_rhs)]
-                            for values in on_rows(row.functional, a, ns, m).T.tolist()]
+                    lhs, rhs = on_rows(row.functional, a, ns, m), class_rhs
                 unit = next(todo, None)  # above the gate, built while f is checked
             finally:
                 # a check's exception comes first, as when the check runs before the rows
                 check = collect()
-            blocks += (_Block(fid, seed, spec, check + cells) for fid, cells in zip(fids, rows))
+            blocks.append(_Block(fids, seed, spec, keys, np.vstack([*check, lhs]),
+                                 [TOL_MEMBER] * len(check) + rhs))
     return _write_blocks(cfg, blocks)
 
 
@@ -608,8 +618,8 @@ def _cmd_table(cfg: dict) -> int:
         # checks the range's smallest n; its largest reads a_{n+1}, the last one built
         rhs = bound_rhs(theorem, ns, alpha=spec.alpha)
         on = ON_COEFFICIENTS[THEOREMS[theorem].functional]
-        blocks.append(_Block(fid, None, spec, [(theorem, n, None, on(at(n), n), r)
-                                               for n, r in zip(ns, rhs)]))
+        blocks.append(_Block([fid], None, spec, [(theorem, n, None) for n in ns],
+                             [[on(at(n), n)] for n in ns], rhs))
     return _write_blocks(cfg, blocks)
 
 

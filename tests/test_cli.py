@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -14,7 +17,7 @@ from spirallab import (
     AtomicMeasure, ClassSpec, FunctionSeries, classes, member_from_measure, random_measure
 )
 from spirallab.cli import CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, _fmt, main
-from spirallab.inequalities import FUNCTIONALS, THEOREMS, holds
+from spirallab.inequalities import FUNCTIONALS, THEOREMS, TOL_INEQ, holds
 from test_cli_fuzz import OVERFLOW_SEARCH
 from test_golden import CASES as GOLDEN
 
@@ -1120,6 +1123,103 @@ def test_class_wide_rows_of_whole_functions_are_those_of_functionals(tmp_path, m
     assert [(row["function_id"], row["n"], row["lhs"].hex()) for row in rows] == expected
 
 
+def _block_atoms(monkeypatch) -> list:
+    """The (angles, weights) of each block built from here on, as member_builder receives
+    them."""
+    builder, atoms = cli.member_builder, []
+
+    def recording(spec, order):
+        build = builder(spec, order)
+
+        def recorded(angles, weights):
+            atoms.append((angles.copy(), weights.copy()))
+            return build(angles, weights)
+
+        return recorded
+
+    monkeypatch.setattr(cli, "member_builder", recording)
+    return atoms
+
+
+@pytest.mark.parametrize("k_atoms", [1, 8, classes.MAX_ATOMS])
+def test_block_atoms_are_the_draws_of_random_measure(monkeypatch, k_atoms):
+    # each trial's atoms fill a row of its block, as random_measure draws them from one stream;
+    # the rest of a row is zero-weight atoms at angle 0, up to the block's widest draw
+    order, trials = 20, 11
+    monkeypatch.setattr(cli, "BATCH_TERMS", 3 * k_atoms * (order + 1))  # blocks of three
+    atoms = _block_atoms(monkeypatch)
+    suite = cli._Suite(9, trials, k_atoms, order)
+    blocks = list(suite.blocks(ClassSpec("spirallike", 0.4, 0.2)))
+    assert [len(ids) for ids, _ in blocks] == [3, 3, 3, 2]
+    rng = np.random.default_rng(9)
+    measures = [random_measure(rng, k_atoms) for _ in range(trials)]
+    widths = []
+    for b, (angles, weights) in enumerate(atoms):
+        members = measures[3 * b:3 * b + 3]
+        widths.append(max(len(mu.angles) for mu in members))
+        assert angles.shape == weights.shape == (len(members), widths[-1])
+        for mu, row_t, row_w in zip(members, angles.tolist(), weights.tolist()):
+            pad = [0.0] * (widths[-1] - len(mu.angles))
+            assert list(map(float.hex, row_t)) == list(map(float.hex, [*mu.angles, *pad]))
+            assert list(map(float.hex, row_w)) == list(map(float.hex, [*mu.weights, *pad]))
+    if k_atoms > 1:  # some block's widest draw is narrower than k_atoms
+        assert min(widths) < k_atoms
+
+
+def test_sample_atoms_are_the_verify_block_rows(tmp_path, monkeypatch):
+    # sample and a grid-less class-wide verify of one seed draw the same atoms, trial by trial
+    seed, trials, k_atoms = 21, 9, 5
+    out = tmp_path / "samples.json"
+    cfg = write_config(tmp_path, {"seed": seed, "order": 6, "trials": trials,
+                                  "k_atoms": k_atoms, "spec": {"kind": "starlike"},
+                                  "out": str(out)})
+    assert main(["sample", "--config", cfg]) == EXIT_OK
+    sampled = [[(a["t"].hex(), a["w"].hex()) for a in doc["atoms"]]
+               for doc in json.loads(out.read_text())]
+    atoms = _block_atoms(monkeypatch)
+    doc = {"seed": seed, "order": 6, "spec": {"kind": "starlike"}, "theorem": "thm_A",
+           "n": [2, 4], "functions": [{"sampled": {"trials": trials, "k_atoms": k_atoms}}],
+           "out": str(tmp_path / "rows.csv")}
+    main(["verify", "--config", write_config(tmp_path, doc)])
+    rows = [list(zip(map(float.hex, t), map(float.hex, w)))
+            for angles, weights in atoms for t, w in zip(angles.tolist(), weights.tolist())]
+    assert len(rows) == trials
+    zero = (0.0).hex()
+    for drawn, row in zip(sampled, rows):
+        assert row == drawn + [(zero, zero)] * (len(row) - len(drawn))
+
+
+#: a draw rule gone wrong: each mutates the first atom of every draw
+_BAD_DRAWS = {
+    "nan_weight": lambda t, w: w.__setitem__(0, math.nan),
+    "negative_weight": lambda t, w: w.__setitem__(0, -0.25),
+    "angle_two_pi": lambda t, w: t.__setitem__(0, classes.TWO_PI),
+    "weights_sum_half": lambda t, w: w.__imul__(0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_DRAWS))
+def test_a_block_check_fails_as_the_measure_check_does(tmp_path, monkeypatch, capsys, case):
+    # one check_atoms call on a block raises the InvalidParams text of random_measure's check
+    draw = classes.random_atoms
+
+    def bad(rng, k_atoms):
+        angles, weights = draw(rng, k_atoms)
+        _BAD_DRAWS[case](angles, weights)
+        return angles, weights
+
+    monkeypatch.setattr(classes, "random_atoms", bad)
+    monkeypatch.setattr(cli, "random_atoms", bad)
+    with pytest.raises(classes.InvalidParams) as alone:
+        random_measure(np.random.default_rng(3), 4)
+    with pytest.raises(classes.InvalidParams) as block:
+        list(cli._Suite(3, 7, 4, 16).blocks(ClassSpec("spirallike", 0.4, 0.2)))
+    assert str(block.value) == str(alone.value)
+    doc = {**_SAMPLED_MAIN, "theorem": "cor_spiral", "out": str(tmp_path / "rows.csv")}
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {alone.value}\n")
+
+
 #: a sampled suite whose members leave the double range: inf and NaN rows, a red alert
 _OVERFLOW = {"seed": 1, "order": 4096, "spec": {"kind": "starlike", "alpha": -300},
              "theorem": "thm_C", "n": [2, 2000],
@@ -1253,28 +1353,29 @@ def test_csv_rows_are_the_json_rows_formatted(tmp_path, case):
     rows = json.loads(reports["json"])
     assert header == ",".join(CSV_COLUMNS)
     assert len(lines) == len(rows) > 0
-    for line, row in zip(lines, rows):
-        # function ids may hold commas, so the whole line is compared
-        assert line == ",".join(_fmt(row[col]) for col in CSV_COLUMNS)
+    # function ids may hold commas: each line is the csv module's minimal quoting of the fields
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(
+        [_fmt(row[col]) for col in CSV_COLUMNS] for row in rows)
+    assert lines == text.getvalue().splitlines()
 
 
 def test_csv_writer_gives_each_rhs_of_a_key_its_own_text(tmp_path):
-    # the writer keeps one rhs text per (theorem, n, m) while the rhs is the same float object,
-    # and one gamma/alpha text while the spec is the same object: equal floats of the other
-    # sign, nan and inf each get their own text
+    # the writer formats each unit's rhs per key and its gamma/alpha once: units of the same
+    # keys and equal floats of the other sign, nan and inf each get their own text
     shared = float("0.25")
     rhs = [shared, shared, 0.0, -0.0, math.nan, math.inf, -math.inf, shared]
     specs = [ClassSpec("spirallike", 0.0, 0.0), ClassSpec("spirallike", -0.0, -0.0)]
-    cells = [("cor_spiral", 2, None, 0.125), ("membership", None, None, 0.0)]
-    blocks = [cli._Block(f"f{i}", i, specs[i % 2], [(*cell, r) for cell in cells])
+    keys = [("cor_spiral", 2, None), ("membership", None, None)]
+    blocks = [cli._Block([f"f{i}"], i, specs[i % 2], keys, [[0.125], [0.0]], [r, r])
               for i, r in enumerate(rhs)]
     out = tmp_path / "rows.csv"
     assert cli._write_blocks({"out": str(out)}, list(blocks)) == EXIT_VIOLATION
     expected = [
-        ",".join(_fmt(v) for v in (theorem, b.fid, b.seed, b.spec.gamma, b.spec.alpha,
+        ",".join(_fmt(v) for v in (theorem, b.fids[0], b.seed, b.spec.gamma, b.spec.alpha,
                                    n, m, lhs, r, r - lhs, holds(lhs, r)))
         for b in blocks
-        for theorem, n, m, lhs, r in b.cells
+        for (theorem, n, m), (lhs,), r in zip(b.keys, b.lhs, b.rhs)
     ]
     assert out.read_text().splitlines()[1:] == expected
     # JSON rows go through the same loop: each row is judged once, so both formats give the
@@ -1285,9 +1386,59 @@ def test_csv_writer_gives_each_rhs_of_a_key_its_own_text(tmp_path):
             assert cli._write_blocks(cfg, list(kept)) == code
         lines = (tmp_path / "rows.csv").read_text().splitlines()[1:]
         rows = json.loads((tmp_path / "rows.json").read_text())
-        verdicts = [holds(lhs, r) for b in kept for _, _, _, lhs, r in b.cells]
+        verdicts = [holds(lhs, r) for b in kept for (lhs,), r in zip(b.lhs, b.rhs)]
         assert [line.endswith(",true") for line in lines] == verdicts
         assert [row["pass"] for row in rows] == verdicts
+
+
+def test_array_verdicts_are_the_scalar_ones(tmp_path):
+    # a unit's slack and pass, judged as arrays, are Python's rhs - lhs and the scalar holds,
+    # element by element, with no numpy warning outside main's errstate
+    lhs = [[math.nan, 0.5], [math.inf, -math.inf], [-math.inf, math.inf], [0.0, -0.0],
+           [TOL_INEQ, 2.0 * TOL_INEQ], [1.0, 1.0 + TOL_INEQ]]
+    rhs = [1.0, math.inf, -math.inf, -0.0, 0.0, 1.0]
+    block = cli._Block(["b", "a"], 4, ClassSpec("starlike"),
+                       [("thm_A", n, None) for n in range(2, 8)], np.array(lhs), rhs)
+    reports = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli._write_blocks({"format": fmt, "out": str(out)}, [block])
+        assert code == EXIT_VIOLATION
+        reports[fmt] = out.read_text()
+    expected = [(fid, rhs[i] - lhs[i][j], holds(lhs[i][j], rhs[i]))
+                for j, fid in sorted(enumerate(block.fids), key=lambda c: c[1])
+                for i in range(len(rhs))]
+    assert ("b", -TOL_INEQ, True) in expected  # a slack of exactly -TOL_INEQ passes
+    rows = json.loads(reports["json"])
+    assert [(r["function_id"], r["slack"].hex(), r["pass"]) for r in rows] == [
+        (fid, slack.hex(), ok) for fid, slack, ok in expected]
+    lines = list(csv.DictReader(io.StringIO(reports["csv"])))
+    assert [(r["function_id"], r["slack"], r["pass"]) for r in lines] == [
+        (fid, _fmt(slack), _fmt(ok)) for fid, slack, ok in expected]
+
+
+def test_a_function_id_with_commas_is_one_quoted_csv_field(tmp_path):
+    # two_point's id holds a comma: the CSV writer quotes it, so csv.DictReader reads the
+    # same 11 fields per row as the JSON report holds
+    doc = {"seed": 1, "order": 16, "spec": {"kind": "spirallike"}, "theorem": "cor_spiral",
+           "n": [2, 3], "functions": [{"name": "two_point", "params": {"theta1": 0, "theta2": 3}},
+                                      {"sampled": {"trials": 1, "k_atoms": 1}}]}
+    reports = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert main(["verify", "--config", write_config(tmp_path, {**doc, "format": fmt,
+                                                                   "out": str(out)})]) == EXIT_OK
+        reports[fmt] = out.read_text()
+    assert '"two_point(theta1=0,theta2=3)"' in reports["csv"]
+    lines = list(csv.reader(io.StringIO(reports["csv"])))
+    assert [len(line) for line in lines] == [11] * 5
+    rows = json.loads(reports["json"])
+    assert list(csv.DictReader(io.StringIO(reports["csv"]))) == [
+        {col: _fmt(row[col]) for col in CSV_COLUMNS} for row in rows]
+    assert [row["function_id"] for row in rows] == ["sample-0000"] * 2 + [
+        "two_point(theta1=0,theta2=3)"] * 2
 
 
 # Open false red alerts, strict so that the item that removes one turns its test green.

@@ -124,7 +124,7 @@ CASES = {
             ],
         },
         EXIT_VIOLATION,
-        "1470d86e10ac5ca92b697a36b355aa8ab8a7aad5ac3cf3b67aab27ccd96c216f",
+        "b7828c411a4e49709ae48e28b7e0c05aa15ba0dc7dbf94bd96d43f682f8c97a9",
         EMPTY,
     ),
     "verify_cor_convex_gamma": (

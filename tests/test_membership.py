@@ -58,10 +58,10 @@ def test_koebe_is_starlike_on_ladder():
 def test_report_verdict_is_the_cli_membership_row(tmp_path, margin, passed):
     # one rule for both: margin >= -(TOL_MEMBER + TOL_INEQ), and NaN fails
     assert MembershipReport(margin, Grid(), 0j).passed == passed
-    cell = ("membership", None, None, -margin, TOL_MEMBER)
     for fmt in ("csv", "json"):
         out = tmp_path / fmt
-        block = _Block("f", None, ClassSpec("starlike"), [cell])
+        block = _Block(["f"], None, ClassSpec("starlike"), [("membership", None, None)],
+                       [[-margin]], [TOL_MEMBER])
         code = _write_blocks({"format": fmt, "out": str(out)}, [block])
         assert code == (EXIT_OK if passed else EXIT_VIOLATION)
         if fmt == "json":
